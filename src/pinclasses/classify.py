@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 from .cperm import CentredPerm, centred_pattern, is_box_indecomposable
+from .errors import ParameterOutOfRange
 from .pimap import pi_map
 from .pinword import PinWord
 
@@ -242,7 +243,7 @@ def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
     A disagreement is reported in the ClassificationReport, never raised.
     """
     if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+        raise ParameterOutOfRange(f"n_max must be at least 2, got {n_max}")
     reports = []
     for n in range(1, n_max + 1):
         derived_decs, derived_groups = _derive_at_length(n, jobs=jobs)

@@ -14,14 +14,17 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import classify, oracle, pipeline
-from .errors import CrossCheckMismatch, MalformedSyntax, PinclassesError
+from .errors import CrossCheckMismatch, MalformedSyntax, NoRootInRange, PinclassesError
 from .pimap import PinDiagram, pi_map
 from .pinword import PinWord, is_recurrent, parse_pin_spec, parse_pin_word
 from .series import Poly, coeffs
 
 
 def _parse_tol(text: str) -> Fraction:
-    return Fraction(Decimal(text))
+    try:
+        return Fraction(Decimal(text))
+    except (ArithmeticError, ValueError):
+        raise MalformedSyntax(f"tolerance must be a decimal number, got {text!r}") from None
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -191,7 +194,7 @@ def cmd_closure_of(args) -> int:
     lines = [f"generators: {', '.join(args.perms)}", f"f = {f}"]
     try:
         result = pipeline.growth_rate(f, digits=args.digits)
-    except PinclassesError:
+    except NoRootInRange:
         payload["growth"] = None
         lines.append("growth: below 2 (no denominator root in (0, 1/2])")
     else:

@@ -303,11 +303,37 @@ def is_box_indecomposable(p: CentredPerm) -> bool:
     """True iff p has no proper non-trivial ∘-interval."""
     if p.length == 0:
         raise EmptyPermutation("indecomposability is defined for length ≥ 1")
-    m = len(p.filled)
-    for a in range(1, p.origin_index + 1):
-        for b in range(p.origin_index, m + 1):
-            if (a, b) != (1, m) and b > a and _is_interval(p, a, b):
-                return False
+    f, k, m = p.filled, p.origin_index, len(p.filled)
+    # Positions a..b form a ∘-interval iff their values span exactly b - a.
+    # Running min/max outward from the origin give each span in O(1), so
+    # the scan is O(m^2).  A span only grows with b, so when it exceeds
+    # b - a by `gap`, no interval ends before b + gap.
+    right_lo, right_hi = [], []  # min/max of positions k..b, for b = k..m
+    lo = hi = f[k - 1]
+    for v in f[k - 1 :]:
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        right_lo.append(lo)
+        right_hi.append(hi)
+    lo = hi = f[k - 1]
+    for a in range(k, 0, -1):
+        v = f[a - 1]
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        b = k if a < k else k + 1
+        while b <= m:
+            span_hi = right_hi[b - k] if right_hi[b - k] > hi else hi
+            span_lo = right_lo[b - k] if right_lo[b - k] < lo else lo
+            gap = span_hi - span_lo - (b - a)
+            if gap == 0:
+                if (a, b) != (1, m):
+                    return False
+                break
+            b += gap
     return True
 
 

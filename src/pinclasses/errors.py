@@ -91,6 +91,10 @@ class CensusTooLarge(PreconditionError):
     """A census would retain more permutations than the memory guard allows."""
 
 
+class ParameterOutOfRange(PreconditionError, ValueError):
+    """A numeric argument (tolerance, digits, depth, bound) is outside its range."""
+
+
 class NumericError(PinclassesError):
     exit_code = 4
 

@@ -25,7 +25,12 @@ from .cperm import (
     strip_origin,
     subpatterns,
 )
-from .errors import CensusTooLarge, ConvergenceNotReached, NotRecurrent
+from .errors import (
+    CensusTooLarge,
+    ConvergenceNotReached,
+    NotRecurrent,
+    ParameterOutOfRange,
+)
 from .pimap import diagram_points, pi_map
 from .pinword import PinSpec, enumerate_pin_factors, is_recurrent, parse_pin_spec
 
@@ -68,6 +73,11 @@ class ClassCensus:
         return f"ClassCensus({self.description!r}, counts={self.counts})"
 
 
+def _check_depth(n_max: int) -> None:
+    if n_max < 0:
+        raise ParameterOutOfRange(f"census depth must be non-negative, got {n_max}")
+
+
 def _guard(total: int, description: str) -> None:
     if total > MEMORY_GUARD:
         raise CensusTooLarge(
@@ -82,8 +92,7 @@ def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> Cl
     by one cycle until the counts repeat across two consecutive lengths.
     """
     spec = _as_spec(spec)
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _check_depth(n_max)
     if n_max > _SUBSET_GUARD and not override_guard:
         raise CensusTooLarge(
             f"subset census depth {n_max} exceeds the guard {_SUBSET_GUARD}; "
@@ -132,6 +141,7 @@ def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCe
 def enumerate_class_composition(spec, n_max: int, override_guard: bool = False) -> ClassCensus:
     """Census of a recurrent pin class by composing factor images."""
     spec = _as_spec(spec)
+    _check_depth(n_max)
     if not is_recurrent(spec):
         raise NotRecurrent(
             f"{spec} is not recurrent, so its pin class is not ⊞-closed and "
@@ -153,6 +163,7 @@ def enumerate_class_composition(spec, n_max: int, override_guard: bool = False) 
 
 def enumerate_pin_permutations(n_max: int, override_guard: bool = False) -> ClassCensus:
     """Census of the complete class: compositions of all pin-word images."""
+    _check_depth(n_max)
     if n_max > _REPRESENTATION_GUARD and not override_guard:
         raise CensusTooLarge(
             f"representation census depth {n_max} exceeds the guard "
@@ -168,6 +179,7 @@ def enumerate_pin_permutations(n_max: int, override_guard: bool = False) -> Clas
 
 def enumerate_closure_composition(generators, n_max: int) -> ClassCensus:
     """Census of the ⊞-closure of finitely many centred permutations."""
+    _check_depth(n_max)
     gens = [_as_perm(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")

@@ -21,27 +21,47 @@ def _as_word(w) -> PinWord:
     return w if isinstance(w, PinWord) else parse_pin_word(w)
 
 
+def _first_points(numeral: int) -> list[tuple[int, int]]:
+    dx, dy = _NUMERAL_STEP[numeral]
+    return [(0, 0), (dx, dy)]
+
+
+def _place(pts: list[tuple[int, int]], letter: str) -> list[tuple[int, int]]:
+    """The points after placing one more point for ``letter``; the step of
+    every diagram.  ``pts`` itself is left unchanged."""
+    px, py = pts[-1]
+    if letter in "ud":
+        ynew = max(y for _, y in pts) + 1 if letter == "u" else min(y for _, y in pts) - 1
+        rxmax = max(x for x, _ in pts[:-1])
+        xnew = rxmax + 1 if px > rxmax else px + 1
+        out = [(x + 1 if x >= xnew else x, y) for x, y in pts]
+    else:
+        xnew = max(x for x, _ in pts) + 1 if letter == "r" else min(x for x, _ in pts) - 1
+        rymax = max(y for _, y in pts[:-1])
+        ynew = rymax + 1 if py > rymax else py + 1
+        out = [(x, y + 1 if y >= ynew else y) for x, y in pts]
+    out.append((xnew, ynew))
+    return out
+
+
 def diagram_points(w) -> list[tuple[int, int]]:
     """Integer-rank coordinates of p0..p_n for the word w, in placement order."""
     w = _as_word(w)
-    dx, dy = _NUMERAL_STEP[w.numeral]
-    pts = [(0, 0), (dx, dy)]
+    pts = _first_points(w.numeral)
     for letter in w.letters:
-        px, py = pts[-1]
-        rect = pts[:-1]
-        if letter in "ud":
-            ynew = max(y for _, y in pts) + 1 if letter == "u" else min(y for _, y in pts) - 1
-            rxmax = max(x for x, _ in rect)
-            xnew = rxmax + 1 if px > rxmax else px + 1
-            pts = [(x + 1 if x >= xnew else x, y) for x, y in pts]
-            pts.append((xnew, ynew))
-        else:
-            xnew = max(x for x, _ in pts) + 1 if letter == "r" else min(x for x, _ in pts) - 1
-            rymax = max(y for _, y in rect)
-            ynew = rymax + 1 if py > rymax else py + 1
-            pts = [(x, y + 1 if y >= ynew else y) for x, y in pts]
-            pts.append((xnew, ynew))
+        pts = _place(pts, letter)
     return pts
+
+
+def prefix_images(w):
+    """Yield pi(w_{1,1}), pi(w_{1,2}), ..., pi(w) from one diagram that grows
+    a point at a time, so each image costs one placement, not a new diagram."""
+    w = _as_word(w)
+    pts = _first_points(w.numeral)
+    yield centred_pattern(pts, pts[0])
+    for letter in w.letters:
+        pts = _place(pts, letter)
+        yield centred_pattern(pts, pts[0])
 
 
 class PinDiagram:

@@ -14,6 +14,7 @@ table keyed on letter pairs.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import (
     AlignmentViolation,
@@ -268,24 +269,32 @@ def _factor_windows(spec: PinSpec) -> tuple[int, int]:
     return p + 2, p + 2 * c + 1
 
 
+@lru_cache(maxsize=128)
+def _start_numerals(prefix: PinWord, cycle: str) -> tuple[int, ...]:
+    """Numerals of the factors starting at positions 1..hi: the quadrants of
+    p_1..p_hi, read off one diagram of w_{1,hi}.  Placing a point shifts
+    every rank above a threshold, which keeps their order, so a point's
+    quadrant never changes as the diagram grows.  Keyed by the written
+    prefix and cycle, since hi depends on the written prefix length."""
+    from . import pimap
+
+    spec = PinSpec(prefix, cycle)
+    _, hi = _factor_windows(spec)
+    quads = pimap.all_point_quadrants(spec.initial_word(hi))
+    return tuple(quads[i] for i in range(1, hi + 1))
+
+
 def enumerate_pin_factors(spec: PinSpec, n: int, mode: str = "all") -> set[PinWord]:
     """Distinct pin factors of length n; mode 'all' or 'recurrent'."""
     if mode not in ("all", "recurrent"):
         raise ValueError(f"mode must be 'all' or 'recurrent', got {mode!r}")
     if n < 1:
         raise IndexOutOfRange(f"factor length {n} < 1")
-    from . import pimap
-
     lo, hi = _factor_windows(spec)
     first = 1 if mode == "all" else lo
-    word = spec.initial_word(hi + n - 1)
-    quads = pimap.all_point_quadrants(word)
-    out: set[PinWord] = set()
-    for i in range(first, hi + 1):
-        letters = "".join(spec.symbol(t) for t in range(i + 1, i + n))
-        numeral = spec.numeral if i == 1 else quads[i]
-        out.add(PinWord(numeral, letters))
-    return out
+    numerals = _start_numerals(spec.prefix, spec.cycle)
+    letters = spec.initial_word(hi + n - 1).letters  # position t is letters[t - 2]
+    return {PinWord(numerals[i - 1], letters[i - 1 : i + n - 2]) for i in range(first, hi + 1)}
 
 
 def is_recurrent(spec) -> bool:

@@ -26,9 +26,10 @@ from .errors import (
     DisconnectedQuadrants,
     NoRootInRange,
     NotRecurrent,
+    ParameterOutOfRange,
     StabilizationFailure,
 )
-from .pimap import all_point_quadrants, pi_map, point_quadrant
+from .pimap import all_point_quadrants, pi_map, point_quadrant, prefix_images
 from .pinword import (
     PinSpec,
     PinWord,
@@ -104,42 +105,57 @@ class GSequence:
 
 
 @lru_cache(maxsize=128)
-def _factor_images(spec: PinSpec, mode: str) -> dict[int, list]:
-    """Per length n: list of (factor word, pi-image, indecomposable?) up to
-    the stabilization window plus one cycle."""
+def _factor_images(prefix: PinWord, cycle: str, mode: str) -> dict[int, dict]:
+    """Per length n, up to the stabilization window plus one cycle: every
+    distinct pin factor v -> (pi(v), indecomposable?, one quadrant).
+
+    Each factor is a prefix of the longest factor at its start, so the
+    images of one start are built a point at a time; the longest is checked
+    against the pi-map built from scratch.  The total indecomposable count
+    is then checked against the classification-table route, once: the
+    check does not depend on which images a caller keeps.  Keyed by the
+    written prefix and cycle, since the window depends on the written
+    prefix length.
+    """
+    spec = PinSpec(prefix, cycle)
     window = spec.prefix_length + 3 * spec.cycle_length + 2
-    table: dict[int, list] = {}
-    for n in range(1, window + 1):
-        rows = []
-        for v in sorted(enumerate_pin_factors(spec, n, mode), key=str):
-            img = pi_map(v)
-            rows.append((v, img, is_box_indecomposable(img)))
-        table[n] = rows
-    return table
-
-
-def _counts_with_crosscheck(spec: PinSpec, mode: str, keep) -> dict[int, int]:
-    """Count distinct kept images per length; verify the total indecomposable
-    count against the classification-table route."""
-    table = _factor_images(spec, mode)
-    counts: dict[int, int] = {}
-    for n, rows in table.items():
-        images = {img for _, img, _ in rows}
-        indec_images = {img for _, img, ind in rows if ind}
-        counts[n] = len({img for _, img, ind in rows if ind and keep(img)})
-        words = {v for v, _, _ in rows}
-        dec_words = sum(1 for v in words if classify.is_decomposable_word(v))
-        over = classify.overcount_series({n: words})[n]
-        if len(words) - dec_words - over != len(indec_images):
+    table: dict[int, dict] = {n: {} for n in range(1, window + 1)}
+    for longest in sorted(enumerate_pin_factors(spec, window, mode), key=str):
+        for n, img in enumerate(prefix_images(longest), 1):
+            v = PinWord(longest.numeral, longest.letters[: n - 1])
+            if v not in table[n]:
+                table[n][v] = (img, is_box_indecomposable(img), one_quadrant(img))
+        if img != pi_map(longest):
             raise CrossCheckMismatch(
-                f"table route gives {len(words) - dec_words - over} indecomposables "
+                f"incremental image {img} of {longest} differs from its pi-map"
+            )
+    for n, rows in table.items():
+        images = {img for img, _, _ in rows.values()}
+        indec_images = {img for img, ind, _ in rows.values() if ind}
+        dec_words = sum(1 for v in rows if classify.is_decomposable_word(v))
+        over = classify.overcount_series({n: rows.keys()})[n]
+        if len(rows) - dec_words - over != len(indec_images):
+            raise CrossCheckMismatch(
+                f"table route gives {len(rows) - dec_words - over} indecomposables "
                 f"at n={n} for {spec} ({mode}), direct route gives {len(indec_images)}"
             )
-        if len(words) - over != len(images):
+        if len(rows) - over != len(images):
             raise CrossCheckMismatch(
                 f"collision overcount {over} inconsistent with image dedup at n={n}"
             )
-    return counts
+    return table
+
+
+def _indecomposable_image_counts(spec: PinSpec, mode: str, quadrant=None) -> dict[int, int]:
+    """Distinct indecomposable factor images per length; with a quadrant,
+    only those lying entirely in it."""
+    table = _factor_images(spec.prefix, spec.cycle, mode)
+    return {
+        n: len(
+            {img for img, ind, q in rows.values() if ind and (quadrant is None or q == quadrant)}
+        )
+        for n, rows in table.items()
+    }
 
 
 def _stabilized_gf(spec: PinSpec, counts: dict[int, int]) -> RatGF:
@@ -160,7 +176,7 @@ def indecomposable_counts(spec, mode: str = "all") -> tuple[dict[int, int], RatG
     """Distinct ⊞-indecomposable pi-images of pin factors, per length, as
     explicit counts plus their generating function g(z)."""
     spec = _as_spec(spec)
-    counts = _counts_with_crosscheck(spec, mode, lambda img: True)
+    counts = _indecomposable_image_counts(spec, mode)
     return counts, _stabilized_gf(spec, counts)
 
 
@@ -169,7 +185,7 @@ def quadrant_indecomposable_counts(spec, q: int, mode: str = "all") -> RatGF:
     spec = _as_spec(spec)
     if q not in (1, 2, 3, 4):
         raise ValueError(f"quadrant must be 1..4, got {q}")
-    counts = _counts_with_crosscheck(spec, mode, lambda img: one_quadrant(img) == q)
+    counts = _indecomposable_image_counts(spec, mode, q)
     return _stabilized_gf(spec, counts)
 
 
@@ -365,7 +381,7 @@ def _check_connected(quadrants: frozenset[int]) -> None:
         raise DisconnectedQuadrants("at least one quadrant is required")
     bad = quadrants - {1, 2, 3, 4}
     if bad:
-        raise ValueError(f"invalid quadrants {sorted(bad)}")
+        raise ParameterOutOfRange(f"invalid quadrants {sorted(bad)}")
     seen = {min(quadrants)}
     frontier = [min(quadrants)]
     while frontier:
@@ -477,6 +493,11 @@ class GrowthResult:
         return f"GrowthResult({self.growth_rate}, poly={self.polynomial})"
 
 
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise ParameterOutOfRange(f"digits must be at least 1, got {digits}")
+
+
 def growth_rate(
     f_or_g,
     target: str = DENOMINATOR_ROOT,
@@ -487,7 +508,13 @@ def growth_rate(
 
     ``f_or_g`` may be a RatGF (denominator root, or G(z) = 1 when target is
     G_EQUALS_1) or a bare Poly whose own smallest positive root is wanted.
+    The bisection stops once the root interval is at most ``tol`` wide, so
+    ``tol`` must be positive.
     """
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ParameterOutOfRange(f"tolerance must be positive, got {tol}")
+    _check_digits(digits)
     if isinstance(f_or_g, Poly):
         poly = f_or_g
     elif target == DENOMINATOR_ROOT:
@@ -496,7 +523,6 @@ def growth_rate(
         poly = f_or_g.num - f_or_g.den
     else:
         raise ValueError(f"unknown target {target!r}")
-    tol = Fraction(tol)
     p = _square_free(poly)
     if p.degree < 1:
         raise NoRootInRange(f"{poly} has no roots at all")
@@ -568,6 +594,7 @@ def truncation_convergence(spec, t_max: int) -> list[GrowthResult]:
 def describe(spec, mode: str = "class", digits: int = 10) -> dict:
     """Full JSON-ready result bundle for a pin spec in the requested mode."""
     spec = _as_spec(spec)
+    _check_digits(digits)
     if mode == "class":
         if not is_recurrent(spec):
             raise NotRecurrent(

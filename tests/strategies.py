@@ -22,11 +22,11 @@ def pin_words(draw, max_letters=7):
 
 
 @st.composite
-def pin_specs(draw):
+def pin_specs(draw, cycle_lengths=(2, 4)):
     # An internally alternating cycle of even length always alternates across
     # the wrap; only the prefix-cycle junction needs care.
     word = draw(pin_words(max_letters=4))
-    length = draw(st.sampled_from([2, 4]))
+    length = draw(st.sampled_from(cycle_lengths))
     prev = word.letters[-1] if word.letters else None
     cycle = []
     for _ in range(length):

@@ -80,6 +80,11 @@ class TestGf:
         code, out, _ = run(capsys, "gf", "1(ru)*", "--digits", "4")
         assert any(line.startswith("growth = 2.206") for line in out.splitlines())
 
+    def test_digits_below_one(self, capsys):
+        code, out, err = run(capsys, "gf", "1(ru)*", "--digits", "0")
+        assert code == 3
+        assert "digits" in err and not out
+
 
 class TestGrowth:
     def test_spec_default_closure_mode(self, capsys):
@@ -116,6 +121,22 @@ class TestGrowth:
         lo, hi = Fraction(m.group(1)), Fraction(m.group(2))
         assert hi - lo <= Fraction(1, 100) * 6  # growth interval of a coarse root box
 
+    @pytest.mark.parametrize("tol", ["0", "-0.001"])
+    def test_nonpositive_tolerance_fails_fast(self, capsys, tol):
+        code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", tol)
+        assert code == 3
+        assert "tolerance" in err and not out
+
+    def test_malformed_tolerance(self, capsys):
+        code, _, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", "abc")
+        assert code == 2
+        assert "tolerance" in err
+
+    def test_digits_below_one(self, capsys):
+        code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--digits", "0")
+        assert code == 3
+        assert "digits" in err and not out
+
     def test_needs_spec_or_poly(self, capsys):
         code, _, err = run(capsys, "growth")
         assert code == 2
@@ -141,6 +162,11 @@ class TestVerifyTables:
         data = json.loads(out)["reports"]
         assert [d["length"] for d in data] == [1, 2, 3, 4]
         assert all(d["table_match"] for d in data)
+
+    def test_bound_below_two(self, capsys):
+        code, out, err = run(capsys, "verify-tables", "--n-max", "1")
+        assert code == 3
+        assert "n_max" in err and not out
 
 
 class TestOracle:
@@ -184,6 +210,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "1(ul)*", "--n", "3", "--method", "composition")
         assert code == 3
 
+    def test_negative_depth(self, capsys):
+        code, out, err = run(capsys, "oracle", "1(ru)*", "--n", "-3", "--method", "composition")
+        assert code == 3
+        assert "depth" in err
+        assert "match" not in out
+
     def test_guard_exit(self, capsys):
         code, _, err = run(capsys, "oracle", "1(ru)*", "--n", "9", "--method", "subset")
         assert code == 3
@@ -206,6 +238,15 @@ class TestComplete:
         code, _, err = run(capsys, "complete", "--quadrants", "1,3")
         assert code == 3
 
+    def test_quadrant_out_of_range(self, capsys):
+        code, _, err = run(capsys, "complete", "--quadrants", "1,5")
+        assert code == 3
+
+    def test_digits_below_one(self, capsys):
+        code, out, err = run(capsys, "complete", "--digits", "0")
+        assert code == 3
+        assert "digits" in err and not out
+
     def test_bad_quadrant_literal(self, capsys):
         code, _, err = run(capsys, "complete", "--quadrants", "1,alpha")
         assert code == 2
@@ -222,6 +263,11 @@ class TestClosureOf:
         code, out, _ = run(capsys, "closure-of", "--perms", "[1]2", "1[2]")
         assert code == 0
         assert "below 2" in out
+
+    def test_digits_below_one_is_not_below_two(self, capsys):
+        code, out, err = run(capsys, "closure-of", "--perms", "41[3]52", "--digits", "0")
+        assert code == 3
+        assert "below 2" not in out
 
     def test_malformed_perm(self, capsys):
         code, _, err = run(capsys, "closure-of", "--perms", "4[1]52")

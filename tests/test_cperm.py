@@ -2,6 +2,8 @@
 
 import random
 from functools import reduce
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,28 @@ class TestIntervalsAndDecomposition:
         assert not is_box_indecomposable(from_oneline("241[3]5"))
         with pytest.raises(EmptyPermutation):
             is_box_indecomposable(EMPTY)
+
+    def test_indecomposability_matches_cubic_definition(self):
+        """The O(m^2) scan agrees with slicing every origin-containing
+        window, on every centred permutation with up to 7 entries."""
+
+        def by_definition(p):
+            m, k = len(p.filled), p.origin_index
+            for a in range(1, k + 1):
+                for b in range(max(k, a + 1), m + 1):
+                    window = p.filled[a - 1 : b]
+                    if (a, b) != (1, m) and max(window) - min(window) == b - a:
+                        return False
+            return True
+
+        checked = 0
+        for m in range(2, 8):
+            for filled in permutations(range(1, m + 1)):
+                for origin in range(1, m + 1):
+                    p = CentredPerm(filled, origin)
+                    assert is_box_indecomposable(p) == by_definition(p), p
+                    checked += 1
+        assert checked == sum(factorial(m) * m for m in range(2, 8))
 
     @given(centred_perms(max_n=6))
     @settings(max_examples=120)

@@ -3,7 +3,7 @@
 import pytest
 
 from pinclasses import _patterns
-from pinclasses.errors import CensusTooLarge, NotRecurrent
+from pinclasses.errors import CensusTooLarge, NotRecurrent, ParameterOutOfRange
 from pinclasses.oracle import (
     ClassCensus,
     census_adjacency,
@@ -124,6 +124,16 @@ class TestGuards:
             enumerate_class_composition("1(ru)*", 11)
         with pytest.raises(CensusTooLarge):
             enumerate_pin_permutations(9)
+
+    def test_negative_depths(self):
+        with pytest.raises(ParameterOutOfRange):
+            enumerate_class_subset("1(ru)*", -1)
+        with pytest.raises(ParameterOutOfRange):
+            enumerate_class_composition("1(ru)*", -3)
+        with pytest.raises(ParameterOutOfRange):
+            enumerate_pin_permutations(-1)
+        with pytest.raises(ParameterOutOfRange):
+            enumerate_closure_composition(["41[3]52"], -1)
 
     def test_override_allows_deeper(self):
         census = enumerate_pin_permutations(7, override_guard=True)

@@ -14,6 +14,7 @@ from pinclasses.pimap import (
     one_point_extension_candidates,
     pi_map,
     point_quadrant,
+    prefix_images,
     remove_interior_point,
 )
 from pinclasses.pinword import PinWord, parse_pin_word
@@ -67,6 +68,14 @@ class TestPiMap:
 
         shorter = PinWord(w.numeral, w.letters[:-1])
         assert contains(pi_map(w), pi_map(shorter))
+
+    @given(pin_words(max_letters=12))
+    @settings(max_examples=80)
+    def test_prefix_images_match_fresh_diagrams(self, w):
+        images = list(prefix_images(w))
+        assert images == [
+            pi_map(PinWord(w.numeral, w.letters[:k])) for k in range(w.length)
+        ]
 
 
 class TestDiagramGeometry:

@@ -3,19 +3,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinclasses.cperm import QUADRANT_POINT
+from pinclasses import pipeline
+from pinclasses.cperm import QUADRANT_POINT, is_box_indecomposable, one_quadrant
 from pinclasses.errors import (
     BoundViolation,
+    CrossCheckMismatch,
     DisconnectedQuadrants,
     NoRootInRange,
     NotRecurrent,
+    ParameterOutOfRange,
     StabilizationFailure,
 )
+from pinclasses.pimap import pi_map
+from pinclasses.pinword import _start_numerals, enumerate_pin_factors, parse_pin_spec
 from pinclasses.pipeline import (
     DENOMINATOR_ROOT,
     G_EQUALS_1,
     GSequence,
+    _factor_images,
     _stabilized_gf,
     amended_G,
     class_gf,
@@ -32,8 +40,8 @@ from pinclasses.pipeline import (
     quadrant_indecomposable_counts,
     truncation_convergence,
 )
-from pinclasses.pinword import parse_pin_spec
 from pinclasses.series import Poly, RatGF, seq
+from strategies import pin_specs
 
 Z = Poly.parse("z")
 ONE = Poly.parse("1")
@@ -100,6 +108,49 @@ class TestIndecomposableCounts:
         assert [
             str(quadrant_indecomposable_counts("1(uldlur)*", q)) for q in (1, 2, 3, 4)
         ] == ["z + z^2", "z", "z + z^2", "0"]
+
+
+class TestFactorImages:
+    @given(
+        pin_specs(cycle_lengths=(2, 4, 6, 8, 10, 12)),
+        st.sampled_from(["all", "recurrent"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_incremental_images_match_pi_map(self, spec, mode):
+        table = _factor_images(spec.prefix, spec.cycle, mode)
+        assert len(table) == spec.prefix_length + 3 * spec.cycle_length + 2
+        for n, rows in table.items():
+            assert set(rows) == enumerate_pin_factors(spec, n, mode), (spec, n)
+            for v, (img, indecomposable, quadrant) in rows.items():
+                assert img == pi_map(v), (spec, v)
+                assert indecomposable == is_box_indecomposable(img)
+                assert quadrant == one_quadrant(img)
+
+    @pytest.mark.parametrize(
+        "first, second", [("1(ru)*", "1r(ur)*"), ("1r(ur)*", "1(ru)*")]
+    )
+    def test_equal_specs_written_differently(self, first, second):
+        """Equal specs with different written prefixes need tables sized
+        for their own prefix, so the caches must not hand one to the other."""
+        _factor_images.cache_clear()
+        _start_numerals.cache_clear()
+        assert parse_pin_spec(first) == parse_pin_spec(second)
+        assert class_gf(first) == FROZEN_CLASS_GFS["1(ru)*"]
+        assert class_gf(second) == FROZEN_CLASS_GFS["1(ru)*"]
+
+    def test_incremental_image_checked_against_pi_map(self, monkeypatch):
+        real = pipeline.prefix_images
+
+        def skewed(w):
+            images = list(real(w))
+            images[-1] = images[0]
+            return iter(images)
+
+        monkeypatch.setattr(pipeline, "prefix_images", skewed)
+        spec = parse_pin_spec("1(ldru)*")
+        _factor_images.cache_clear()
+        with pytest.raises(CrossCheckMismatch):
+            _factor_images(spec.prefix, spec.cycle, "all")
 
 
 class TestGSequence:
@@ -293,6 +344,17 @@ class TestGrowthRate:
     def test_no_root_in_window(self):
         with pytest.raises(NoRootInRange):
             growth_rate(gf("1", "1 - z"))
+
+    @pytest.mark.parametrize("tol", [0, Fraction(-1, 1000)])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(ParameterOutOfRange):
+            growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+
+    def test_digits_below_one_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            growth_rate(Poly.parse("1 - 2z - z^3"), digits=0)
+        with pytest.raises(ParameterOutOfRange):
+            describe("1(ru)*", digits=0)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
