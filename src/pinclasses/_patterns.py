@@ -4,21 +4,18 @@ The hot loop of the subset oracle extracts the centred pattern of every
 origin-containing point subset of a pin diagram with up to ~60 points --
 tens of millions of subsets at census depth 6.  The vectorized kernel packs
 each pattern into a 64-bit code (4 bits per rank plus the origin slot) and
-dedupes chunks with numpy; the pure-Python fallback builds CentredPerm
-objects one subset at a time.  The active backend is selected at import and
-exposed as BACKEND; both implementations are importable for benchmarking.
+dedupes chunks with numpy.  The pure-Python kernel builds CentredPerm
+objects one subset at a time; it is the reference the tests compare against
+and the path for subsets too large to pack.  BACKEND names the kernel in use.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, islice
 
-from .cperm import CentredPerm, centred_pattern
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from .cperm import CentredPerm, centred_pattern
 
 _CHUNK_ROWS = 1 << 19
 _PACK_LIMIT = 14  # 4-bit rank fields hold subsets of at most 15 points
@@ -88,9 +85,5 @@ def subset_patterns_numpy(points, origin, n_max: int) -> dict[int, frozenset]:
     return out
 
 
-if _np is not None:
-    BACKEND = "numpy"
-    subset_patterns = subset_patterns_numpy
-else:  # pragma: no cover
-    BACKEND = "pure"
-    subset_patterns = subset_patterns_pure
+BACKEND = "numpy"
+subset_patterns = subset_patterns_numpy

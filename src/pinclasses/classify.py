@@ -13,15 +13,19 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
-from .cperm import CentredPerm, centred_pattern, is_box_indecomposable
+from .cperm import (
+    QUADRANT_SIGNS,
+    CentredPerm,
+    centred_pattern,
+    is_box_indecomposable,
+    quadrant_of,
+)
 from .errors import ParameterOutOfRange
 from .pimap import pi_map
 from .pinword import PinWord
 
 _LETTER_VEC = {"r": (1, 0), "u": (0, 1), "l": (-1, 0), "d": (0, -1)}
 _VEC_LETTER = {v: k for k, v in _LETTER_VEC.items()}
-_QUAD_VEC = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
-_VEC_QUAD = {v: k for k, v in _QUAD_VEC.items()}
 
 
 class Symmetry:
@@ -41,7 +45,7 @@ class Symmetry:
         return _VEC_LETTER[self.apply_xy(*_LETTER_VEC[letter])]
 
     def numeral(self, q: int) -> int:
-        return _VEC_QUAD[self.apply_xy(*_QUAD_VEC[q])]
+        return quadrant_of(self.apply_xy(*QUADRANT_SIGNS[q]), (0, 0))
 
     def word(self, w: PinWord) -> PinWord:
         return PinWord(self.numeral(w.numeral), "".join(self.letter(c) for c in w.letters))
@@ -156,15 +160,7 @@ def all_pin_words(n: int) -> list[PinWord]:
         return []
     words = [PinWord(q) for q in (1, 2, 3, 4)]
     for _ in range(n - 1):
-        nxt = []
-        for w in words:
-            if w.letters:
-                axis = "ud" if w.letters[-1] in "lr" else "lr"
-            else:
-                axis = "udlr"
-            for letter in axis:
-                nxt.append(PinWord(w.numeral, w.letters + letter))
-        words = nxt
+        words = [v for w in words for v in w.extensions()]
     return words
 
 
@@ -204,13 +200,12 @@ class ClassificationReport:
         )
 
 
-def _scan_partition(args) -> list[tuple[str, tuple, bool]]:
-    """Worker: map each word to (text, image key, indecomposable?)."""
-    words = args
+def _scan_partition(words) -> list[tuple[PinWord, tuple, bool]]:
+    """Worker: map each word to (word, image key, indecomposable?)."""
     out = []
     for w in words:
         img = pi_map(w)
-        out.append((str(w), (img.filled, img.origin_index), is_box_indecomposable(img)))
+        out.append((w, (img.filled, img.origin_index), is_box_indecomposable(img)))
     return out
 
 
@@ -228,8 +223,7 @@ def _derive_at_length(n: int, jobs: int = 1):
         triples = _scan_partition(words)
     by_image: dict[tuple, list[PinWord]] = {}
     decs: set[PinWord] = set()
-    for text, key, indec in triples:
-        w = PinWord(int(text[0]), text[1:])
+    for w, key, indec in triples:
         by_image.setdefault(key, []).append(w)
         if not indec:
             decs.add(w)

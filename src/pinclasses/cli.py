@@ -14,7 +14,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import classify, oracle, pipeline
-from .errors import CrossCheckMismatch, MalformedSyntax, NoRootInRange, PinclassesError
+from .errors import (
+    CrossCheckMismatch,
+    MalformedSyntax,
+    NoRootInRange,
+    ParameterOutOfRange,
+    PinclassesError,
+)
 from .pimap import PinDiagram, pi_map
 from .pinword import PinWord, is_recurrent, parse_pin_spec, parse_pin_word
 from .series import Poly, coeffs
@@ -75,12 +81,8 @@ def cmd_growth(args) -> int:
         target = Poly.parse(args.poly)
         context = {"polynomial": args.poly}
     elif args.spec is not None:
-        if args.mode == "interior":
-            target = pipeline.interior_gf(args.spec)
-        elif args.mode == "class":
-            target = pipeline.class_gf(args.spec)
-        else:
-            target = pipeline.closure_gf(args.spec)
+        # looked up on the module at call time, so rebinding it takes effect
+        target = getattr(pipeline, f"{args.mode}_gf")(args.spec)
         context = {"spec": args.spec, "mode": args.mode, "f": target.to_json()}
     else:
         print("error: growth needs a spec or --poly", file=sys.stderr)
@@ -206,6 +208,8 @@ def cmd_closure_of(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise ParameterOutOfRange(f"--steps must be at least 1, got {args.steps}")
     text = args.word.strip()
     if "(" in text:
         spec = parse_pin_spec(text)

@@ -9,6 +9,7 @@ toward the length.  Text form uses square brackets for the origin, e.g.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -19,9 +20,23 @@ from .errors import (
     NoOrigin,
     NonIndecomposableElement,
     NotAPermutation,
+    ParameterOutOfRange,
 )
 
 
+# Sign vector of each quadrant numeral (1..4, anticlockwise from upper right).
+QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
+
+
+def quadrant_of(point, origin) -> int:
+    """Quadrant (1..4) of a point relative to an origin; the inverse of
+    QUADRANT_SIGNS.  Coordinates must differ from the origin's on both axes."""
+    if point[0] > origin[0]:
+        return 1 if point[1] > origin[1] else 4
+    return 2 if point[1] > origin[1] else 3
+
+
+@dataclass(frozen=True, slots=True)
 class CentredPerm:
     """Immutable centred permutation.
 
@@ -30,20 +45,17 @@ class CentredPerm:
     ``14[2]3`` and ``1[2]43`` are distinct values.
     """
 
-    __slots__ = ("filled", "origin_index")
+    filled: tuple[int, ...]
+    origin_index: int
 
-    def __init__(self, filled, origin_index: int):
-        filled = tuple(int(v) for v in filled)
+    def __post_init__(self):
+        filled = tuple(int(v) for v in self.filled)
         m = len(filled)
         if m == 0 or sorted(filled) != list(range(1, m + 1)):
             raise NotAPermutation(f"{filled!r} is not a permutation of 1..{m}")
-        if not 1 <= origin_index <= m:
-            raise NotAPermutation(f"origin index {origin_index} outside 1..{m}")
+        if not 1 <= self.origin_index <= m:
+            raise NotAPermutation(f"origin index {self.origin_index} outside 1..{m}")
         object.__setattr__(self, "filled", filled)
-        object.__setattr__(self, "origin_index", origin_index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CentredPerm is immutable")
 
     @property
     def length(self) -> int:
@@ -65,14 +77,12 @@ class CentredPerm:
         """Quadrant (1..4, anticlockwise from upper right) of a non-origin entry."""
         if position == self.origin_index:
             raise ValueError("the origin has no quadrant")
-        x0, y0 = self.origin_point()
-        x, y = position, self.filled[position - 1]
-        if x > x0:
-            return 1 if y > y0 else 4
-        return 2 if y > y0 else 3
+        return quadrant_of((position, self.filled[position - 1]), self.origin_point())
 
-    def profile(self) -> "QuadrantProfile":
-        return QuadrantProfile.of(self)
+    def quadrants(self) -> frozenset[int]:
+        """The quadrants occupied by the non-origin entries."""
+        origin = self.origin_point()
+        return frozenset(quadrant_of(p, origin) for p in self.points() if p != origin)
 
     def one_line(self) -> str:
         parts = [
@@ -84,14 +94,6 @@ class CentredPerm:
     def key(self):
         """Deterministic sort key."""
         return (self.length, self.filled, self.origin_index)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CentredPerm):
-            return NotImplemented
-        return self.filled == other.filled and self.origin_index == other.origin_index
-
-    def __hash__(self) -> int:
-        return hash((self.filled, self.origin_index))
 
     def __str__(self) -> str:
         return self.one_line()
@@ -105,9 +107,6 @@ class CentredPerm:
     @classmethod
     def from_json(cls, data) -> "CentredPerm":
         return cls(data["filled"], data["origin"])
-
-    def __reduce__(self):
-        return (CentredPerm, (self.filled, self.origin_index))
 
 
 _ENTRY_RE = re.compile(r"\[(\d+)\]|(\d)")
@@ -144,6 +143,22 @@ def from_oneline(text: str) -> CentredPerm:
     return CentredPerm(filled, origin)
 
 
+def as_perm(p) -> CentredPerm:
+    """A CentredPerm as given, or parsed from bracket notation."""
+    return p if isinstance(p, CentredPerm) else from_oneline(p)
+
+
+def as_generators(generators) -> list[CentredPerm]:
+    """The generators of a finite ⊞-closure as CentredPerms; at least one of
+    them must have a non-origin point, or the closure has nothing to count."""
+    gens = [as_perm(g) for g in generators]
+    if not gens:
+        raise ParameterOutOfRange("need at least one generator")
+    if all(g.length == 0 for g in gens):
+        raise EmptyPermutation("every generator is the bare origin, so its closure is empty")
+    return gens
+
+
 def centred_pattern(points, origin_point) -> CentredPerm:
     """Standardize a point set (distinct x, distinct y) into a CentredPerm.
 
@@ -168,46 +183,6 @@ QUADRANT_POINT = {
     3: from_oneline("1[2]"),
     4: from_oneline("[2]1"),
 }
-
-
-class QuadrantProfile:
-    """Which quadrants a centred permutation occupies, with point counts."""
-
-    __slots__ = ("occupied", "counts")
-
-    def __init__(self, counts):
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != 4 or any(c < 0 for c in counts):
-            raise ValueError("counts must be four non-negative integers")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(
-            self, "occupied", frozenset(q for q in (1, 2, 3, 4) if counts[q - 1])
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadrantProfile is immutable")
-
-    @classmethod
-    def of(cls, p: CentredPerm) -> "QuadrantProfile":
-        counts = [0, 0, 0, 0]
-        for i in range(1, len(p.filled) + 1):
-            if i != p.origin_index:
-                counts[p.quadrant(i) - 1] += 1
-        return cls(counts)
-
-    def merge(self, other: "QuadrantProfile") -> "QuadrantProfile":
-        return QuadrantProfile([a + b for a, b in zip(self.counts, other.counts)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadrantProfile):
-            return NotImplemented
-        return self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash(self.counts)
-
-    def __repr__(self) -> str:
-        return f"QuadrantProfile({list(self.counts)!r})"
 
 
 def contains(big: CentredPerm, small: CentredPerm) -> bool:
@@ -339,7 +314,7 @@ def is_box_indecomposable(p: CentredPerm) -> bool:
 
 def one_quadrant(p: CentredPerm):
     """The single quadrant p occupies, or None if zero or several."""
-    occ = p.profile().occupied
+    occ = p.quadrants()
     if len(occ) == 1:
         return next(iter(occ))
     return None
@@ -403,9 +378,9 @@ def normal_form(decomposition) -> list[CentredPerm]:
     return items
 
 
-def adjacency_condition(profile) -> bool:
+def adjacency_condition(quadrants) -> bool:
     """True iff one quadrant is occupied, or two occupied quadrants are adjacent."""
-    occ = profile.occupied if isinstance(profile, QuadrantProfile) else frozenset(profile)
+    occ = frozenset(quadrants)
     if len(occ) == 1:
         return True
     return any(q in occ and (q % 4) + 1 in occ for q in (1, 2, 3, 4))

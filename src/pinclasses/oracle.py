@@ -12,16 +12,14 @@ as such in the description.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import _patterns
 from .classify import all_pin_words
 from .cperm import (
     EMPTY,
     CentredPerm,
     adjacency_condition,
+    as_generators,
     box_sum,
-    from_oneline,
     strip_origin,
     subpatterns,
 )
@@ -32,21 +30,13 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .pimap import diagram_points, pi_map
-from .pinword import PinSpec, enumerate_pin_factors, is_recurrent, parse_pin_spec
+from .pinword import as_spec, enumerate_pin_factors, is_recurrent
 
 MEMORY_GUARD = 10**7
 _SUBSET_GUARD = 6
 _COMPOSITION_GUARD = 10
 _REPRESENTATION_GUARD = 8
 _SEGMENT_GROWTH_CAP = 48
-
-
-def _as_spec(spec) -> PinSpec:
-    return spec if isinstance(spec, PinSpec) else parse_pin_spec(spec)
-
-
-def _as_perm(p) -> CentredPerm:
-    return p if isinstance(p, CentredPerm) else from_oneline(p)
 
 
 class ClassCensus:
@@ -91,7 +81,7 @@ def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> Cl
     The segment length starts at (n_max+1)*(prefix+cycle) + n_max and grows
     by one cycle until the counts repeat across two consecutive lengths.
     """
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     _check_depth(n_max)
     if n_max > _SUBSET_GUARD and not override_guard:
         raise CensusTooLarge(
@@ -140,7 +130,7 @@ def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCe
 
 def enumerate_class_composition(spec, n_max: int, override_guard: bool = False) -> ClassCensus:
     """Census of a recurrent pin class by composing factor images."""
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     _check_depth(n_max)
     if not is_recurrent(spec):
         raise NotRecurrent(
@@ -180,9 +170,7 @@ def enumerate_pin_permutations(n_max: int, override_guard: bool = False) -> Clas
 def enumerate_closure_composition(generators, n_max: int) -> ClassCensus:
     """Census of the ⊞-closure of finitely many centred permutations."""
     _check_depth(n_max)
-    gens = [_as_perm(g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
+    gens = as_generators(generators)
     pieces: set[CentredPerm] = set()
     for gen in gens:
         pieces |= subpatterns(gen)
@@ -201,7 +189,7 @@ def census_adjacency(census: ClassCensus) -> bool:
     occupied = set()
     for perms in census.perms.values():
         for p in perms:
-            occupied |= p.profile().occupied
+            occupied |= p.quadrants()
     return adjacency_condition(occupied)
 
 

@@ -10,20 +10,15 @@ ranks up by one, so no real coordinates are ever needed.
 
 from __future__ import annotations
 
-from .cperm import CentredPerm, box_sum, centred_pattern
+from dataclasses import dataclass, field
+
+from .cperm import QUADRANT_SIGNS, CentredPerm, box_sum, centred_pattern, quadrant_of
 from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
-from .pinword import PinWord, parse_pin_word
-
-_NUMERAL_STEP = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
-
-
-def _as_word(w) -> PinWord:
-    return w if isinstance(w, PinWord) else parse_pin_word(w)
+from .pinword import PinWord, as_word
 
 
 def _first_points(numeral: int) -> list[tuple[int, int]]:
-    dx, dy = _NUMERAL_STEP[numeral]
-    return [(0, 0), (dx, dy)]
+    return [(0, 0), QUADRANT_SIGNS[numeral]]
 
 
 def _place(pts: list[tuple[int, int]], letter: str) -> list[tuple[int, int]]:
@@ -46,7 +41,7 @@ def _place(pts: list[tuple[int, int]], letter: str) -> list[tuple[int, int]]:
 
 def diagram_points(w) -> list[tuple[int, int]]:
     """Integer-rank coordinates of p0..p_n for the word w, in placement order."""
-    w = _as_word(w)
+    w = as_word(w)
     pts = _first_points(w.numeral)
     for letter in w.letters:
         pts = _place(pts, letter)
@@ -56,7 +51,7 @@ def diagram_points(w) -> list[tuple[int, int]]:
 def prefix_images(w):
     """Yield pi(w_{1,1}), pi(w_{1,2}), ..., pi(w) from one diagram that grows
     a point at a time, so each image costs one placement, not a new diagram."""
-    w = _as_word(w)
+    w = as_word(w)
     pts = _first_points(w.numeral)
     yield centred_pattern(pts, pts[0])
     for letter in w.letters:
@@ -64,18 +59,17 @@ def prefix_images(w):
         yield centred_pattern(pts, pts[0])
 
 
+@dataclass(frozen=True, slots=True)
 class PinDiagram:
     """A realized pin word: placement-ordered points plus the derived permutation."""
 
-    __slots__ = ("word", "points")
+    word: PinWord
+    points: tuple = field(init=False, compare=False, repr=False)
 
-    def __init__(self, word):
-        word = _as_word(word)
+    def __post_init__(self):
+        word = as_word(self.word)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "points", tuple(diagram_points(word)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PinDiagram is immutable")
 
     @property
     def perm(self) -> CentredPerm:
@@ -84,11 +78,7 @@ class PinDiagram:
     def quadrant(self, k: int) -> int:
         if not 1 <= k <= self.word.length:
             raise IndexOutOfRange(f"point index {k} outside 1..{self.word.length}")
-        x0, y0 = self.points[0]
-        x, y = self.points[k]
-        if x > x0:
-            return 1 if y > y0 else 4
-        return 2 if y > y0 else 3
+        return quadrant_of(self.points[k], self.points[0])
 
     def to_svg(self, scale: int = 32) -> str:
         """Standalone SVG: axes through the origin, pins, hollow origin dot."""
@@ -191,7 +181,7 @@ def remove_interior_point(w, k: int) -> tuple[CentredPerm, CentredPerm]:
     Returns the two summands and asserts their box sum equals the literal
     deletion of p_k from the diagram.
     """
-    w = _as_word(w)
+    w = as_word(w)
     n = w.length
     if not 2 <= k <= n - 1:
         raise NotInterior(f"point {k} is not interior to a length-{n} word")
@@ -210,7 +200,7 @@ def remove_interior_point(w, k: int) -> tuple[CentredPerm, CentredPerm]:
 
 def compose_representation(words) -> CentredPerm:
     """Left-fold of the box sum over the pi-maps of a pin representation."""
-    words = [_as_word(w) for w in words]
+    words = [as_word(w) for w in words]
     if not words:
         raise IndexOutOfRange("a pin representation needs at least one word")
     acc = pi_map(words[0])
@@ -226,17 +216,10 @@ def one_point_extension_candidates(rep) -> set[tuple[PinWord, ...]]:
     single-numeral word is appended.  Dedup by permutation is left to the
     caller; the distinct images number at most 12.
     """
-    rep = tuple(_as_word(w) for w in rep)
+    rep = tuple(as_word(w) for w in rep)
     if not rep:
         raise IndexOutOfRange("a pin representation needs at least one word")
-    out: set[tuple[PinWord, ...]] = set()
-    last = rep[-1]
-    if last.letters:
-        axis = "ud" if last.letters[-1] in "lr" else "lr"
-    else:
-        axis = "udlr"
-    for letter in axis:
-        out.add(rep[:-1] + (PinWord(last.numeral, last.letters + letter),))
+    out = {rep[:-1] + (w,) for w in rep[-1].extensions()}
     for q in (1, 2, 3, 4):
         out.add(rep + (PinWord(q),))
     return out

@@ -14,6 +14,7 @@ table keyed on letter pairs.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -22,42 +23,38 @@ from .errors import (
     IndexOutOfRange,
     MalformedSyntax,
     NonAlternatingCycle,
+    ParameterOutOfRange,
 )
 
 LETTERS = "udlr"
-HORIZONTAL = frozenset("lr")
-VERTICAL = frozenset("ud")
 
 
-def _alignment(letter: str) -> int:
-    return 0 if letter in HORIZONTAL else 1
+def same_axis(a: str, b: str) -> bool:
+    """True iff two letters share an axis: both vertical (u, d) or both
+    horizontal (l, r).  Consecutive letters of a pin word never do."""
+    return (a in "ud") == (b in "ud")
 
 
-def _check_alternation(letters: str) -> None:
-    for a, b in zip(letters, letters[1:]):
-        if _alignment(a) == _alignment(b):
-            raise AlignmentViolation(f"letters {a!r}{b!r} share an axis")
-
-
+@dataclass(frozen=True, slots=True)
 class PinWord:
     """Immutable finite pin word: numeral plus alternating letters."""
 
-    __slots__ = ("numeral", "letters")
+    numeral: int
+    letters: str = ""
 
-    def __init__(self, numeral: int, letters: str = ""):
-        numeral = int(numeral)
+    def __post_init__(self):
+        numeral = int(self.numeral)
         if numeral not in (1, 2, 3, 4):
             raise MalformedSyntax(f"initial numeral must be 1-4, got {numeral}")
-        letters = str(letters)
+        letters = str(self.letters)
         bad = set(letters) - set(LETTERS)
         if bad:
             raise MalformedSyntax(f"invalid letters {sorted(bad)!r}")
-        _check_alternation(letters)
+        for a, b in zip(letters, letters[1:]):
+            if same_axis(a, b):
+                raise AlignmentViolation(f"letters {a!r}{b!r} share an axis")
         object.__setattr__(self, "numeral", numeral)
         object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PinWord is immutable")
 
     @property
     def length(self) -> int:
@@ -72,22 +69,20 @@ class PinWord:
             return self.letters[t - 2]
         raise IndexOutOfRange(f"position {t} outside 1..{self.length}")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PinWord):
-            return NotImplemented
-        return self.numeral == other.numeral and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.numeral, self.letters))
+    def extensions(self) -> list["PinWord"]:
+        """Every pin word that extends this one by one letter, in LETTERS order."""
+        last = self.letters[-1:]
+        return [
+            PinWord(self.numeral, self.letters + c)
+            for c in LETTERS
+            if not (last and same_axis(last, c))
+        ]
 
     def __str__(self) -> str:
         return f"{self.numeral}{self.letters}"
 
     def __repr__(self) -> str:
         return f"PinWord({str(self)!r})"
-
-    def __reduce__(self):
-        return (PinWord, (self.numeral, self.letters))
 
 
 _WORD_RE = re.compile(r"([1-4])([udlr]*)\Z")
@@ -110,6 +105,7 @@ def parse_pin_word(text: str) -> PinWord:
     return PinWord(int(m.group(1)), m.group(2))
 
 
+@dataclass(frozen=True, slots=True)
 class PinSpec:
     """Eventually periodic pin sequence: finite prefix + repeating cycle.
 
@@ -121,10 +117,12 @@ class PinSpec:
     stay distinct.
     """
 
-    __slots__ = ("prefix", "cycle", "_canon")
+    prefix: PinWord = field(compare=False)
+    cycle: str = field(compare=False)
+    _canon: tuple = field(init=False, repr=False)
 
-    def __init__(self, prefix: PinWord, cycle: str):
-        cycle = str(cycle)
+    def __post_init__(self):
+        cycle = str(self.cycle)
         if not cycle:
             raise MalformedSyntax("cycle must be non-empty")
         bad = set(cycle) - set(LETTERS)
@@ -132,23 +130,28 @@ class PinSpec:
             raise MalformedSyntax(f"invalid letters {sorted(bad)!r} in cycle")
         # alternation inside the cycle, at the wrap-around, and at the junction
         for a, b in zip(cycle, cycle[1:]):
-            if _alignment(a) == _alignment(b):
+            if same_axis(a, b):
                 raise NonAlternatingCycle(f"cycle letters {a!r}{b!r} share an axis")
-        if _alignment(cycle[-1]) == _alignment(cycle[0]):
+        if same_axis(cycle[-1], cycle[0]):
             raise NonAlternatingCycle(
                 f"cycle {cycle!r} fails alternation at the wrap-around"
             )
-        junction = prefix.letters[-1] if prefix.letters else None
-        if junction is not None and _alignment(junction) == _alignment(cycle[0]):
+        junction = self.prefix.letters[-1:]
+        if junction and same_axis(junction, cycle[0]):
             raise NonAlternatingCycle(
                 f"prefix ending {junction!r} fails alternation into cycle {cycle!r}"
             )
-        object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "_canon", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PinSpec is immutable")
+        # normal form: minimal period, then prefix letters pulled into the cycle
+        for d in range(1, len(cycle) + 1):
+            if len(cycle) % d == 0 and cycle == cycle[:d] * (len(cycle) // d):
+                cyc = cycle[:d]
+                break
+        pre = self.prefix.letters
+        while pre and pre[-1] == cyc[-1]:
+            pre = pre[:-1]
+            cyc = cyc[-1] + cyc[:-1]
+        object.__setattr__(self, "_canon", (self.prefix.numeral, pre, cyc))
 
     @property
     def prefix_length(self) -> int:
@@ -181,38 +184,13 @@ class PinSpec:
 
     def canonical_key(self):
         """Normal form of the infinite word, for equality and caching."""
-        key = object.__getattribute__(self, "_canon")
-        if key is None:
-            cyc = self.cycle
-            # minimal period
-            for d in range(1, len(cyc) + 1):
-                if len(cyc) % d == 0 and cyc == cyc[:d] * (len(cyc) // d):
-                    cyc = cyc[:d]
-                    break
-            pre = self.prefix.letters
-            while pre and pre[-1] == cyc[-1]:
-                pre = pre[:-1]
-                cyc = cyc[-1] + cyc[:-1]
-            key = (self.prefix.numeral, pre, cyc)
-            object.__setattr__(self, "_canon", key)
-        return key
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PinSpec):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        return self._canon
 
     def __str__(self) -> str:
         return f"{self.prefix}({self.cycle})*"
 
     def __repr__(self) -> str:
         return f"PinSpec({str(self)!r})"
-
-    def __reduce__(self):
-        return (PinSpec, (self.prefix, self.cycle))
 
 
 def parse_pin_spec(text: str) -> PinSpec:
@@ -222,6 +200,16 @@ def parse_pin_spec(text: str) -> PinSpec:
     if not m:
         raise MalformedSyntax(f"cannot parse {text!r} as a pin spec (prefix(cycle)*)")
     return PinSpec(PinWord(int(m.group(1)), m.group(2)), m.group(3))
+
+
+def as_word(w) -> PinWord:
+    """A PinWord as given, or parsed from text."""
+    return w if isinstance(w, PinWord) else parse_pin_word(w)
+
+
+def as_spec(spec) -> PinSpec:
+    """A PinSpec as given, or parsed from text."""
+    return spec if isinstance(spec, PinSpec) else parse_pin_spec(spec)
 
 
 def pin_factor(spec: PinSpec, i: int, j: int) -> PinWord:
@@ -287,7 +275,7 @@ def _start_numerals(prefix: PinWord, cycle: str) -> tuple[int, ...]:
 def enumerate_pin_factors(spec: PinSpec, n: int, mode: str = "all") -> set[PinWord]:
     """Distinct pin factors of length n; mode 'all' or 'recurrent'."""
     if mode not in ("all", "recurrent"):
-        raise ValueError(f"mode must be 'all' or 'recurrent', got {mode!r}")
+        raise ParameterOutOfRange(f"mode must be 'all' or 'recurrent', got {mode!r}")
     if n < 1:
         raise IndexOutOfRange(f"factor length {n} < 1")
     lo, hi = _factor_windows(spec)
@@ -304,8 +292,7 @@ def is_recurrent(spec) -> bool:
     length up to |prefix| + 2|cycle| + 2; beyond that window the comparison
     is forced by periodicity on both sides.
     """
-    if not isinstance(spec, PinSpec):
-        spec = parse_pin_spec(spec)
+    spec = as_spec(spec)
     limit = spec.prefix_length + 2 * spec.cycle_length + 2
     for n in range(1, limit + 1):
         if enumerate_pin_factors(spec, n, "all") != enumerate_pin_factors(

@@ -15,7 +15,7 @@ from functools import lru_cache
 from . import classify
 from .cperm import (
     CentredPerm,
-    from_oneline,
+    as_generators,
     is_box_indecomposable,
     one_quadrant,
     subpatterns,
@@ -29,14 +29,16 @@ from .errors import (
     ParameterOutOfRange,
     StabilizationFailure,
 )
-from .pimap import all_point_quadrants, pi_map, point_quadrant, prefix_images
+from .pimap import pi_map, point_quadrant, prefix_images
 from .pinword import (
+    LETTERS,
     PinSpec,
     PinWord,
+    as_spec,
     enumerate_pin_factors,
     is_recurrent,
     left_truncate,
-    parse_pin_spec,
+    same_axis,
 )
 from .series import (
     Poly,
@@ -47,14 +49,6 @@ from .series import (
 )
 
 _BOUND_WINDOW = 30
-
-
-def _as_spec(spec) -> PinSpec:
-    return spec if isinstance(spec, PinSpec) else parse_pin_spec(spec)
-
-
-def _as_perm(p) -> CentredPerm:
-    return p if isinstance(p, CentredPerm) else from_oneline(p)
 
 
 def _is_power_of_one_minus_z(den: Poly) -> bool:
@@ -175,16 +169,16 @@ def _stabilized_gf(spec: PinSpec, counts: dict[int, int]) -> RatGF:
 def indecomposable_counts(spec, mode: str = "all") -> tuple[dict[int, int], RatGF]:
     """Distinct ⊞-indecomposable pi-images of pin factors, per length, as
     explicit counts plus their generating function g(z)."""
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     counts = _indecomposable_image_counts(spec, mode)
     return counts, _stabilized_gf(spec, counts)
 
 
 def quadrant_indecomposable_counts(spec, q: int, mode: str = "all") -> RatGF:
     """g_q(z): indecomposable factor images lying entirely in quadrant q."""
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     if q not in (1, 2, 3, 4):
-        raise ValueError(f"quadrant must be 1..4, got {q}")
+        raise ParameterOutOfRange(f"quadrant must be 1..4, got {q}")
     counts = _indecomposable_image_counts(spec, mode, q)
     return _stabilized_gf(spec, counts)
 
@@ -196,7 +190,7 @@ def amended_G(spec, mode: str = "all") -> GSequence:
     a power of (1 - z): its only pole is at z = 1, beyond the root search
     range.  That structural fact is asserted here.
     """
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     _, g = indecomposable_counts(spec, mode)
     g1, g2, g3, g4 = (quadrant_indecomposable_counts(spec, q, mode) for q in (1, 2, 3, 4))
     gs = GSequence(g, g1, g2, g3, g4)
@@ -205,34 +199,42 @@ def amended_G(spec, mode: str = "all") -> GSequence:
     return gs
 
 
-def class_gf(spec) -> RatGF:
-    """Exact generating function of the pin class of a recurrent spec."""
-    spec = _as_spec(spec)
-    if not is_recurrent(spec):
+def _mode_sequence(spec, mode: str) -> GSequence:
+    """The GSequence of a spec in mode class, closure or interior.
+
+    Class mode is the closure of a recurrent spec's class, which is then
+    ⊞-closed; the interior counts only recurrent factors.
+    """
+    spec = as_spec(spec)
+    if mode not in ("class", "closure", "interior"):
+        raise ParameterOutOfRange(f"mode must be class, closure, or interior, got {mode!r}")
+    if mode == "class" and not is_recurrent(spec):
         raise NotRecurrent(
             f"{spec} is not recurrent, so its pin class is not ⊞-closed; "
-            "use closure_gf for the ⊞-closure or interior_gf for the ⊞-interior"
+            "use closure mode for the ⊞-closure or interior mode for the ⊞-interior"
         )
-    return seq(amended_G(spec, "all").G)
+    return amended_G(spec, "recurrent" if mode == "interior" else "all")
+
+
+def class_gf(spec) -> RatGF:
+    """Exact generating function of the pin class of a recurrent spec."""
+    return seq(_mode_sequence(spec, "class").G)
 
 
 def closure_gf(spec) -> RatGF:
     """Generating function of the ⊞-closure of the pin class."""
-    return seq(amended_G(spec, "all").G)
+    return seq(_mode_sequence(spec, "closure").G)
 
 
 def interior_gf(spec) -> RatGF:
     """Generating function of the ⊞-interior (closure of recurrent factors)."""
-    return seq(amended_G(spec, "recurrent").G)
+    return seq(_mode_sequence(spec, "interior").G)
 
 
 def finite_closure_sequence(generators) -> GSequence:
     """GSequence of the ⊞-closure of the downward closure of a finite set."""
-    gens = [_as_perm(g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
     closure: set[CentredPerm] = set()
-    for gen in gens:
+    for gen in as_generators(generators):
         closure |= subpatterns(gen)
     indecs = [p for p in closure if p.length >= 1 and is_box_indecomposable(p)]
     max_len = max((p.length for p in indecs), default=0)
@@ -254,17 +256,14 @@ def finite_closure_gf(generators) -> RatGF:
     return seq(finite_closure_sequence(generators).G)
 
 
-_LETTERS = "udlr"
-
-
 @lru_cache(maxsize=1)
 def _pair_quadrant_table() -> dict[tuple[str, str], int]:
     """Quadrant of p_k (k >= 3) from the letter pair (k-1, k), derived by
     probing the pi-map with every numeral and asserting independence."""
     table = {}
-    for a in _LETTERS:
-        for b in _LETTERS:
-            if (a in "ud") == (b in "ud"):
+    for a in LETTERS:
+        for b in LETTERS:
+            if same_axis(a, b):
                 continue
             quads = {point_quadrant(PinWord(q, a + b), 3) for q in (1, 2, 3, 4)}
             if len(quads) != 1:
@@ -281,7 +280,7 @@ def _second_point_table() -> dict[tuple[int, str], int]:
     return {
         (q, a): point_quadrant(PinWord(q, a), 2)
         for q in (1, 2, 3, 4)
-        for a in _LETTERS
+        for a in LETTERS
     }
 
 
@@ -303,14 +302,14 @@ def _confined_word_count_gf(quadrants: frozenset[int]) -> RatGF:
     quadrants, via a transfer matrix over last letters."""
     pair = _pair_quadrant_table()
     second = _second_point_table()
-    n_letters = len(_LETTERS)
+    n_letters = len(LETTERS)
     m = [[0] * n_letters for _ in range(n_letters)]
-    for j, a in enumerate(_LETTERS):
-        for i, b in enumerate(_LETTERS):
-            if (a in "ud") != (b in "ud") and pair[(a, b)] in quadrants:
+    for j, a in enumerate(LETTERS):
+        for i, b in enumerate(LETTERS):
+            if not same_axis(a, b) and pair[(a, b)] in quadrants:
                 m[i][j] = 1
     v2 = [
-        sum(1 for q in quadrants if second[(q, a)] in quadrants) for a in _LETTERS
+        sum(1 for q in quadrants if second[(q, a)] in quadrants) for a in LETTERS
     ]
     a_mat = [
         [
@@ -335,13 +334,25 @@ _TAIL_WINDOW = 16
 _TAIL_FROM = 9
 
 
+def _word_quadrants(w: PinWord) -> set[int]:
+    """Quadrants of every point of w without building its diagram: p_1's is
+    the numeral, p_2's comes from the second-point table and every later
+    point's from the letter pair that placed it."""
+    pair = _pair_quadrant_table()
+    out = {w.numeral}
+    if w.letters:
+        out.add(_second_point_table()[(w.numeral, w.letters[0])])
+    out.update(pair[ab] for ab in zip(w.letters, w.letters[1:]))
+    return out
+
+
 def _confined_correction_gfs(quadrants: frozenset[int]) -> tuple[RatGF, RatGF]:
     """(decomposable-word GF, collision-overcount GF) restricted to words
     confined to the given quadrants; both tails are periodic with period 2,
     which is asserted on the overlap window."""
 
     def confined(w: PinWord) -> bool:
-        return set(all_point_quadrants(w).values()) <= quadrants
+        return _word_quadrants(w) <= quadrants
 
     dec = {n: 0 for n in range(1, _TAIL_WINDOW + 1)}
     over = {n: 0 for n in range(1, _TAIL_WINDOW + 1)}
@@ -522,20 +533,23 @@ def growth_rate(
     elif target == G_EQUALS_1:
         poly = f_or_g.num - f_or_g.den
     else:
-        raise ValueError(f"unknown target {target!r}")
+        raise ParameterOutOfRange(f"unknown target {target!r}")
     p = _square_free(poly)
     if p.degree < 1:
         raise NoRootInRange(f"{poly} has no roots at all")
     chain = _sturm_chain(p)
     lo, hi = Fraction(0), _HALF
-    if _roots_in(chain, lo, hi) == 0:
+    # sign variations at lo change only when lo moves, so carry them
+    var_lo = _variations(chain, lo)
+    if var_lo - _variations(chain, hi) == 0:
         raise NoRootInRange(f"{poly} has no root in (0, 1/2]")
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if _roots_in(chain, lo, mid) >= 1:
+        var_mid = _variations(chain, mid)
+        if var_lo - var_mid >= 1:
             hi = mid
         else:
-            lo = mid
+            lo, var_lo = mid, var_mid
     if _roots_in(chain, Fraction(0), lo) != 0 or _roots_in(chain, lo, hi) < 1:
         raise CrossCheckMismatch("root isolation certificate failed")
     if lo == 0:
@@ -545,7 +559,7 @@ def growth_rate(
 
 def interior_positivity(spec, samples: int = 100) -> bool:
     """Sample the interior-mode G at rational points of (0, alpha): all > 0?"""
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     gs = amended_G(spec, "recurrent")
     alpha = growth_rate(gs.G, target=G_EQUALS_1).root_interval[0]
     for i in range(1, samples + 1):
@@ -562,9 +576,9 @@ def truncation_convergence(spec, t_max: int) -> list[GrowthResult]:
     length <= t are all recurrent factors; the resulting sequence decreases
     weakly toward the interior growth rate.
     """
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     if t_max < 1:
-        raise ValueError("t_max must be positive")
+        raise ParameterOutOfRange(f"t_max must be positive, got {t_max}")
     rec = {
         ell: enumerate_pin_factors(spec, ell, "recurrent") for ell in range(1, t_max + 1)
     }
@@ -593,21 +607,9 @@ def truncation_convergence(spec, t_max: int) -> list[GrowthResult]:
 
 def describe(spec, mode: str = "class", digits: int = 10) -> dict:
     """Full JSON-ready result bundle for a pin spec in the requested mode."""
-    spec = _as_spec(spec)
+    spec = as_spec(spec)
     _check_digits(digits)
-    if mode == "class":
-        if not is_recurrent(spec):
-            raise NotRecurrent(
-                f"{spec} is not recurrent, so class mode is undefined; "
-                "use --mode closure or --mode interior"
-            )
-        gs = amended_G(spec, "all")
-    elif mode == "closure":
-        gs = amended_G(spec, "all")
-    elif mode == "interior":
-        gs = amended_G(spec, "recurrent")
-    else:
-        raise ValueError(f"mode must be class, closure, or interior, got {mode!r}")
+    gs = _mode_sequence(spec, mode)
     f = seq(gs.G)
     growth = growth_rate(f, digits=digits)
     return {

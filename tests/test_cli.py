@@ -96,6 +96,19 @@ class TestGrowth:
         code, out, _ = run(capsys, "growth", "1(ul)*", "--mode", "interior")
         assert out.splitlines()[0] == "growth = 2.20556943"
 
+    @pytest.mark.parametrize("mode", ["class", "closure", "interior"])
+    def test_mode_function_looked_up_at_call_time(self, capsys, monkeypatch, mode):
+        from pinclasses import pipeline
+
+        original = getattr(pipeline, f"{mode}_gf")
+        seen = []
+        monkeypatch.setattr(
+            pipeline, f"{mode}_gf", lambda spec: seen.append(spec) or original(spec)
+        )
+        code, _, _ = run(capsys, "growth", "1(ru)*", "--mode", mode)
+        assert code == 0
+        assert seen == ["1(ru)*"]
+
     def test_poly(self, capsys):
         code, out, _ = run(capsys, "growth", "--poly", "1-2z-z^3")
         assert code == 0
@@ -273,6 +286,12 @@ class TestClosureOf:
         code, _, err = run(capsys, "closure-of", "--perms", "4[1]52")
         assert code == 2
 
+    def test_bare_origin_is_a_precondition(self, capsys):
+        code, out, err = run(capsys, "closure-of", "--perms", "[1]")
+        assert code == 3
+        assert out == ""
+        assert "bare origin" in err
+
 
 class TestRender:
     def test_ascii(self, capsys):
@@ -296,6 +315,14 @@ class TestRender:
         assert code == 0
         # 3 placed points plus the origin
         assert sum(ch.isdigit() for ch in out) + out.count("o") == 4
+
+    @pytest.mark.parametrize("text", ["1ru", "1(ul)*"])
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one(self, capsys, text, steps):
+        code, out, err = run(capsys, "render", text, "--steps", steps)
+        assert code == 3
+        assert out == ""
+        assert "--steps" in err
 
 
 class TestTopLevel:

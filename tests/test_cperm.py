@@ -258,9 +258,9 @@ class TestQuadrantHelpers:
         assert strip_origin(from_oneline("31586[4]27")) == (3, 1, 4, 7, 5, 2, 6)
         assert strip_origin(EMPTY) == ()
 
-    def test_profile_merge(self):
+    def test_quadrants_occupied(self):
         p = from_oneline("1[2]43")
-        assert p.profile().occupied == frozenset({1, 3})
+        assert p.quadrants() == frozenset({1, 3})
 
 
 class TestCentredPattern:

@@ -3,7 +3,12 @@
 import pytest
 
 from pinclasses import _patterns
-from pinclasses.errors import CensusTooLarge, NotRecurrent, ParameterOutOfRange
+from pinclasses.errors import (
+    CensusTooLarge,
+    EmptyPermutation,
+    NotRecurrent,
+    ParameterOutOfRange,
+)
 from pinclasses.oracle import (
     ClassCensus,
     census_adjacency,
@@ -114,6 +119,12 @@ class TestClosureComposition:
             census = enumerate_closure_composition(gens, 5)
             f = finite_closure_gf(gens)
             assert census.counts == [f.coefficient(n) for n in range(6)], gens
+
+    def test_generators_without_points_rejected(self):
+        with pytest.raises(EmptyPermutation):
+            enumerate_closure_composition(["[1]"], 3)
+        with pytest.raises(ParameterOutOfRange):
+            enumerate_closure_composition([], 3)
 
 
 class TestGuards:

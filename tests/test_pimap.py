@@ -1,5 +1,7 @@
 """The point-placement map from pin words to centred permutations."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from pinclasses.pimap import (
     prefix_images,
     remove_interior_point,
 )
-from pinclasses.pinword import PinWord, parse_pin_word
+from pinclasses.pinword import PinWord, parse_pin_spec, parse_pin_word
 from strategies import pin_words
 
 # Frozen word -> one-line expectations, independently derivable by hand from
@@ -243,3 +245,28 @@ class TestRendering:
 
     def test_diagram_perm_property(self):
         assert PinDiagram("2lurdld").perm == pi_map("2lurdld")
+
+
+class TestValueTypes:
+    VALUES = [
+        lambda: PinWord(2, "lurdld"),
+        lambda: parse_pin_spec("1r(ur)*"),
+        lambda: from_oneline("31586[4]27"),
+        lambda: PinDiagram("2lurdld"),
+    ]
+    NAMES = ["PinWord", "PinSpec", "CentredPerm", "PinDiagram"]
+
+    @pytest.mark.parametrize("make", VALUES, ids=NAMES)
+    def test_immutable(self, make):
+        value = make()
+        field = next(iter(type(value).__dataclass_fields__))
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    @pytest.mark.parametrize("make", VALUES, ids=NAMES)
+    def test_pickle_round_trip(self, make):
+        value = make()
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value
+        assert hash(back) == hash(value)
+        assert str(back) == str(value)

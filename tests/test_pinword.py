@@ -10,6 +10,7 @@ from pinclasses.errors import (
     IndexOutOfRange,
     MalformedSyntax,
     NonAlternatingCycle,
+    ParameterOutOfRange,
 )
 from pinclasses.pinword import (
     PinSpec,
@@ -153,7 +154,7 @@ class TestFactors:
         assert rec == {"2u", "2l"}
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             enumerate_pin_factors(parse_pin_spec("1(ru)*"), 2, "sometimes")
 
     def test_recurrence(self):

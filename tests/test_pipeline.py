@@ -12,12 +12,14 @@ from pinclasses.errors import (
     BoundViolation,
     CrossCheckMismatch,
     DisconnectedQuadrants,
+    EmptyPermutation,
     NoRootInRange,
     NotRecurrent,
     ParameterOutOfRange,
     StabilizationFailure,
 )
-from pinclasses.pimap import pi_map
+from pinclasses.classify import all_pin_words
+from pinclasses.pimap import all_point_quadrants, pi_map
 from pinclasses.pinword import _start_numerals, enumerate_pin_factors, parse_pin_spec
 from pinclasses.pipeline import (
     DENOMINATOR_ROOT,
@@ -253,6 +255,12 @@ class TestFiniteClosures:
         assert f.coefficient(4) >= 1
         assert f.coefficient(0) == 1
 
+    def test_generators_without_points_rejected(self):
+        with pytest.raises(EmptyPermutation):
+            finite_closure_gf(["[1]"])
+        with pytest.raises(ParameterOutOfRange):
+            finite_closure_gf([])
+
 
 class TestCompleteClass:
     def test_frozen_gf(self):
@@ -297,6 +305,13 @@ class TestCompleteClass:
             complete_class_gf((1, 5))
         with pytest.raises(DisconnectedQuadrants):
             complete_class_gf(())
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_word_quadrants_match_geometry(self, n):
+        # the confinement test reads quadrants from the probed tables; the
+        # diagram of every word is the reference
+        for w in all_pin_words(n):
+            assert pipeline._word_quadrants(w) == set(all_point_quadrants(w).values()), w
 
     def test_sequence_has_unrestricted_denominator(self):
         # The complete-class G legitimately has a denominator that is not a
@@ -357,7 +372,7 @@ class TestGrowthRate:
             describe("1(ru)*", digits=0)
 
     def test_bad_target(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             growth_rate(class_gf("1(ru)*"), target="nonsense")
 
     def test_json(self):
@@ -366,6 +381,27 @@ class TestGrowthRate:
         assert data["decimal"] == "2.20556943"
         assert data["polynomial"] == "1 - 2z - z^3"
         assert Fraction(data["interval"][0]) < Fraction(data["interval"][1])
+
+    def test_bisection_evaluates_each_midpoint_once(self, monkeypatch):
+        calls = []
+        original = pipeline._variations
+
+        def counted(chain, x):
+            calls.append(x)
+            return original(chain, x)
+
+        monkeypatch.setattr(pipeline, "_variations", counted)
+        result = growth_rate(class_gf("1(ru)*"), tol=Fraction(1, 2**40))
+        lo, hi = result.root_interval
+        assert hi - lo == Fraction(1, 2**40)
+        # 39 halvings of (0, 1/2], the endpoints once, the certificate four times
+        assert len(calls) == 39 + 2 + 4
+
+    def test_parameters_out_of_range_are_typed(self):
+        with pytest.raises(ParameterOutOfRange):
+            quadrant_indecomposable_counts("1(ru)*", 5)
+        with pytest.raises(ParameterOutOfRange):
+            truncation_convergence("1(ul)*", 0)
 
     def test_repeated_root_handled_by_square_free_part(self):
         squared = Poly.parse("1 - 2z - z^3") * Poly.parse("1 - 2z - z^3")
@@ -437,5 +473,5 @@ class TestDescribe:
             describe("1(ul)*", mode="class")
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRange):
             describe("1(ru)*", mode="everything")
