@@ -15,6 +15,7 @@ from itertools import combinations
 from .errors import (
     EmptyInput,
     EmptyPermutation,
+    IndexOutOfRange,
     MalformedSyntax,
     MultipleOrigins,
     NoOrigin,
@@ -75,6 +76,8 @@ class CentredPerm:
 
     def quadrant(self, position: int) -> int:
         """Quadrant (1..4, anticlockwise from upper right) of a non-origin entry."""
+        if not 1 <= position <= len(self.filled):
+            raise IndexOutOfRange(f"position {position} outside 1..{len(self.filled)}")
         if position == self.origin_index:
             raise ValueError("the origin has no quadrant")
         return quadrant_of((position, self.filled[position - 1]), self.origin_point())

@@ -80,6 +80,9 @@ def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> Cl
 
     The segment length starts at (n_max+1)*(prefix+cycle) + n_max and grows
     by one cycle until the counts repeat across two consecutive lengths.
+    Growing the segment only shifts the old points' coordinates, so each
+    longer segment scans just the subsets holding one of its new points and
+    unites their patterns with the shorter segment's.
     """
     spec = as_spec(spec)
     _check_depth(n_max)
@@ -88,12 +91,15 @@ def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> Cl
             f"subset census depth {n_max} exceeds the guard {_SUBSET_GUARD}; "
             "pass override_guard=True to force"
         )
-    period = spec.prefix_length + spec.cycle_length
-    m = (n_max + 1) * period + n_max
+    start = (n_max + 1) * (spec.prefix_length + spec.cycle_length) + n_max
+    step = spec.cycle_length
+    pts: list = []
+    table = {k: frozenset() for k in range(n_max + 1)}
     prev_counts = None
-    for _ in range(_SEGMENT_GROWTH_CAP):
-        pts = diagram_points(spec.initial_word(m))
-        table = _patterns.subset_patterns(pts, pts[0], n_max)
+    for m in range(start, start + _SEGMENT_GROWTH_CAP * step, step):
+        longer = diagram_points(spec.initial_word(m))
+        fresh = _patterns.subset_patterns(longer, longer[0], n_max, fresh_from=len(pts))
+        pts, table = longer, {k: table[k] | fresh[k] for k in table}
         counts = [len(table[k]) for k in range(n_max + 1)]
         _guard(sum(counts), f"subset census of {spec}")
         if counts == prev_counts:
@@ -104,7 +110,6 @@ def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> Cl
                 table,
             )
         prev_counts = counts
-        m += spec.cycle_length
     raise ConvergenceNotReached(
         f"subset counts for {spec} still changing at segment length {m}"
     )

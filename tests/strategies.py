@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from pinclasses.cperm import CentredPerm
-from pinclasses.pinword import PinSpec, PinWord
+from pinclasses.pinword import PinSpec, PinWord, is_recurrent
 
 
 @st.composite
@@ -22,10 +22,10 @@ def pin_words(draw, max_letters=7):
 
 
 @st.composite
-def pin_specs(draw, cycle_lengths=(2, 4)):
+def pin_specs(draw, cycle_lengths=(2, 4), max_prefix_letters=4):
     # An internally alternating cycle of even length always alternates across
     # the wrap; only the prefix-cycle junction needs care.
-    word = draw(pin_words(max_letters=4))
+    word = draw(pin_words(max_letters=max_prefix_letters))
     length = draw(st.sampled_from(cycle_lengths))
     prev = word.letters[-1] if word.letters else None
     cycle = []
@@ -39,6 +39,12 @@ def pin_specs(draw, cycle_lengths=(2, 4)):
         prev = draw(st.sampled_from(options))
         cycle.append(prev)
     return PinSpec(word, "".join(cycle))
+
+
+def recurrent_specs(cycle_lengths=(2, 4)):
+    """Specs with a bare-numeral prefix, kept when every factor recurs
+    (about one draw in four)."""
+    return pin_specs(cycle_lengths, max_prefix_letters=0).filter(is_recurrent)
 
 
 @st.composite

@@ -30,6 +30,7 @@ from pinclasses.cperm import (
 from pinclasses.errors import (
     EmptyInput,
     EmptyPermutation,
+    IndexOutOfRange,
     MalformedSyntax,
     MultipleOrigins,
     NoOrigin,
@@ -72,6 +73,13 @@ class TestParsingAndBasics:
     def test_quadrants(self):
         p = from_oneline("426[3]51")
         assert [p.quadrant(i) for i in (1, 2, 3, 5, 6)] == [2, 3, 2, 1, 4]
+
+    def test_quadrant_position_out_of_range(self):
+        p = from_oneline("1[2]43")
+        for position in (0, -1, 5, 9):
+            with pytest.raises(IndexOutOfRange) as caught:
+                p.quadrant(position)
+            assert caught.value.exit_code == 3
 
     def test_json_round_trip(self):
         p = from_oneline("426[3]51")

@@ -1,10 +1,13 @@
 """Brute-force census oracles, independent of the generating-function route."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pinclasses import _patterns
+from pinclasses import _patterns, oracle
 from pinclasses.errors import (
     CensusTooLarge,
+    ConvergenceNotReached,
     EmptyPermutation,
     NotRecurrent,
     ParameterOutOfRange,
@@ -21,6 +24,8 @@ from pinclasses.oracle import (
 )
 from pinclasses.pimap import diagram_points, pi_map
 from pinclasses.cperm import QUADRANT_POINT, centred_pattern, from_oneline
+
+from strategies import recurrent_specs
 
 # Exhaustively computed class sizes, frozen here as the reference the
 # generating-function pipeline is checked against in test_acceptance.
@@ -84,6 +89,37 @@ class TestSubsetCensus:
     def test_empirical_stop_recorded(self):
         census = enumerate_class_subset("1(ru)*", 3)
         assert "empirical stop" in census.description
+
+    def test_longer_segments_scan_only_new_subsets(self, monkeypatch):
+        calls = []
+        kernel = _patterns.subset_patterns
+
+        def spy(points, origin, n_max, fresh_from=0):
+            calls.append((points, fresh_from))
+            return kernel(points, origin, n_max, fresh_from=fresh_from)
+
+        monkeypatch.setattr(_patterns, "subset_patterns", spy)
+        enumerate_class_subset("1(uldlur)*", 3)
+        assert len(calls) >= 2 and calls[0][1] == 0
+        for (old, _), (new, fresh_from) in zip(calls, calls[1:]):
+            assert fresh_from == len(old)
+            # the old points keep their relative order in the longer segment
+            assert centred_pattern(new[:fresh_from], new[0]) == centred_pattern(old, old[0])
+
+    def test_unconverged_names_last_length_tried(self, monkeypatch):
+        # one segment is never enough to see the counts repeat; the start
+        # length for depth 3 of 1(ru)* is 4 * 3 + 3
+        monkeypatch.setattr(oracle, "_SEGMENT_GROWTH_CAP", 1)
+        with pytest.raises(ConvergenceNotReached, match=r"segment length 15$"):
+            enumerate_class_subset("1(ru)*", 3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(recurrent_specs(cycle_lengths=(2, 4, 6, 8)))
+    def test_agrees_with_composition_on_random_specs(self, spec):
+        assert (
+            enumerate_class_subset(spec, 4).counts
+            == enumerate_class_composition(spec, 4).counts
+        ), spec
 
 
 class TestRepresentationCensus:
@@ -199,16 +235,23 @@ class TestSubsetKernels:
     def test_backends_agree(self):
         pts = diagram_points("2ruldlurdr")
         origin = pts[0]
-        a = _patterns.subset_patterns_numpy(pts, origin, 6)
+        a = _patterns.subset_patterns(pts, origin, 6)
         b = _patterns.subset_patterns_pure(pts, origin, 6)
         assert a == b
+
+    def test_chunked_heads_agree(self, monkeypatch):
+        pts = diagram_points("2ruldlurdr")
+        origin = pts[0]
+        whole = _patterns.subset_patterns(pts, origin, 5, fresh_from=4)
+        monkeypatch.setattr(_patterns, "_CHUNK_ROWS", 7)
+        assert _patterns.subset_patterns(pts, origin, 5, fresh_from=4) == whole
 
     def test_kernel_matches_direct_pattern_extraction(self):
         from itertools import combinations
 
         pts = diagram_points("1uldlur")
         origin = pts[0]
-        out = _patterns.subset_patterns_numpy(pts, origin, 4)
+        out = _patterns.subset_patterns(pts, origin, 4)
         others = [p for p in pts if p != origin]
         for k in range(5):
             expect = {
@@ -216,6 +259,42 @@ class TestSubsetKernels:
                 for chosen in combinations(others, k)
             }
             assert out[k] == expect
+
+    @settings(max_examples=30, deadline=None)
+    @given(recurrent_specs(cycle_lengths=(2, 4, 6, 8)), st.data())
+    def test_fresh_subsets_complete_a_shorter_segment(self, spec, data):
+        pts = diagram_points(spec.initial_word(spec.prefix_length + 2 * spec.cycle_length))
+        n_max = data.draw(st.integers(min_value=1, max_value=4), label="n_max")
+        s = data.draw(st.integers(min_value=1, max_value=len(pts)), label="split")
+        origin = pts[0]
+        old = _patterns.subset_patterns(pts[:s], origin, n_max)
+        fresh = _patterns.subset_patterns(pts, origin, n_max, fresh_from=s)
+        full = _patterns.subset_patterns_pure(pts, origin, n_max)
+        assert {k: old[k] | fresh[k] for k in full} == full
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(range(9)), st.data())
+    def test_fresh_subsets_of_random_points(self, ys, data):
+        # generic point sets share few patterns between subsets, so a subset
+        # wrongly skipped or wrongly scanned shows in the result
+        from itertools import combinations
+
+        pts = list(enumerate(ys))
+        origin = data.draw(st.sampled_from(pts), label="origin")
+        s = data.draw(st.integers(min_value=0, max_value=len(pts)), label="split")
+        n_max = data.draw(st.integers(min_value=1, max_value=4), label="n_max")
+        fresh = set(pts[s:])
+        expect = {
+            k: {
+                centred_pattern([*chosen, origin], origin)
+                for chosen in combinations([p for p in pts if p != origin], k)
+                if fresh.intersection(chosen) or origin in fresh
+            }
+            for k in range(1, n_max + 1)
+        }
+        for kernel in (_patterns.subset_patterns, _patterns.subset_patterns_pure):
+            out = kernel(pts, origin, n_max, fresh_from=s)
+            assert {k: out[k] for k in expect} == expect, kernel.__name__
 
     def test_backend_selected(self):
         assert _patterns.BACKEND in ("numpy", "pure")
