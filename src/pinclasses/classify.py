@@ -4,14 +4,21 @@ Both tables are stored as one representative pattern per family; the other
 members are generated by the eight symmetries of the square acting on words
 (rotations permute the quadrant numerals cyclically and the letters r, u, l,
 d likewise; reflections swap a letter pair and two numeral pairs).  An
-exhaustive verifier re-derives both tables from scratch by brute pi-map
-enumeration and reports any disagreement.
+exhaustive verifier re-derives both tables from scratch and reports any
+disagreement.  It walks the pin-word trie once for every length up to its
+bound, depth first from the words of length _ROOT_LENGTH: each word's
+diagram is its parent's plus one placed point (`pimap.trie_images`), and
+each word goes straight into its length's image -> word texts map and
+decomposable list.  The roots are also the ``jobs`` partition, and the first
+deepest leaf under each root is checked against the pi-map built from
+scratch.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
+from multiprocessing import get_context
 
 from .cperm import (
     QUADRANT_SIGNS,
@@ -20,9 +27,9 @@ from .cperm import (
     is_box_indecomposable,
     quadrant_of,
 )
-from .errors import ParameterOutOfRange
-from .pimap import pi_map
-from .pinword import PinWord
+from .errors import CrossCheckMismatch, ParameterOutOfRange
+from .pimap import pi_map, trie_images
+from .pinword import NEXT_LETTERS, PinWord, as_word
 
 _LETTER_VEC = {"r": (1, 0), "u": (0, 1), "l": (-1, 0), "d": (0, -1)}
 _VEC_LETTER = {v: k for k, v in _LETTER_VEC.items()}
@@ -155,13 +162,15 @@ def collision_group(w: PinWord) -> frozenset[PinWord]:
 
 
 def all_pin_words(n: int) -> list[PinWord]:
-    """Every valid pin word of length n (4 at n=1, 2^(n+2) for n >= 2)."""
+    """Every valid pin word of length n (4 at n=1, 2^(n+2) for n >= 2), in
+    LETTERS extension order.  The letter strings are built down the trie
+    first, so each word is built and validated once."""
     if n < 1:
         return []
-    words = [PinWord(q) for q in (1, 2, 3, 4)]
+    strings = [""]
     for _ in range(n - 1):
-        words = [v for w in words for v in w.extensions()]
-    return words
+        strings = [s + c for s in strings for c in NEXT_LETTERS[s[-1:]]]
+    return [PinWord(q, s) for q in (1, 2, 3, 4) for s in strings]
 
 
 class ClassificationReport:
@@ -200,35 +209,61 @@ class ClassificationReport:
         )
 
 
-def _scan_partition(words) -> list[tuple[PinWord, tuple, bool]]:
-    """Worker: map each word to (word, image key, indecomposable?)."""
-    out = []
-    for w in words:
-        img = pi_map(w)
-        out.append((w, (img.filled, img.origin_index), is_box_indecomposable(img)))
-    return out
+# Words of this length root the trie walk and partition it for ``jobs``.
+_ROOT_LENGTH = 2
 
 
-def _derive_at_length(n: int, jobs: int = 1):
-    words = all_pin_words(n)
-    if jobs > 1 and len(words) >= 64:
-        chunks: dict[tuple, list[PinWord]] = {}
-        for w in words:
-            key = (w.numeral, w.letters[:1])
-            chunks.setdefault(key, []).append(w)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_scan_partition, chunks.values())
-        triples = [t for part in results for t in part]
-    else:
-        triples = _scan_partition(words)
-    by_image: dict[tuple, list[PinWord]] = {}
-    decs: set[PinWord] = set()
-    for w, key, indec in triples:
-        by_image.setdefault(key, []).append(w)
-        if not indec:
-            decs.add(w)
-    groups = {frozenset(g) for g in by_image.values() if len(g) > 1}
-    return decs, groups
+def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
+    """Worker: for root and its extensions up to length n_max, per length,
+    image key -> word texts and the decomposable word texts.  The first
+    deepest leaf's image is checked against the pi-map built from scratch."""
+    tables = {n: ({}, []) for n in range(root.length, n_max + 1)}
+    leaf = None
+    for text, img in trie_images(root, n_max):
+        images, decs = tables[len(text)]
+        key = bytes((*img.filled, img.origin_index))
+        images[key] = images.get(key, ()) + (text,)
+        if not is_box_indecomposable(img):
+            decs.append(text)
+        if leaf is None and len(text) == n_max:
+            leaf = (text, img)
+    text, img = leaf
+    if img != pi_map(text):
+        raise CrossCheckMismatch(f"incremental image {img} of {text} differs from its pi-map")
+    return tables
+
+
+def _walks(roots, limits, jobs: int):
+    """The _walk of each root to its limit, in a pool of fresh interpreters
+    when jobs > 1."""
+    if jobs <= 1:
+        yield from map(_walk, roots, limits)
+        return
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+        yield from pool.map(_walk, roots, limits)
+
+
+def _derive(n_max: int, jobs: int) -> dict[int, tuple[set, set]]:
+    """Per length 1..n_max: the decomposable words and the collision groups,
+    from one walk of the pin-word trie.  Words shorter than the roots are
+    walked on their own, each to its own length."""
+    roots = [w for n in range(1, _ROOT_LENGTH + 1) for w in all_pin_words(n)]
+    limits = [n_max if w.length == _ROOT_LENGTH else w.length for w in roots]
+    images = {n: {} for n in range(1, n_max + 1)}
+    decs = {n: [] for n in range(1, n_max + 1)}
+    for tables in _walks(roots, limits, jobs):
+        for n, (part_images, part_decs) in tables.items():
+            merged = images[n]
+            for key, texts in part_images.items():
+                merged[key] = merged.get(key, ()) + texts
+            decs[n].extend(part_decs)
+    return {
+        n: (
+            {as_word(t) for t in decs[n]},
+            {frozenset(map(as_word, g)) for g in images[n].values() if len(g) > 1},
+        )
+        for n in range(1, n_max + 1)
+    }
 
 
 def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
@@ -238,9 +273,10 @@ def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
     """
     if n_max < 2:
         raise ParameterOutOfRange(f"n_max must be at least 2, got {n_max}")
+    derived = _derive(n_max, jobs)
     reports = []
     for n in range(1, n_max + 1):
-        derived_decs, derived_groups = _derive_at_length(n, jobs=jobs)
+        derived_decs, derived_groups = derived[n]
         table_decs = set(decomposable_words(n))
         table_groups = set(collision_groups_at(n))
         discrepancies = []

@@ -5,7 +5,13 @@ goes one step diagonally into its numeral's quadrant; every later point p_k
 takes a fresh extreme rank in its letter's direction while its perpendicular
 coordinate is inserted strictly between the bounding rectangle of
 {p0..p_{k-2}} and p_{k-1}, on p_{k-1}'s side.  Insertion shifts existing
-ranks up by one, so no real coordinates are ever needed.
+ranks up by one, so no real coordinates are ever needed, and each axis's
+coordinates always form a contiguous range: a diagram's image is read off
+in O(n) (`diagram_image`).  Growing diagrams share one placement step,
+`_place`, so the images of a word's prefixes (`prefix_images`) or of a
+whole trie of words (`trie_images`) cost one placement each.  `pi_map`
+builds each diagram from scratch and standardizes it by sorting: it is the
+independent route those are checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .cperm import QUADRANT_SIGNS, CentredPerm, box_sum, centred_pattern, quadrant_of
 from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
-from .pinword import PinWord, as_word
+from .pinword import NEXT_LETTERS, PinWord, as_word
 
 
 def _first_points(numeral: int) -> list[tuple[int, int]]:
@@ -48,15 +54,40 @@ def diagram_points(w) -> list[tuple[int, int]]:
     return pts
 
 
+def diagram_image(pts) -> CentredPerm:
+    """The image of a diagram's points, origin first.  Placement keeps each
+    axis's coordinates a contiguous range, so a coordinate's rank is its
+    offset from the minimum: O(n), no sorting."""
+    xmin = min(x for x, _ in pts)
+    ymin = min(y for _, y in pts)
+    filled = [0] * len(pts)
+    for x, y in pts:
+        filled[x - xmin] = y - ymin + 1
+    return CentredPerm(filled, pts[0][0] - xmin + 1)
+
+
 def prefix_images(w):
     """Yield pi(w_{1,1}), pi(w_{1,2}), ..., pi(w) from one diagram that grows
     a point at a time, so each image costs one placement, not a new diagram."""
     w = as_word(w)
     pts = _first_points(w.numeral)
-    yield centred_pattern(pts, pts[0])
+    yield diagram_image(pts)
     for letter in w.letters:
         pts = _place(pts, letter)
-        yield centred_pattern(pts, pts[0])
+        yield diagram_image(pts)
+
+
+def trie_images(root, n_max: int):
+    """Yield (word text, image) for root and every extension of it up to
+    length n_max, depth first in LETTERS order.  Each word's diagram is its
+    parent's plus one placed point, so a word costs one placement."""
+    root = as_word(root)
+    stack = [(str(root), root.letters[-1:], diagram_points(root))]
+    while stack:
+        text, last, pts = stack.pop()
+        yield text, diagram_image(pts)
+        if len(pts) <= n_max:  # the word has len(pts) - 1 points
+            stack.extend((text + c, c, _place(pts, c)) for c in reversed(NEXT_LETTERS[last]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,6 +35,14 @@ def same_axis(a: str, b: str) -> bool:
     return (a in "ud") == (b in "ud")
 
 
+# The letters that may follow a word's last letter ("" for a bare numeral),
+# in LETTERS order.
+NEXT_LETTERS = {
+    last: "".join(c for c in LETTERS if not (last and same_axis(last, c)))
+    for last in ("", *LETTERS)
+}
+
+
 @dataclass(frozen=True, slots=True)
 class PinWord:
     """Immutable finite pin word: numeral plus alternating letters."""
@@ -71,11 +79,8 @@ class PinWord:
 
     def extensions(self) -> list["PinWord"]:
         """Every pin word that extends this one by one letter, in LETTERS order."""
-        last = self.letters[-1:]
         return [
-            PinWord(self.numeral, self.letters + c)
-            for c in LETTERS
-            if not (last and same_axis(last, c))
+            PinWord(self.numeral, self.letters + c) for c in NEXT_LETTERS[self.letters[-1:]]
         ]
 
     def __str__(self) -> str:
@@ -232,15 +237,20 @@ def pin_factor(spec: PinSpec, i: int, j: int) -> PinWord:
 
 
 def left_truncate(spec: PinSpec, n: int) -> PinSpec:
-    """Drop the first n-1 symbols of the realized sequence, renumbering the head."""
+    """Drop the first n-1 symbols of the realized sequence, renumbering the head.
+
+    The new numeral is the quadrant of p_n, read from the spec's cached
+    start numerals; past them, quadrants recur with the cycle from the
+    first recurrent start on.
+    """
     if n < 1:
         raise IndexOutOfRange(f"truncation point {n} < 1")
     if n == 1:
         return spec
-    from . import pimap
-
-    numeral = pimap.point_quadrant(spec.initial_word(n), n)
     p, c = spec.prefix_length, spec.cycle
+    lo, hi = _factor_windows(spec)
+    k = n if n <= hi else lo + (n - lo) % len(c)
+    numeral = _start_numerals(spec.prefix, spec.cycle)[k - 1]
     if n <= p:
         rest = "".join(spec.symbol(t) for t in range(n + 1, p + 1))
         return PinSpec(PinWord(numeral, rest), c)

@@ -557,16 +557,23 @@ def growth_rate(
     return GrowthResult((lo, hi), poly, digits=digits)
 
 
-def interior_positivity(spec, samples: int = 100) -> bool:
-    """Sample the interior-mode G at rational points of (0, alpha): all > 0?"""
+def _positive_on(p: Poly, alpha: Fraction) -> bool:
+    """Certify p > 0 on (0, alpha]: a Sturm count finds no root of its
+    square-free part there, and its lowest term, which fixes its sign just
+    right of 0, is positive."""
+    lowest = next((c for c in p.coeffs if c), 0)
+    return lowest > 0 and _roots_in(_sturm_chain(_square_free(p)), Fraction(0), alpha) == 0
+
+
+def interior_positivity(spec) -> bool:
+    """Certify that the interior-mode G is positive on (0, alpha], alpha the
+    lower end of the G = 1 root interval.  G's denominator is a power of
+    (1 - z) (amended_G asserts it), positive there, so G's sign is its
+    numerator's."""
     spec = as_spec(spec)
     gs = amended_G(spec, "recurrent")
     alpha = growth_rate(gs.G, target=G_EQUALS_1).root_interval[0]
-    for i in range(1, samples + 1):
-        x = alpha * i / (samples + 1)
-        if gs.G(x) <= 0:
-            return False
-    return True
+    return _positive_on(gs.G.num, alpha)
 
 
 def truncation_convergence(spec, t_max: int) -> list[GrowthResult]:

@@ -1,7 +1,9 @@
 """Exhaustive classification of colliding and decomposable pin words."""
 
+import pytest
 from hypothesis import given, settings
 
+from pinclasses import classify, pimap
 from pinclasses.classify import (
     SYMMETRIES,
     all_pin_words,
@@ -13,6 +15,7 @@ from pinclasses.classify import (
     verify_tables,
 )
 from pinclasses.cperm import is_box_indecomposable
+from pinclasses.errors import CrossCheckMismatch
 from pinclasses.pimap import pi_map
 from pinclasses.pinword import PinWord
 from strategies import pin_words
@@ -29,6 +32,12 @@ class TestWordEnumeration:
             words = all_pin_words(n)
             assert len(set(words)) == len(words)
             assert all(w.length == n for w in words)
+
+    def test_extension_order(self):
+        words = [PinWord(q) for q in (1, 2, 3, 4)]
+        for n in range(1, 8):
+            assert all_pin_words(n) == words
+            words = [v for w in words for v in w.extensions()]
 
 
 class TestDecomposableWords:
@@ -154,10 +163,9 @@ class TestVerifyTables:
         assert all(r.discrepancies == [] for r in reports)
 
     def test_parallel_agrees_with_serial(self):
-        serial = verify_tables(6, jobs=1)
-        parallel = verify_tables(6, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.to_json() == b.to_json()
+        serial = verify_tables(8, jobs=1)
+        parallel = verify_tables(8, jobs=2)
+        assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
     def test_json_schema(self):
         report = verify_tables(2)[0]
@@ -173,7 +181,36 @@ class TestVerifyTables:
         assert data["decomposable_words"] == []
 
     def test_rejects_tiny_bound(self):
-        import pytest
-
         with pytest.raises(ValueError):
             verify_tables(1)
+
+
+class TestTrieWalk:
+    def test_images_and_flags_match_fresh_diagrams(self):
+        """Every word of length <= 9, against its pi-map built from scratch."""
+        walked = []
+        for root in all_pin_words(1):
+            for images, decs in classify._walk(root, 9).values():
+                for key, texts in images.items():
+                    for text in texts:
+                        img = pi_map(text)
+                        assert key == bytes((*img.filled, img.origin_index))
+                        assert (text in decs) == (not is_box_indecomposable(img))
+                        walked.append(text)
+        expected = [str(w) for n in range(1, 10) for w in all_pin_words(n)]
+        assert sorted(walked) == sorted(expected)
+
+    def test_leaf_checked_against_pi_map(self, monkeypatch):
+        """A skewed placement step in the walk must fail the leaf check,
+        while the pi-map built from scratch keeps the true step."""
+        place = pimap._place
+        mirrored = {"l": "r", "r": "l", "u": "u", "d": "d"}
+        monkeypatch.setattr(pimap, "_place", lambda pts, c: place(pts, mirrored[c]))
+
+        def true_pi_map(w):
+            monkeypatch.setattr(pimap, "_place", place)
+            return pi_map(w)
+
+        monkeypatch.setattr(classify, "pi_map", true_pi_map)
+        with pytest.raises(CrossCheckMismatch):
+            classify._walk(PinWord(1, "u"), 6)

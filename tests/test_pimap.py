@@ -12,12 +12,14 @@ from pinclasses.pimap import (
     PinDiagram,
     all_point_quadrants,
     compose_representation,
+    diagram_image,
     diagram_points,
     one_point_extension_candidates,
     pi_map,
     point_quadrant,
     prefix_images,
     remove_interior_point,
+    trie_images,
 )
 from pinclasses.pinword import PinWord, parse_pin_spec, parse_pin_word
 from strategies import pin_words
@@ -79,6 +81,21 @@ class TestPiMap:
             pi_map(PinWord(w.numeral, w.letters[:k])) for k in range(w.length)
         ]
 
+    @given(pin_words(max_letters=4), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=40)
+    def test_trie_images_match_fresh_diagrams(self, root, n_max):
+        nodes = list(trie_images(root, n_max))
+        assert all(img == pi_map(text) for text, img in nodes)
+        # the root and its extensions of every length up to n_max, in
+        # depth-first LETTERS order
+        words, expected = [root], []
+        while words:
+            w = words.pop()
+            expected.append(str(w))
+            if w.length < n_max:
+                words.extend(reversed(w.extensions()))
+        assert [text for text, _ in nodes] == expected
+
 
 class TestDiagramGeometry:
     def test_origin_first(self):
@@ -92,6 +109,16 @@ class TestDiagramGeometry:
         ys = [p[1] for p in pts]
         assert len(set(xs)) == len(xs)
         assert len(set(ys)) == len(ys)
+
+    @given(pin_words(max_letters=23))
+    @settings(max_examples=200)
+    def test_coordinates_form_contiguous_ranges(self, w):
+        """What lets diagram_image rank a coordinate by its offset."""
+        pts = diagram_points(w)
+        for axis in (0, 1):
+            values = sorted(p[axis] for p in pts)
+            assert values == list(range(values[0], values[0] + len(pts)))
+        assert diagram_image(pts) == pi_map(w)
 
     def test_each_letter_point_is_extreme(self):
         word = parse_pin_word("2lurdld")

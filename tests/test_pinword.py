@@ -12,6 +12,7 @@ from pinclasses.errors import (
     NonAlternatingCycle,
     ParameterOutOfRange,
 )
+from pinclasses.pimap import point_quadrant
 from pinclasses.pinword import (
     PinSpec,
     PinWord,
@@ -179,6 +180,15 @@ class TestFactors:
         rec = enumerate_pin_factors(s, n, "recurrent")
         deep = left_truncate(s, s.prefix_length + 2)
         assert enumerate_pin_factors(deep, n, "all") == rec
+
+    @given(pin_specs(cycle_lengths=(2, 4, 6)))
+    @settings(max_examples=40, deadline=None)
+    def test_truncation_numeral_is_point_quadrant(self, s):
+        """The cached start numerals, folded by the cycle past their end,
+        give the quadrant of p_n in a fresh diagram."""
+        last = s.prefix_length + 4 * s.cycle_length + 1
+        for n in range(2, last + 1):
+            assert left_truncate(s, n).numeral == point_quadrant(s.initial_word(n), n)
 
     @given(pin_specs())
     @settings(max_examples=30, deadline=None)

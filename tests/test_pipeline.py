@@ -1,6 +1,7 @@
 """Generating functions, amended counting sequences, and certified growth."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -443,11 +444,27 @@ class TestTruncationConvergence:
 
 class TestInteriorPositivity:
     def test_positive_for_oscillation_interior(self):
-        assert interior_positivity("1(ul)*", samples=25)
+        assert interior_positivity("1(ul)*")
 
     def test_positive_for_recurrent_specs(self):
         for spec in FROZEN_CLASS_GFS:
-            assert interior_positivity(spec, samples=10)
+            assert interior_positivity(spec)
+
+    def test_root_inside_interval(self, monkeypatch):
+        # G = z - 40z^2 + 200z^3 vanishes near 0.029 and 0.171, below its
+        # G = 1 root near 0.26, though it is positive near 0 and at alpha
+        g = RatGF(Poly.parse("z - 40z^2 + 200z^3"))
+        monkeypatch.setattr(pipeline, "amended_G", lambda spec, mode: SimpleNamespace(G=g))
+        assert not interior_positivity("1(ul)*")
+
+    def test_certificate_edges(self):
+        positive_on = pipeline._positive_on
+        assert positive_on(Poly.parse("z - 4z^2"), Fraction(1, 8))
+        assert not positive_on(Poly.parse("z - 4z^2"), Fraction(1, 4))  # root at alpha
+        # a double root at alpha vanishes from every unreduced Sturm polynomial
+        assert not positive_on(Poly.parse("z^2 - 8z^3 + 16z^4"), Fraction(1, 4))
+        assert not positive_on(Poly.parse("-z + z^2"), Fraction(1, 8))  # negative near 0
+        assert not positive_on(Poly.zero(), Fraction(1, 8))
 
 
 class TestDescribe:
