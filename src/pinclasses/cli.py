@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from decimal import Decimal
 from fractions import Fraction
 
@@ -123,25 +124,37 @@ def cmd_verify_tables(args) -> int:
     return 0
 
 
+def _open_output(path: str):
+    """Open an output file for writing, mapping a failure to exit code 3.
+    Callers open it before the work, so a bad path costs nothing."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParameterOutOfRange(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_oracle(args) -> int:
+    if args.method != "representation" and not args.spec:
+        print("error: this oracle method needs a spec", file=sys.stderr)
+        return 2
+    with _open_output(args.dump_perms) if args.dump_perms else nullcontext() as dump:
+        _run_oracle(args, dump)
+    return 0
+
+
+def _run_oracle(args, dump) -> None:
     if args.method == "representation":
         census = oracle.enumerate_pin_permutations(args.n)
         reference = pipeline.complete_class_gf()
         ref_label = "complete-class generating function"
+    elif args.method == "composition":
+        census = oracle.enumerate_class_composition(args.spec, args.n)
+        reference = pipeline.class_gf(args.spec)
+        ref_label = "class generating function"
     else:
-        if not args.spec:
-            print("error: this oracle method needs a spec", file=sys.stderr)
-            return 2
-        if args.method == "composition":
-            census = oracle.enumerate_class_composition(args.spec, args.n)
-            reference = pipeline.class_gf(args.spec)
-            ref_label = "class generating function"
-        else:
-            census = oracle.enumerate_class_subset(args.spec, args.n)
-            reference = (
-                pipeline.class_gf(args.spec) if is_recurrent(args.spec) else None
-            )
-            ref_label = "class generating function (recurrent spec)"
+        census = oracle.enumerate_class_subset(args.spec, args.n)
+        reference = pipeline.class_gf(args.spec) if is_recurrent(args.spec) else None
+        ref_label = "class generating function (recurrent spec)"
     payload = census.to_json()
     lines = [census.description, f"counts: {census.counts}"]
     if reference is not None:
@@ -155,14 +168,12 @@ def cmd_oracle(args) -> int:
                 f"census counts {census.counts} differ from GF coefficients {expect}"
             )
         lines.append("match: yes")
-    if args.dump_perms:
-        with open(args.dump_perms, "w", encoding="utf-8") as fh:
-            for n in range(census.n_max + 1):
-                for p in census.members(n):
-                    fh.write(p.one_line() + "\n")
+    if dump is not None:
+        for n in range(census.n_max + 1):
+            for p in census.members(n):
+                dump.write(p.one_line() + "\n")
         lines.append(f"permutations written to {args.dump_perms}")
     _emit(args, payload, lines)
-    return 0
 
 
 def cmd_complete(args) -> int:
@@ -223,7 +234,7 @@ def cmd_render(args) -> int:
     fmt = args.format or ("svg" if args.out else "ascii")
     rendered = diagram.to_svg() if fmt == "svg" else diagram.to_ascii()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             fh.write(rendered)
         print(f"wrote {args.out}")
     else:

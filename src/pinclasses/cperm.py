@@ -4,10 +4,18 @@ A centred permutation of length n is a permutation of {1..n+1} in one-line
 order together with one designated origin entry; the origin does not count
 toward the length.  Text form uses square brackets for the origin, e.g.
 ``426[3]51``; commas separate entries once values reach 10.
+
+Every public way to make a CentredPerm validates its input: direct
+construction, `from_oneline`, `CentredPerm.from_json` and `centred_pattern`.
+One internal constructor, `CentredPerm._trusted`, checks nothing.  It serves
+only the two builders whose results are permutations by construction:
+`box_sum` and `pimap.diagram_image`.  Its contract: ``filled`` is a tuple of
+Python ints that is a permutation of 1..m, and 1 <= ``origin_index`` <= m.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -44,19 +52,43 @@ class CentredPerm:
     ``filled`` is the one-line tuple over {1..n+1}; ``origin_index`` is the
     1-based position of the origin entry.  Equality compares both, so
     ``14[2]3`` and ``1[2]43`` are distinct values.
+
+    Construction validates: entries and origin index must be integers
+    (``operator.index``, so numpy integers pass; floats and strings do not),
+    the entries a permutation of 1..m and the origin index in 1..m.  The
+    internal `_trusted` skips every check; see the module docstring for
+    its contract and its two callers.
     """
 
     filled: tuple[int, ...]
     origin_index: int
 
     def __post_init__(self):
-        filled = tuple(int(v) for v in self.filled)
+        try:
+            filled = tuple(map(operator.index, self.filled))
+            origin = operator.index(self.origin_index)
+        except TypeError:
+            raise NotAPermutation(
+                f"entries and origin index must be integers, got "
+                f"{self.filled!r} with origin {self.origin_index!r}"
+            ) from None
         m = len(filled)
         if m == 0 or sorted(filled) != list(range(1, m + 1)):
             raise NotAPermutation(f"{filled!r} is not a permutation of 1..{m}")
-        if not 1 <= self.origin_index <= m:
-            raise NotAPermutation(f"origin index {self.origin_index} outside 1..{m}")
+        if not 1 <= origin <= m:
+            raise NotAPermutation(f"origin index {origin} outside 1..{m}")
         object.__setattr__(self, "filled", filled)
+        object.__setattr__(self, "origin_index", origin)
+
+    @classmethod
+    def _trusted(cls, filled: tuple[int, ...], origin_index: int) -> "CentredPerm":
+        """A CentredPerm built without any check.  The caller guarantees that
+        ``filled`` is a tuple of Python ints forming a permutation of 1..m
+        and that 1 <= ``origin_index`` <= m."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "filled", filled)
+        object.__setattr__(p, "origin_index", origin_index)
+        return p
 
     @property
     def length(self) -> int:
@@ -109,7 +141,13 @@ class CentredPerm:
 
     @classmethod
     def from_json(cls, data) -> "CentredPerm":
-        return cls(data["filled"], data["origin"])
+        try:
+            filled, origin = data["filled"], data["origin"]
+        except (KeyError, TypeError):
+            raise MalformedSyntax(
+                f"centred permutation JSON needs 'filled' and 'origin', got {data!r}"
+            ) from None
+        return cls(filled, origin)
 
 
 _ENTRY_RE = re.compile(r"\[(\d+)\]|(\d)")
@@ -210,20 +248,17 @@ def contains(big: CentredPerm, small: CentredPerm) -> bool:
 
 
 def box_sum(inner: CentredPerm, outer: CentredPerm) -> CentredPerm:
-    """Inflate outer's origin with inner; inner's origin becomes the result's."""
-    ko, vo = outer.origin_index, outer.origin_value
-    mi = len(inner.filled)
-    shift = mi - 1
+    """Inflate outer's origin with inner; inner's origin becomes the result's.
 
-    def relocate(v: int) -> int:
-        return v if v < vo else v + shift
-
-    filled = (
-        [relocate(v) for v in outer.filled[: ko - 1]]
-        + [v + vo - 1 for v in inner.filled]
-        + [relocate(v) for v in outer.filled[ko:]]
-    )
-    return CentredPerm(filled, ko - 1 + inner.origin_index)
+    Outer's entries above its origin value move up by inner's length, and
+    inner's block takes the origin's place, so the result is a permutation
+    by construction and skips validation."""
+    ko = outer.origin_index
+    vo = outer.filled[ko - 1]
+    shift = len(inner.filled) - 1
+    filled = [v if v < vo else v + shift for v in outer.filled]
+    filled[ko - 1 : ko] = [v + vo - 1 for v in inner.filled]
+    return CentredPerm._trusted(tuple(filled), ko - 1 + inner.origin_index)
 
 
 def _is_interval(p: CentredPerm, a: int, b: int) -> bool:

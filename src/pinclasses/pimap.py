@@ -57,13 +57,15 @@ def diagram_points(w) -> list[tuple[int, int]]:
 def diagram_image(pts) -> CentredPerm:
     """The image of a diagram's points, origin first.  Placement keeps each
     axis's coordinates a contiguous range, so a coordinate's rank is its
-    offset from the minimum: O(n), no sorting."""
+    offset from the minimum: O(n), no sorting.  The result is therefore a
+    permutation by construction and skips validation; `pi_map` is the
+    validated route it is checked against."""
     xmin = min(x for x, _ in pts)
     ymin = min(y for _, y in pts)
     filled = [0] * len(pts)
     for x, y in pts:
         filled[x - xmin] = y - ymin + 1
-    return CentredPerm(filled, pts[0][0] - xmin + 1)
+    return CentredPerm._trusted(tuple(filled), pts[0][0] - xmin + 1)
 
 
 def prefix_images(w):

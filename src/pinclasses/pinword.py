@@ -217,12 +217,13 @@ def as_spec(spec) -> PinSpec:
     return spec if isinstance(spec, PinSpec) else parse_pin_spec(spec)
 
 
-def pin_factor(spec: PinSpec, i: int, j: int) -> PinWord:
+def pin_factor(spec, i: int, j: int) -> PinWord:
     """The pin factor w_{i,j}: letters i+1..j with the numeral of point p_i.
 
     For i = 1 this is the literal initial segment; for i >= 2 the leading
     symbol is replaced by the quadrant of p_i in the pi-map diagram.
     """
+    spec = as_spec(spec)
     if i < 1:
         raise IndexOutOfRange(f"start position {i} < 1")
     if j < i:
@@ -236,13 +237,14 @@ def pin_factor(spec: PinSpec, i: int, j: int) -> PinWord:
     return PinWord(numeral, letters)
 
 
-def left_truncate(spec: PinSpec, n: int) -> PinSpec:
+def left_truncate(spec, n: int) -> PinSpec:
     """Drop the first n-1 symbols of the realized sequence, renumbering the head.
 
     The new numeral is the quadrant of p_n, read from the spec's cached
     start numerals; past them, quadrants recur with the cycle from the
     first recurrent start on.
     """
+    spec = as_spec(spec)
     if n < 1:
         raise IndexOutOfRange(f"truncation point {n} < 1")
     if n == 1:
@@ -282,8 +284,9 @@ def _start_numerals(prefix: PinWord, cycle: str) -> tuple[int, ...]:
     return tuple(quads[i] for i in range(1, hi + 1))
 
 
-def enumerate_pin_factors(spec: PinSpec, n: int, mode: str = "all") -> set[PinWord]:
+def enumerate_pin_factors(spec, n: int, mode: str = "all") -> set[PinWord]:
     """Distinct pin factors of length n; mode 'all' or 'recurrent'."""
+    spec = as_spec(spec)
     if mode not in ("all", "recurrent"):
         raise ParameterOutOfRange(f"mode must be 'all' or 'recurrent', got {mode!r}")
     if n < 1:

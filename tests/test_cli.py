@@ -210,6 +210,20 @@ class TestOracle:
         assert len(lines) == 1 + 1 + 2 + 5
         assert "[1]" in lines
 
+    def test_dump_perms_unwritable_path(self, capsys, tmp_path, monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census ran before the output path was opened")
+
+        monkeypatch.setattr("pinclasses.oracle.enumerate_class_composition", no_census)
+        path = tmp_path / "missing" / "x.txt"
+        code, out, err = run(
+            capsys, "oracle", "1(ru)*", "--n", "3", "--method", "composition",
+            "--dump-perms", str(path),
+        )
+        assert code == 3
+        assert out == ""
+        assert str(path) in err
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "1(ru)*", "--n", "4", "--method", "composition",
@@ -305,6 +319,13 @@ class TestRender:
         assert code == 0
         text = path.read_text()
         assert text.startswith("<svg")
+
+    def test_out_to_unwritable_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "diagram.svg"
+        code, out, err = run(capsys, "render", "2lurdld", "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert str(path) in err
 
     def test_spec_needs_steps_or_default(self, capsys):
         code, out, _ = run(capsys, "render", "1(ul)*", "--format", "ascii", "--steps", "6")

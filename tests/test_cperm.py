@@ -1,14 +1,17 @@
 """Centred permutations: parsing, box sums, intervals, normal forms."""
 
+import ast
 import random
 from functools import reduce
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pinclasses
 from pinclasses.cperm import (
     EMPTY,
     QUADRANT_POINT,
@@ -84,6 +87,36 @@ class TestParsingAndBasics:
     def test_json_round_trip(self):
         p = from_oneline("426[3]51")
         assert CentredPerm.from_json(p.to_json()) == p
+
+    def test_json_missing_key_is_a_parse_error(self):
+        with pytest.raises(MalformedSyntax) as caught:
+            CentredPerm.from_json({"filled": [1]})
+        assert caught.value.exit_code == 2
+
+
+class TestStrictConstruction:
+    """Direct construction accepts integers only, never truncating."""
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(NotAPermutation) as caught:
+            CentredPerm([1.9, 2], 1)
+        assert caught.value.exit_code == 2
+
+    def test_float_origin_index_rejected(self):
+        with pytest.raises(NotAPermutation):
+            CentredPerm([2, 1], 1.0)
+
+    def test_string_origin_index_rejected(self):
+        with pytest.raises(NotAPermutation):
+            CentredPerm([2, 1], "1")
+
+    def test_numpy_integers_pass_as_python_ints(self):
+        np = pytest.importorskip("numpy")
+        p = CentredPerm(np.array([2, 3, 1]), np.int64(2))
+        q = CentredPerm((2, 3, 1), 2)
+        assert p == q and hash(p) == hash(q)
+        assert type(p.origin_index) is int
+        assert all(type(v) is int for v in p.filled)
 
 
 class TestBoxSum:
@@ -281,3 +314,60 @@ class TestCentredPattern:
     @settings(max_examples=60)
     def test_pattern_of_own_points_is_identity(self, p):
         assert centred_pattern(p.points(), p.origin_point()) == p
+
+
+def _inflate(inner: CentredPerm, outer: CentredPerm) -> CentredPerm:
+    """inner ⊞ outer geometrically: outer's points spread on a coarse grid,
+    its origin replaced by inner's points placed in the cell around it."""
+    cell = 2 * len(inner.filled) + 2
+    ox, oy = outer.origin_point()
+    ix, iy = inner.origin_point()
+    pts = [(x * cell, y * cell) for x, y in outer.points() if x != ox]
+    pts += [(ox * cell + x - ix, oy * cell + y - iy) for x, y in inner.points()]
+    return centred_pattern(pts, (ox * cell, oy * cell))
+
+
+class TestTrustedConstruction:
+    @given(centred_perms(max_n=7), centred_perms(max_n=7))
+    @settings(max_examples=150)
+    def test_box_sum_is_a_valid_geometric_inflation(self, inner, outer):
+        """box_sum skips validation; its result must be exactly what
+        validation would build, and equal the geometric route's."""
+        r = box_sum(inner, outer)
+        assert type(r.filled) is tuple
+        assert all(type(v) is int for v in r.filled)
+        assert type(r.origin_index) is int
+        checked = CentredPerm(r.filled, r.origin_index)
+        assert r == checked and hash(r) == hash(checked)
+        assert r == _inflate(inner, outer)
+
+    def test_inflation_reference_on_worked_example(self):
+        inner, outer = from_oneline("241[3]5"), from_oneline("413[5]2")
+        assert _inflate(inner, outer).one_line() == "413685[7]92"
+
+    def test_only_box_sum_and_diagram_image_use_it(self):
+        """The unchecked constructor must not spread to public entries: its
+        definition and its two builders are the only code that names it."""
+        found = []
+
+        def visit(node, module, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+                if node.name == "_trusted":
+                    found.append((module, scope))
+            elif (
+                isinstance(node, ast.Attribute) and node.attr == "_trusted"
+                or isinstance(node, ast.Name) and node.id == "_trusted"
+                or isinstance(node, ast.Constant) and node.value == "_trusted"
+            ):
+                found.append((module, scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, scope)
+
+        for path in sorted(Path(pinclasses.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+        assert sorted(found) == [
+            ("cperm", "CentredPerm._trusted"),
+            ("cperm", "box_sum"),
+            ("pimap", "diagram_image"),
+        ]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinclasses.cperm import box_sum, centred_pattern, from_oneline
+from pinclasses.cperm import CentredPerm, box_sum, centred_pattern, from_oneline
 from pinclasses.errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
 from pinclasses.pimap import (
     PinDiagram,
@@ -95,6 +95,20 @@ class TestPiMap:
             if w.length < n_max:
                 words.extend(reversed(w.extensions()))
         assert [text for text, _ in nodes] == expected
+
+
+    @given(pin_words(max_letters=23))
+    @settings(max_examples=100)
+    def test_diagram_image_is_a_valid_perm(self, w):
+        """diagram_image skips validation; its result must be exactly what
+        validation would build, and equal the sorting route's."""
+        img = diagram_image(diagram_points(w))
+        assert type(img.filled) is tuple
+        assert all(type(v) is int for v in img.filled)
+        assert type(img.origin_index) is int
+        checked = CentredPerm(img.filled, img.origin_index)
+        assert img == checked and hash(img) == hash(checked)
+        assert img == pi_map(w)
 
 
 class TestDiagramGeometry:

@@ -154,6 +154,17 @@ class TestFactors:
         assert allf == {"1u", "1l", "2u", "2l"}
         assert rec == {"2u", "2l"}
 
+    @pytest.mark.parametrize("text", ["1(ru)*", "1(ul)*", "2ruldlurdr(ul)*"])
+    def test_factor_functions_accept_spec_text(self, text):
+        spec = parse_pin_spec(text)
+        for n in range(1, 6):
+            for mode in ("all", "recurrent"):
+                assert enumerate_pin_factors(text, n, mode) == enumerate_pin_factors(
+                    spec, n, mode
+                )
+        assert pin_factor(text, 3, 6) == pin_factor(spec, 3, 6)
+        assert left_truncate(text, 4) == left_truncate(spec, 4)
+
     def test_mode_validation(self):
         with pytest.raises(ParameterOutOfRange):
             enumerate_pin_factors(parse_pin_spec("1(ru)*"), 2, "sometimes")
