@@ -137,6 +137,9 @@ def cmd_oracle(args) -> int:
     if args.method != "representation" and not args.spec:
         print("error: this oracle method needs a spec", file=sys.stderr)
         return 2
+    if args.method == "representation" and args.spec:
+        print("error: the representation oracle takes no spec", file=sys.stderr)
+        return 2
     with _open_output(args.dump_perms) if args.dump_perms else nullcontext() as dump:
         _run_oracle(args, dump)
     return 0

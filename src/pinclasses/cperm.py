@@ -8,9 +8,13 @@ toward the length.  Text form uses square brackets for the origin, e.g.
 Every public way to make a CentredPerm validates its input: direct
 construction, `from_oneline`, `CentredPerm.from_json` and `centred_pattern`.
 One internal constructor, `CentredPerm._trusted`, checks nothing.  It serves
-only the two builders whose results are permutations by construction:
-`box_sum` and `pimap.diagram_image`.  Its contract: ``filled`` is a tuple of
-Python ints that is a permutation of 1..m, and 1 <= ``origin_index`` <= m.
+only the three builders whose results are permutations by construction:
+`box_sum`, `pimap.diagram_image` and `_patterns.walk_patterns`.  Its
+contract: ``filled`` is a tuple of Python ints that is a permutation of
+1..m, and 1 <= ``origin_index`` <= m.
+
+The exported functions that take centred permutations also accept them as
+bracket text.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class CentredPerm:
     (``operator.index``, so numpy integers pass; floats and strings do not),
     the entries a permutation of 1..m and the origin index in 1..m.  The
     internal `_trusted` skips every check; see the module docstring for
-    its contract and its two callers.
+    its contract and its three callers.
     """
 
     filled: tuple[int, ...]
@@ -228,6 +232,7 @@ QUADRANT_POINT = {
 
 def contains(big: CentredPerm, small: CentredPerm) -> bool:
     """True iff small embeds into big order-isomorphically with origins matched."""
+    big, small = as_perm(big), as_perm(small)
     if small.length > big.length:
         return False
     kb, ks = big.origin_index, small.origin_index
@@ -253,6 +258,10 @@ def box_sum(inner: CentredPerm, outer: CentredPerm) -> CentredPerm:
     Outer's entries above its origin value move up by inner's length, and
     inner's block takes the origin's place, so the result is a permutation
     by construction and skips validation."""
+    if not isinstance(inner, CentredPerm):
+        inner = from_oneline(inner)
+    if not isinstance(outer, CentredPerm):
+        outer = from_oneline(outer)
     ko = outer.origin_index
     vo = outer.filled[ko - 1]
     shift = len(inner.filled) - 1
@@ -290,6 +299,7 @@ def minimal_centred_intervals(p: CentredPerm) -> list[tuple[int, int]]:
     opposite quadrants.  The full range is returned when nothing smaller is a
     ∘-interval (p then being ⊞-indecomposable).
     """
+    p = as_perm(p)
     if p.length == 0:
         raise EmptyPermutation("length-0 centred permutation has no non-trivial interval")
     m = len(p.filled)
@@ -314,6 +324,8 @@ def minimal_centred_intervals(p: CentredPerm) -> list[tuple[int, int]]:
 
 def is_box_indecomposable(p: CentredPerm) -> bool:
     """True iff p has no proper non-trivial ∘-interval."""
+    if not isinstance(p, CentredPerm):
+        p = from_oneline(p)
     if p.length == 0:
         raise EmptyPermutation("indecomposability is defined for length ≥ 1")
     f, k, m = p.filled, p.origin_index, len(p.filled)
@@ -352,7 +364,7 @@ def is_box_indecomposable(p: CentredPerm) -> bool:
 
 def one_quadrant(p: CentredPerm):
     """The single quadrant p occupies, or None if zero or several."""
-    occ = p.quadrants()
+    occ = as_perm(p).quadrants()
     if len(occ) == 1:
         return next(iter(occ))
     return None
@@ -360,6 +372,7 @@ def one_quadrant(p: CentredPerm):
 
 def commutes(a: CentredPerm, b: CentredPerm) -> bool:
     """True iff a ⊞ b = b ⊞ a: equal, or one-quadrant from opposite quadrants."""
+    a, b = as_perm(a), as_perm(b)
     if a == b:
         return True
     qa, qb = one_quadrant(a), one_quadrant(b)
@@ -373,7 +386,7 @@ def box_decompose(p: CentredPerm) -> list[CentredPerm]:
     is extracted first.  Folding box_sum over the result reproduces p.
     """
     out: list[CentredPerm] = []
-    cur = p
+    cur = as_perm(p)
     while cur.length > 0:
         ranges = minimal_centred_intervals(cur)
         if len(ranges) == 1:
@@ -401,7 +414,7 @@ def normal_form(decomposition) -> list[CentredPerm]:
     Adjacent commuting elements are bubbled into (quadrant, length, text)
     order; two decompositions of the same permutation normalize identically.
     """
-    items = list(decomposition)
+    items = [as_perm(p) for p in decomposition]
     for p in items:
         if p.length == 0 or not is_box_indecomposable(p):
             raise NonIndecomposableElement(f"{p} is not ⊞-indecomposable")
@@ -426,6 +439,7 @@ def adjacency_condition(quadrants) -> bool:
 
 def strip_origin(p: CentredPerm) -> tuple[int, ...]:
     """The underlying (uncentred) permutation, origin removed and re-ranked."""
+    p = as_perm(p)
     vals = [v for i, v in enumerate(p.filled, 1) if i != p.origin_index]
     ranks = {v: r for r, v in enumerate(sorted(vals), 1)}
     return tuple(ranks[v] for v in vals)
@@ -433,6 +447,7 @@ def strip_origin(p: CentredPerm) -> tuple[int, ...]:
 
 def subpatterns(p: CentredPerm) -> set[CentredPerm]:
     """All centred patterns of origin-containing point subsets of p."""
+    p = as_perm(p)
     positions = [i for i in range(1, len(p.filled) + 1) if i != p.origin_index]
     origin = p.origin_point()
     out = set()

@@ -103,10 +103,6 @@ class NoRootInRange(NumericError):
     """No root of the target polynomial in the searched interval."""
 
 
-class ConvergenceNotReached(NumericError):
-    """Subset census failed to stabilise within the allotted prefix growth."""
-
-
 class StabilizationFailure(NumericError):
     """Factor counts kept changing past the proven stabilisation window."""
 

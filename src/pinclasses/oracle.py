@@ -1,13 +1,13 @@
 """Brute-force enumeration oracles, independent of the generating-function
 pipeline.
 
-Three routes produce censuses of centred-permutation classes: extracting
-origin-pinned subpatterns of a long initial segment (subset), composing
-factor images directly (composition), and composing images of arbitrary pin
-words (representation, for the complete class).  The composition route is
-authoritative for recurrent specs; the subset route's stopping rule is
-empirical (counts stable across two consecutive segment lengths) and flagged
-as such in the description.
+Three routes produce censuses of centred-permutation classes: the
+origin-containing subpatterns of the whole infinite pin diagram, found by a
+finite state walk (subset), composing factor images directly (composition),
+and composing images of arbitrary pin words (representation, for the
+complete class).  The subset route applies to every spec and is exact: its
+walk ends when every reachable state has been visited, with no empirical
+stopping rule.  The composition route applies to recurrent specs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .cperm import (
 )
 from .errors import (
     CensusTooLarge,
-    ConvergenceNotReached,
+    CrossCheckMismatch,
     NotRecurrent,
     ParameterOutOfRange,
 )
@@ -33,10 +33,11 @@ from .pimap import diagram_points, pi_map
 from .pinword import as_spec, enumerate_pin_factors, is_recurrent
 
 MEMORY_GUARD = 10**7
-_SUBSET_GUARD = 6
+_SUBSET_GUARD = 8
 _COMPOSITION_GUARD = 10
 _REPRESENTATION_GUARD = 8
-_SEGMENT_GROWTH_CAP = 48
+_REFERENCE_SYMBOLS = 12
+_REFERENCE_DEPTH = 3
 
 
 class ClassCensus:
@@ -76,13 +77,12 @@ def _guard(total: int, description: str) -> None:
 
 
 def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> ClassCensus:
-    """Census of the pin class by subpattern extraction from long segments.
+    """Census of the pin class: the patterns of every finite, origin-containing
+    subset of the infinite pin diagram, found by `_patterns.walk_patterns`.
 
-    The segment length starts at (n_max+1)*(prefix+cycle) + n_max and grows
-    by one cycle until the counts repeat across two consecutive lengths.
-    Growing the segment only shifts the old points' coordinates, so each
-    longer segment scans just the subsets holding one of its new points and
-    unites their patterns with the shorter segment's.
+    The walk is checked once from scratch: every pattern of up to
+    _REFERENCE_DEPTH points that brute force finds in the diagram of the
+    first P + 2c symbols (at most _REFERENCE_SYMBOLS) must be in its table.
     """
     spec = as_spec(spec)
     _check_depth(n_max)
@@ -91,28 +91,20 @@ def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> Cl
             f"subset census depth {n_max} exceeds the guard {_SUBSET_GUARD}; "
             "pass override_guard=True to force"
         )
-    start = (n_max + 1) * (spec.prefix_length + spec.cycle_length) + n_max
-    step = spec.cycle_length
-    pts: list = []
-    table = {k: frozenset() for k in range(n_max + 1)}
-    prev_counts = None
-    for m in range(start, start + _SEGMENT_GROWTH_CAP * step, step):
-        longer = diagram_points(spec.initial_word(m))
-        fresh = _patterns.subset_patterns(longer, longer[0], n_max, fresh_from=len(pts))
-        pts, table = longer, {k: table[k] | fresh[k] for k in table}
-        counts = [len(table[k]) for k in range(n_max + 1)]
-        _guard(sum(counts), f"subset census of {spec}")
-        if counts == prev_counts:
-            return ClassCensus(
-                f"subset census of {spec} (segment length {m}, empirical stop)",
-                "subset",
-                n_max,
-                table,
+    table = _patterns.walk_patterns(spec, n_max)
+    description = f"subset census of {spec}"
+    _guard(sum(map(len, table.values())), description)
+    symbols = min(spec.prefix_length + 2 * spec.cycle_length, _REFERENCE_SYMBOLS)
+    pts = diagram_points(spec.initial_word(symbols))
+    reference = _patterns.subset_patterns(pts, pts[0], min(n_max, _REFERENCE_DEPTH))
+    for k, pats in reference.items():
+        missing = pats - table[k]
+        if missing:
+            raise CrossCheckMismatch(
+                f"the state walk of {spec} misses {min(missing, key=str)}, a pattern "
+                f"of the diagram of its first {symbols} symbols"
             )
-        prev_counts = counts
-    raise ConvergenceNotReached(
-        f"subset counts for {spec} still changing at segment length {m}"
-    )
+    return ClassCensus(f"{description} (exact state walk)", "subset", n_max, table)
 
 
 def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCensus:

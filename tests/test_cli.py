@@ -1,9 +1,14 @@
 """Command-line interface: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pinclasses
 from pinclasses.cli import main
 
 
@@ -199,6 +204,14 @@ class TestOracle:
         assert code == 0
         assert "counts: [1, 4, 18, 92, 484]" in out
 
+    def test_representation_rejects_a_spec(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "1(ru)*", "--n", "4", "--method", "representation"
+        )
+        assert code == 2
+        assert out == ""
+        assert "the representation oracle takes no spec" in err
+
     def test_dump_perms(self, capsys, tmp_path):
         path = tmp_path / "perms.txt"
         code, out, _ = run(
@@ -356,3 +369,17 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestImport:
+    def test_cli_import_loads_no_numpy(self):
+        """The package has no runtime dependencies: a fresh interpreter that
+        imports the CLI has not imported numpy."""
+        src = str(Path(pinclasses.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, pinclasses.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

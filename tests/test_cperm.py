@@ -304,6 +304,50 @@ class TestQuadrantHelpers:
         assert p.quadrants() == frozenset({1, 3})
 
 
+class TestTextInput:
+    """Every exported function that takes centred permutations also takes
+    them as bracket text, with the same result."""
+
+    def test_box_sum(self):
+        assert box_sum("241[3]5", "413[5]2") == box_sum(
+            from_oneline("241[3]5"), from_oneline("413[5]2")
+        )
+        assert box_sum("[1]2", "2[1]").one_line() == "3[1]2"
+
+    def test_contains(self):
+        assert contains("413685[7]92", "241[3]5")
+        assert not contains("[1]2", "2[1]")
+
+    def test_is_box_indecomposable(self):
+        assert is_box_indecomposable("413[5]2")
+        assert not is_box_indecomposable("241[3]5")
+
+    def test_box_decompose(self):
+        parts = [q.one_line() for q in box_decompose("413685[7]92")]
+        assert parts == ["241[3]", "[1]2", "413[5]2"]
+
+    def test_minimal_centred_intervals(self):
+        assert minimal_centred_intervals("413685[7]92") == [(4, 7)]
+
+    def test_normal_form(self):
+        assert normal_form(["1[2]", "[1]32"]) == normal_form(
+            [from_oneline("[1]32"), from_oneline("1[2]")]
+        )
+
+    def test_one_quadrant(self):
+        assert one_quadrant("23[1]") == 2
+
+    def test_commutes(self):
+        assert commutes("[1]2", "1[2]")
+        assert commutes("1[2]", from_oneline("1[2]"))
+
+    def test_strip_origin(self):
+        assert strip_origin("31586[4]27") == (3, 1, 4, 7, 5, 2, 6)
+
+    def test_subpatterns(self):
+        assert subpatterns("1[2]43") == subpatterns(from_oneline("1[2]43"))
+
+
 class TestCentredPattern:
     def test_rank_standardization(self):
         pts = [(10, 5), (-3, -7), (0, 0)]
@@ -347,7 +391,8 @@ class TestTrustedConstruction:
 
     def test_only_box_sum_and_diagram_image_use_it(self):
         """The unchecked constructor must not spread to public entries: its
-        definition and its two builders are the only code that names it."""
+        definition and its three builders (box_sum, diagram_image and the
+        subset census walk) are the only code that names it."""
         found = []
 
         def visit(node, module, scope):
@@ -367,6 +412,7 @@ class TestTrustedConstruction:
         for path in sorted(Path(pinclasses.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
         assert sorted(found) == [
+            ("_patterns", "walk_patterns"),
             ("cperm", "CentredPerm._trusted"),
             ("cperm", "box_sum"),
             ("pimap", "diagram_image"),

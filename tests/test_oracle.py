@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pinclasses import _patterns, oracle
 from pinclasses.errors import (
     CensusTooLarge,
-    ConvergenceNotReached,
+    CrossCheckMismatch,
     EmptyPermutation,
     NotRecurrent,
     ParameterOutOfRange,
@@ -24,8 +24,9 @@ from pinclasses.oracle import (
 )
 from pinclasses.pimap import diagram_points, pi_map
 from pinclasses.cperm import QUADRANT_POINT, centred_pattern, from_oneline
+from pinclasses.pinword import as_spec
 
-from strategies import recurrent_specs
+from strategies import pin_specs, recurrent_specs
 
 # Exhaustively computed class sizes, frozen here as the reference the
 # generating-function pipeline is checked against in test_acceptance.
@@ -86,32 +87,38 @@ class TestSubsetCensus:
         assert all(census.counts[n] <= f.coefficient(n) for n in range(5))
         assert census.counts[2] < f.coefficient(2)
 
-    def test_empirical_stop_recorded(self):
+    def test_description_names_the_exact_walk(self):
         census = enumerate_class_subset("1(ru)*", 3)
-        assert "empirical stop" in census.description
+        assert census.description == "subset census of 1(ru)* (exact state walk)"
 
-    def test_longer_segments_scan_only_new_subsets(self, monkeypatch):
+    def test_cross_check_runs_once_on_a_short_diagram(self, monkeypatch):
         calls = []
-        kernel = _patterns.subset_patterns
+        reference = _patterns.subset_patterns
 
-        def spy(points, origin, n_max, fresh_from=0):
-            calls.append((points, fresh_from))
-            return kernel(points, origin, n_max, fresh_from=fresh_from)
+        def spy(*args):
+            calls.append(args)
+            return reference(*args)
 
         monkeypatch.setattr(_patterns, "subset_patterns", spy)
-        enumerate_class_subset("1(uldlur)*", 3)
-        assert len(calls) >= 2 and calls[0][1] == 0
-        for (old, _), (new, fresh_from) in zip(calls, calls[1:]):
-            assert fresh_from == len(old)
-            # the old points keep their relative order in the longer segment
-            assert centred_pattern(new[:fresh_from], new[0]) == centred_pattern(old, old[0])
+        enumerate_class_subset("2ruldlurdr(ul)*", 5)
+        enumerate_class_subset("1(ru)*", 2)
+        # min(P + 2c, 12) symbols, to depth min(n, 3)
+        assert [(len(points), origin == points[0], depth) for points, origin, depth in calls] == [
+            (13, True, 3),
+            (6, True, 2),
+        ]
 
-    def test_unconverged_names_last_length_tried(self, monkeypatch):
-        # one segment is never enough to see the counts repeat; the start
-        # length for depth 3 of 1(ru)* is 4 * 3 + 3
-        monkeypatch.setattr(oracle, "_SEGMENT_GROWTH_CAP", 1)
-        with pytest.raises(ConvergenceNotReached, match=r"segment length 15$"):
-            enumerate_class_subset("1(ru)*", 3)
+    def test_cross_check_catches_a_missing_pattern(self, monkeypatch):
+        walk = _patterns.walk_patterns
+
+        def lossy(spec, n_max):
+            table = dict(walk(spec, n_max))
+            table[2] = table[2] - {min(table[2], key=str)}
+            return table
+
+        monkeypatch.setattr(_patterns, "walk_patterns", lossy)
+        with pytest.raises(CrossCheckMismatch, match="misses"):
+            enumerate_class_subset("1(ldru)*", 4)
 
     @settings(max_examples=15, deadline=None)
     @given(recurrent_specs(cycle_lengths=(2, 4, 6, 8)))
@@ -120,6 +127,13 @@ class TestSubsetCensus:
             enumerate_class_subset(spec, 4).counts
             == enumerate_class_composition(spec, 4).counts
         ), spec
+
+    @settings(max_examples=4, deadline=None)
+    @given(recurrent_specs(cycle_lengths=(2, 4, 6)))
+    def test_equals_composition_to_eight_on_random_specs(self, spec):
+        subset = enumerate_class_subset(spec, 8)
+        composed = enumerate_class_composition(spec, 8)
+        assert subset.perms == composed.perms, spec
 
 
 class TestRepresentationCensus:
@@ -166,7 +180,7 @@ class TestClosureComposition:
 class TestGuards:
     def test_depth_guards(self):
         with pytest.raises(CensusTooLarge):
-            enumerate_class_subset("1(ru)*", 7)
+            enumerate_class_subset("1(ru)*", 9)
         with pytest.raises(CensusTooLarge):
             enumerate_class_composition("1(ru)*", 11)
         with pytest.raises(CensusTooLarge):
@@ -231,20 +245,35 @@ class TestCentredUncentred:
             assert out["uncentred_counts"][n] <= census.counts[n]
 
 
+def enough_symbols(spec, k: int) -> int:
+    """A diagram length whose origin-containing subsets show every pattern
+    of spec's pin class with up to k points.
+
+    Between two chosen points, a run of skipped points revisits a walk node
+    once it has skipped a whole cycle past the prefix, so any subset can be
+    shortened until its first point lies within P + 1 + c and each later
+    one within c + 1 of the one before."""
+    return spec.prefix_length + k * (spec.cycle_length + 1)
+
+
+def reference_census(spec, k: int) -> dict:
+    pts = diagram_points(spec.initial_word(enough_symbols(spec, k)))
+    return _patterns.subset_patterns(pts, pts[0], k)
+
+
 class TestSubsetKernels:
     def test_backends_agree(self):
-        pts = diagram_points("2ruldlurdr")
-        origin = pts[0]
-        a = _patterns.subset_patterns(pts, origin, 6)
-        b = _patterns.subset_patterns_pure(pts, origin, 6)
-        assert a == b
+        spec = as_spec("2ruldlurdr(ul)*")
+        assert _patterns.walk_patterns(spec, 5) == reference_census(spec, 5)
 
-    def test_chunked_heads_agree(self, monkeypatch):
-        pts = diagram_points("2ruldlurdr")
-        origin = pts[0]
-        whole = _patterns.subset_patterns(pts, origin, 5, fresh_from=4)
-        monkeypatch.setattr(_patterns, "_CHUNK_ROWS", 7)
-        assert _patterns.subset_patterns(pts, origin, 5, fresh_from=4) == whole
+    def test_segment_bound_is_tight(self):
+        # one symbol fewer than the bound misses a pattern of this class
+        spec = as_spec("1rd(ldru)*")
+        pts = diagram_points(spec.initial_word(enough_symbols(spec, 4) - 1))
+        short = _patterns.subset_patterns(pts, pts[0], 4)
+        walk = _patterns.walk_patterns(spec, 4)
+        assert all(short[k] <= walk[k] for k in walk)
+        assert short != walk
 
     def test_kernel_matches_direct_pattern_extraction(self):
         from itertools import combinations
@@ -261,43 +290,27 @@ class TestSubsetKernels:
             assert out[k] == expect
 
     @settings(max_examples=30, deadline=None)
-    @given(recurrent_specs(cycle_lengths=(2, 4, 6, 8)), st.data())
-    def test_fresh_subsets_complete_a_shorter_segment(self, spec, data):
-        pts = diagram_points(spec.initial_word(spec.prefix_length + 2 * spec.cycle_length))
-        n_max = data.draw(st.integers(min_value=1, max_value=4), label="n_max")
-        s = data.draw(st.integers(min_value=1, max_value=len(pts)), label="split")
-        origin = pts[0]
-        old = _patterns.subset_patterns(pts[:s], origin, n_max)
-        fresh = _patterns.subset_patterns(pts, origin, n_max, fresh_from=s)
-        full = _patterns.subset_patterns_pure(pts, origin, n_max)
-        assert {k: old[k] | fresh[k] for k in full} == full
+    @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=3), st.data())
+    def test_walk_matches_reference_on_random_specs(self, spec, data):
+        # recurrent and not, with prefixes; the reference's cost grows as
+        # C(P + k(c + 1), k), so longer cycles are checked less deep
+        top = {2: 5, 4: 4, 6: 3}[spec.cycle_length]
+        k = data.draw(st.integers(min_value=1, max_value=top), label="depth")
+        assert _patterns.walk_patterns(spec, k) == reference_census(spec, k), spec
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.permutations(range(9)), st.data())
-    def test_fresh_subsets_of_random_points(self, ys, data):
-        # generic point sets share few patterns between subsets, so a subset
-        # wrongly skipped or wrongly scanned shows in the result
-        from itertools import combinations
+    @settings(max_examples=3, deadline=None)
+    @given(pin_specs(cycle_lengths=(4,), max_prefix_letters=2))
+    def test_walk_matches_reference_at_depth_five(self, spec):
+        assert _patterns.walk_patterns(spec, 5) == reference_census(spec, 5), spec
 
-        pts = list(enumerate(ys))
-        origin = data.draw(st.sampled_from(pts), label="origin")
-        s = data.draw(st.integers(min_value=0, max_value=len(pts)), label="split")
-        n_max = data.draw(st.integers(min_value=1, max_value=4), label="n_max")
-        fresh = set(pts[s:])
-        expect = {
-            k: {
-                centred_pattern([*chosen, origin], origin)
-                for chosen in combinations([p for p in pts if p != origin], k)
-                if fresh.intersection(chosen) or origin in fresh
-            }
-            for k in range(1, n_max + 1)
-        }
-        for kernel in (_patterns.subset_patterns, _patterns.subset_patterns_pure):
-            out = kernel(pts, origin, n_max, fresh_from=s)
-            assert {k: out[k] for k in expect} == expect, kernel.__name__
+    def test_walk_patterns_are_valid(self):
+        for k, pats in _patterns.walk_patterns(as_spec("1ru(ldru)*"), 5).items():
+            for p in pats:
+                assert p == from_oneline(p.one_line()) and p.length == k
+                assert all(type(v) is int for v in p.filled)
 
     def test_backend_selected(self):
-        assert _patterns.BACKEND in ("numpy", "pure")
+        assert _patterns.BACKEND == "walk"
 
 
 class TestClassCensusObject:
