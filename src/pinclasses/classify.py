@@ -1,17 +1,18 @@
 """Closed-form classification of ⊞-decomposable and colliding pin words.
 
 Both tables are stored as one representative pattern per family; the other
-members are generated by the eight symmetries of the square acting on words
-(rotations permute the quadrant numerals cyclically and the letters r, u, l,
-d likewise; reflections swap a letter pair and two numeral pairs).  An
-exhaustive verifier re-derives both tables from scratch and reports any
-disagreement.  It walks the pin-word trie once for every length up to its
-bound, depth first from the words of length _ROOT_LENGTH: each word's
-diagram is its parent's plus one placed point (`pimap.trie_images`), and
-each word goes straight into its length's image -> word texts map and
-decomposable list.  The roots are also the ``jobs`` partition, and the first
-deepest leaf under each root is checked against the pi-map built from
-scratch.
+members are generated by the eight symmetries of the square acting on words.
+`SYMMETRIES` writes the eight sign matrices out; each translates letters
+with one table (rotations permute the quadrant numerals cyclically and the
+letters r, u, l, d likewise; reflections swap a letter pair and two numeral
+pairs).  An exhaustive verifier re-derives both tables from scratch and
+reports any disagreement.  It walks the pin-word trie once for every length
+up to its bound (at most _VERIFY_GUARD), depth first from the words of
+length _ROOT_LENGTH: each word's diagram is its parent's plus one placed
+point (`pimap.trie_images`), and each word goes straight into its length's
+image -> word texts map and decomposable list.  The roots are also the
+``jobs`` partition, and the first deepest leaf under each root is checked
+against the pi-map built from scratch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .cperm import (
     is_box_indecomposable,
     quadrant_of,
 )
-from .errors import CrossCheckMismatch, ParameterOutOfRange
+from .errors import CensusTooLarge, CrossCheckMismatch, ParameterOutOfRange
 from .pimap import pi_map, trie_images
 from .pinword import NEXT_LETTERS, PinWord, as_word
 
@@ -38,59 +39,45 @@ _VEC_LETTER = {v: k for k, v in _LETTER_VEC.items()}
 class Symmetry:
     """One of the eight symmetries of the square, as a 2x2 sign matrix."""
 
-    __slots__ = ("name", "matrix")
+    __slots__ = ("name", "matrix", "_letters")
 
     def __init__(self, name: str, matrix):
         self.name = name
         self.matrix = matrix
+        self._letters = {ord(c): _VEC_LETTER[self.apply_xy(*v)] for c, v in _LETTER_VEC.items()}
 
     def apply_xy(self, x, y):
         (a, b), (c, d) = self.matrix
         return (a * x + b * y, c * x + d * y)
 
     def letter(self, letter: str) -> str:
-        return _VEC_LETTER[self.apply_xy(*_LETTER_VEC[letter])]
+        return letter.translate(self._letters)
 
     def numeral(self, q: int) -> int:
         return quadrant_of(self.apply_xy(*QUADRANT_SIGNS[q]), (0, 0))
 
     def word(self, w: PinWord) -> PinWord:
-        return PinWord(self.numeral(w.numeral), "".join(self.letter(c) for c in w.letters))
+        return PinWord(self.numeral(w.numeral), w.letters.translate(self._letters))
 
     def perm(self, p: CentredPerm) -> CentredPerm:
         pts = [self.apply_xy(i, v) for i, v in p.points()]
         origin = self.apply_xy(*p.origin_point())
         return centred_pattern(pts, origin)
 
-    def compose(self, other: "Symmetry") -> "Symmetry":
-        (a, b), (c, d) = self.matrix
-        (e, f), (g, h) = other.matrix
-        m = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-        return Symmetry(f"{self.name}*{other.name}", m)
-
     def __repr__(self) -> str:
         return f"Symmetry({self.name})"
 
 
-def _build_symmetries() -> tuple[Symmetry, ...]:
-    ident = Symmetry("id", ((1, 0), (0, 1)))
-    rot = Symmetry("rot90", ((0, -1), (1, 0)))
-    refl = Symmetry("refl_y", ((-1, 0), (0, 1)))
-    out = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for gen in (rot, refl):
-                t = gen.compose(s)
-                if t.matrix not in out:
-                    out[t.matrix] = t
-                    nxt.append(t)
-        frontier = nxt
-    return tuple(out.values())
-
-
-SYMMETRIES = _build_symmetries()
+SYMMETRIES = (
+    Symmetry("id", ((1, 0), (0, 1))),
+    Symmetry("rot90", ((0, -1), (1, 0))),
+    Symmetry("rot180", ((-1, 0), (0, -1))),
+    Symmetry("rot270", ((0, 1), (-1, 0))),
+    Symmetry("refl_y", ((-1, 0), (0, 1))),
+    Symmetry("refl_x", ((1, 0), (0, -1))),
+    Symmetry("diag", ((0, 1), (1, 0))),
+    Symmetry("antidiag", ((0, -1), (-1, 0))),
+)
 
 
 def _orbit_words(w: PinWord) -> set[PinWord]:
@@ -211,6 +198,9 @@ class ClassificationReport:
 
 # Words of this length root the trie walk and partition it for ``jobs``.
 _ROOT_LENGTH = 2
+# The walk holds every word's image up to n_max, 2^(n+2) words of length n;
+# 16 is the longest length pipeline._TAIL_WINDOW reads from the tables.
+_VERIFY_GUARD = 16
 
 
 def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
@@ -273,6 +263,8 @@ def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
     """
     if n_max < 2:
         raise ParameterOutOfRange(f"n_max must be at least 2, got {n_max}")
+    if n_max > _VERIFY_GUARD:
+        raise CensusTooLarge(f"verify-tables depth {n_max} exceeds the guard {_VERIFY_GUARD}")
     derived = _derive(n_max, jobs)
     reports = []
     for n in range(1, n_max + 1):

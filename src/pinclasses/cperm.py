@@ -115,7 +115,7 @@ class CentredPerm:
         if not 1 <= position <= len(self.filled):
             raise IndexOutOfRange(f"position {position} outside 1..{len(self.filled)}")
         if position == self.origin_index:
-            raise ValueError("the origin has no quadrant")
+            raise ParameterOutOfRange("the origin has no quadrant")
         return quadrant_of((position, self.filled[position - 1]), self.origin_point())
 
     def quadrants(self) -> frozenset[int]:

@@ -7,7 +7,10 @@ finite state walk (subset), composing factor images directly (composition),
 and composing images of arbitrary pin words (representation, for the
 complete class).  The subset route applies to every spec and is exact: its
 walk ends when every reachable state has been visited, with no empirical
-stopping rule.  The composition route applies to recurrent specs.
+stopping rule.  The composition route applies to recurrent specs.  Each
+census checks its depth in one place, `_check_depth`: a negative depth is
+out of range, and a depth above the census's guard is too large; the memory
+guard then bounds what a census may retain.
 """
 
 from __future__ import annotations
@@ -64,9 +67,11 @@ class ClassCensus:
         return f"ClassCensus({self.description!r}, counts={self.counts})"
 
 
-def _check_depth(n_max: int) -> None:
+def _check_depth(n_max: int, guard: int | None, kind: str) -> None:
     if n_max < 0:
         raise ParameterOutOfRange(f"census depth must be non-negative, got {n_max}")
+    if guard is not None and n_max > guard:
+        raise CensusTooLarge(f"{kind} census depth {n_max} exceeds the guard {guard}")
 
 
 def _guard(total: int, description: str) -> None:
@@ -76,7 +81,7 @@ def _guard(total: int, description: str) -> None:
         )
 
 
-def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> ClassCensus:
+def enumerate_class_subset(spec, n_max: int) -> ClassCensus:
     """Census of the pin class: the patterns of every finite, origin-containing
     subset of the infinite pin diagram, found by `_patterns.walk_patterns`.
 
@@ -85,12 +90,7 @@ def enumerate_class_subset(spec, n_max: int, override_guard: bool = False) -> Cl
     first P + 2c symbols (at most _REFERENCE_SYMBOLS) must be in its table.
     """
     spec = as_spec(spec)
-    _check_depth(n_max)
-    if n_max > _SUBSET_GUARD and not override_guard:
-        raise CensusTooLarge(
-            f"subset census depth {n_max} exceeds the guard {_SUBSET_GUARD}; "
-            "pass override_guard=True to force"
-        )
+    _check_depth(n_max, _SUBSET_GUARD, "subset")
     table = _patterns.walk_patterns(spec, n_max)
     description = f"subset census of {spec}"
     _guard(sum(map(len, table.values())), description)
@@ -125,19 +125,14 @@ def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCe
     return ClassCensus(description, method, n_max, levels)
 
 
-def enumerate_class_composition(spec, n_max: int, override_guard: bool = False) -> ClassCensus:
+def enumerate_class_composition(spec, n_max: int) -> ClassCensus:
     """Census of a recurrent pin class by composing factor images."""
     spec = as_spec(spec)
-    _check_depth(n_max)
+    _check_depth(n_max, _COMPOSITION_GUARD, "composition")
     if not is_recurrent(spec):
         raise NotRecurrent(
             f"{spec} is not recurrent, so its pin class is not ⊞-closed and "
             "the composition oracle does not apply"
-        )
-    if n_max > _COMPOSITION_GUARD and not override_guard:
-        raise CensusTooLarge(
-            f"composition census depth {n_max} exceeds the guard "
-            f"{_COMPOSITION_GUARD}; pass override_guard=True to force"
         )
     parts = {
         n: {pi_map(v) for v in enumerate_pin_factors(spec, n, "all")}
@@ -148,14 +143,9 @@ def enumerate_class_composition(spec, n_max: int, override_guard: bool = False) 
     )
 
 
-def enumerate_pin_permutations(n_max: int, override_guard: bool = False) -> ClassCensus:
+def enumerate_pin_permutations(n_max: int) -> ClassCensus:
     """Census of the complete class: compositions of all pin-word images."""
-    _check_depth(n_max)
-    if n_max > _REPRESENTATION_GUARD and not override_guard:
-        raise CensusTooLarge(
-            f"representation census depth {n_max} exceeds the guard "
-            f"{_REPRESENTATION_GUARD}; pass override_guard=True to force"
-        )
+    _check_depth(n_max, _REPRESENTATION_GUARD, "representation")
     parts = {
         n: {pi_map(w) for w in all_pin_words(n)} for n in range(1, n_max + 1)
     }
@@ -166,7 +156,7 @@ def enumerate_pin_permutations(n_max: int, override_guard: bool = False) -> Clas
 
 def enumerate_closure_composition(generators, n_max: int) -> ClassCensus:
     """Census of the ⊞-closure of finitely many centred permutations."""
-    _check_depth(n_max)
+    _check_depth(n_max, None, "finite-closure")
     gens = as_generators(generators)
     pieces: set[CentredPerm] = set()
     for gen in gens:

@@ -8,10 +8,11 @@ coordinate is inserted strictly between the bounding rectangle of
 ranks up by one, so no real coordinates are ever needed, and each axis's
 coordinates always form a contiguous range: a diagram's image is read off
 in O(n) (`diagram_image`).  Growing diagrams share one placement step,
-`_place`, so the images of a word's prefixes (`prefix_images`) or of a
-whole trie of words (`trie_images`) cost one placement each.  `pi_map`
+`_place`, and one walker, `trie_images`: it grows every word of a trie, or
+of the sub-trie its child filter keeps, at one placement per word.  The
+verify-tables walk and the factor images of a spec both use it.  `pi_map`
 builds each diagram from scratch and standardizes it by sorting: it is the
-independent route those are checked against.
+independent route the walker is checked against.
 """
 
 from __future__ import annotations
@@ -68,28 +69,21 @@ def diagram_image(pts) -> CentredPerm:
     return CentredPerm._trusted(tuple(filled), pts[0][0] - xmin + 1)
 
 
-def prefix_images(w):
-    """Yield pi(w_{1,1}), pi(w_{1,2}), ..., pi(w) from one diagram that grows
-    a point at a time, so each image costs one placement, not a new diagram."""
-    w = as_word(w)
-    pts = _first_points(w.numeral)
-    yield diagram_image(pts)
-    for letter in w.letters:
-        pts = _place(pts, letter)
-        yield diagram_image(pts)
-
-
-def trie_images(root, n_max: int):
+def trie_images(root, n_max: int, children=None):
     """Yield (word text, image) for root and every extension of it up to
-    length n_max, depth first in LETTERS order.  Each word's diagram is its
-    parent's plus one placed point, so a word costs one placement."""
+    length n_max, depth first.  Each word's diagram is its parent's plus one
+    placed point, so a word costs one placement.  ``children(text)``, if
+    given, returns the letters, each one that may follow the word, to extend
+    a word shorter than n_max by; without it, every such letter in LETTERS
+    order."""
     root = as_word(root)
     stack = [(str(root), root.letters[-1:], diagram_points(root))]
     while stack:
         text, last, pts = stack.pop()
         yield text, diagram_image(pts)
         if len(pts) <= n_max:  # the word has len(pts) - 1 points
-            stack.extend((text + c, c, _place(pts, c)) for c in reversed(NEXT_LETTERS[last]))
+            letters = NEXT_LETTERS[last] if children is None else children(text)
+            stack.extend((text + c, c, _place(pts, c)) for c in reversed(letters))
 
 
 @dataclass(frozen=True, slots=True)

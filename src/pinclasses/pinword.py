@@ -13,6 +13,7 @@ table keyed on letter pairs.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -51,7 +52,12 @@ class PinWord:
     letters: str = ""
 
     def __post_init__(self):
-        numeral = int(self.numeral)
+        try:
+            numeral = operator.index(self.numeral)
+        except TypeError:
+            raise MalformedSyntax(
+                f"initial numeral must be an integer, got {self.numeral!r}"
+            ) from None
         if numeral not in (1, 2, 3, 4):
             raise MalformedSyntax(f"initial numeral must be 1-4, got {numeral}")
         letters = str(self.letters)
@@ -114,12 +120,12 @@ def parse_pin_word(text: str) -> PinWord:
 class PinSpec:
     """Eventually periodic pin sequence: finite prefix + repeating cycle.
 
-    ``prefix`` is a PinWord (at least the numeral); ``cycle`` is a non-empty
-    letter string repeated forever after the prefix.  The text as given is
-    preserved for display; equality uses the normal form of the infinite
-    word (minimal period, maximal pull-back of prefix letters into the
-    cycle), so ``1r(ur)*`` equals ``1(ru)*`` while ``1(ru)*`` and ``1(ur)*``
-    stay distinct.
+    ``prefix`` is a PinWord or its text (at least the numeral); ``cycle``
+    is a non-empty letter string repeated forever after the prefix.  The
+    text as given is preserved for display; equality uses the normal form of
+    the infinite word (minimal period, maximal pull-back of prefix letters
+    into the cycle), so ``1r(ur)*`` equals ``1(ru)*`` while ``1(ru)*`` and
+    ``1(ur)*`` stay distinct.
     """
 
     prefix: PinWord = field(compare=False)
@@ -127,6 +133,7 @@ class PinSpec:
     _canon: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "prefix", as_word(self.prefix))
         cycle = str(self.cycle)
         if not cycle:
             raise MalformedSyntax("cycle must be non-empty")
@@ -301,15 +308,14 @@ def enumerate_pin_factors(spec, n: int, mode: str = "all") -> set[PinWord]:
 def is_recurrent(spec) -> bool:
     """True iff every pin factor occurs infinitely often.
 
-    Decided by comparing all-mode and recurrent-mode factor sets for every
-    length up to |prefix| + 2|cycle| + 2; beyond that window the comparison
-    is forced by periodicity on both sides.
+    Decided by comparing all-mode and recurrent-mode factor sets at length
+    |prefix| + 2|cycle| + 2 alone: a shorter factor is the prefix of the
+    longer one at its start, and the starts do not depend on the length, so
+    agreement there is agreement at every shorter length.  Beyond that
+    window the comparison is forced by periodicity on both sides.
     """
     spec = as_spec(spec)
     limit = spec.prefix_length + 2 * spec.cycle_length + 2
-    for n in range(1, limit + 1):
-        if enumerate_pin_factors(spec, n, "all") != enumerate_pin_factors(
-            spec, n, "recurrent"
-        ):
-            return False
-    return True
+    return enumerate_pin_factors(spec, limit, "all") == enumerate_pin_factors(
+        spec, limit, "recurrent"
+    )

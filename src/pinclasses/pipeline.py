@@ -29,7 +29,7 @@ from .errors import (
     ParameterOutOfRange,
     StabilizationFailure,
 )
-from .pimap import pi_map, point_quadrant, prefix_images
+from .pimap import pi_map, point_quadrant, trie_images
 from .pinword import (
     LETTERS,
     PinSpec,
@@ -103,8 +103,9 @@ def _factor_images(prefix: PinWord, cycle: str, mode: str) -> dict[int, dict]:
     """Per length n, up to the stabilization window plus one cycle: every
     distinct pin factor v -> (pi(v), indecomposable?, one quadrant).
 
-    Each factor is a prefix of the longest factor at its start, so the
-    images of one start are built a point at a time; the longest is checked
+    A factor is the prefix of the longest factor at its start, so the
+    factors are the sub-trie of the longest factors' prefixes, grown by one
+    `trie_images` walk per numeral; each longest factor's image is checked
     against the pi-map built from scratch.  The total indecomposable count
     is then checked against the classification-table route, once: the
     check does not depend on which images a caller keeps.  Keyed by the
@@ -113,16 +114,20 @@ def _factor_images(prefix: PinWord, cycle: str, mode: str) -> dict[int, dict]:
     """
     spec = PinSpec(prefix, cycle)
     window = spec.prefix_length + 3 * spec.cycle_length + 2
+    longest = enumerate_pin_factors(spec, window, mode)
+    prefixes = {text[:k] for text in map(str, longest) for k in range(2, window + 1)}
+
+    def children(text: str) -> list[str]:
+        return [c for c in LETTERS if text + c in prefixes]
+
     table: dict[int, dict] = {n: {} for n in range(1, window + 1)}
-    for longest in sorted(enumerate_pin_factors(spec, window, mode), key=str):
-        for n, img in enumerate(prefix_images(longest), 1):
-            v = PinWord(longest.numeral, longest.letters[: n - 1])
-            if v not in table[n]:
-                table[n][v] = (img, is_box_indecomposable(img), one_quadrant(img))
-        if img != pi_map(longest):
-            raise CrossCheckMismatch(
-                f"incremental image {img} of {longest} differs from its pi-map"
-            )
+    for numeral in sorted({w.numeral for w in longest}):
+        for text, img in trie_images(PinWord(numeral), window, children):
+            v = PinWord(numeral, text[1:])
+            table[len(text)][v] = (img, is_box_indecomposable(img), one_quadrant(img))
+    for w in longest:
+        if (img := table[window][w][0]) != pi_map(w):
+            raise CrossCheckMismatch(f"incremental image {img} of {w} differs from its pi-map")
     for n, rows in table.items():
         images = {img for img, _, _ in rows.values()}
         indec_images = {img for img, ind, _ in rows.values() if ind}
@@ -581,24 +586,21 @@ def truncation_convergence(spec, t_max: int) -> list[GrowthResult]:
 
     For each t, n(t) is the smallest truncation point whose pin factors of
     length <= t are all recurrent factors; the resulting sequence decreases
-    weakly toward the interior growth rate.
+    weakly toward the interior growth rate.  Each shorter factor is the
+    prefix of a length-t factor at the same start, on both sides, so only
+    length t is compared.
     """
     spec = as_spec(spec)
     if t_max < 1:
         raise ParameterOutOfRange(f"t_max must be positive, got {t_max}")
-    rec = {
-        ell: enumerate_pin_factors(spec, ell, "recurrent") for ell in range(1, t_max + 1)
-    }
     cache: dict[PinSpec, GrowthResult] = {}
     out = []
     for t in range(1, t_max + 1):
+        rec = enumerate_pin_factors(spec, t, "recurrent")
         chosen = None
         for n in range(1, spec.prefix_length + 3):
             trunc = left_truncate(spec, n)
-            if all(
-                enumerate_pin_factors(trunc, ell, "all") <= rec[ell]
-                for ell in range(1, t + 1)
-            ):
+            if enumerate_pin_factors(trunc, t, "all") <= rec:
                 chosen = trunc
                 break
         if chosen is None:

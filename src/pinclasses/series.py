@@ -4,7 +4,9 @@ Coefficients are ``fractions.Fraction`` throughout; no floating point
 anywhere in this module.  A ``Poly`` stores ascending coefficients with no
 trailing zeros.  A ``RatGF`` is a reduced fraction of two polynomials whose
 denominator has constant term 1, so power-series coefficient extraction is
-always well defined.
+always well defined.  One builder, `from_eventually_periodic`, turns an
+eventually periodic counting sequence into its generating function; an
+eventually constant one is the case of a one-term period.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .errors import (
     DivisionByZero,
     MalformedSyntax,
     NonzeroConstantTerm,
+    ParameterOutOfRange,
     PoleAtZero,
 )
 
@@ -340,15 +343,7 @@ def from_eventually_constant(initial, constant, from_index: int) -> RatGF:
     >>> print(from_eventually_constant([1], 2, 2))
     (z + z^2)/(1 - z)
     """
-    if from_index < 1:
-        raise ValueError("from_index must be at least 1")
-    if len(initial) != from_index - 1:
-        raise ValueError(
-            f"initial must list exactly the {from_index - 1} terms before from_index"
-        )
-    head = Poly([0] + [_frac(c) for c in initial])
-    tail = RatGF(Poly.z(from_index) * _frac(constant), Poly([1, -1]))
-    return RatGF(head) + tail
+    return from_eventually_periodic(initial, [constant], from_index)
 
 
 def from_eventually_periodic(initial, block, from_index: int) -> RatGF:
@@ -358,13 +353,13 @@ def from_eventually_periodic(initial, block, from_index: int) -> RatGF:
     a_{from_index + i} = block[i mod len(block)].
     """
     if from_index < 1:
-        raise ValueError("from_index must be at least 1")
+        raise ParameterOutOfRange("from_index must be at least 1")
     if len(initial) != from_index - 1:
-        raise ValueError(
+        raise ParameterOutOfRange(
             f"initial must list exactly the {from_index - 1} terms before from_index"
         )
     if not block:
-        raise ValueError("period block must be non-empty")
+        raise ParameterOutOfRange("period block must be non-empty")
     head = Poly([0] + [_frac(c) for c in initial])
     p = len(block)
     rep = Poly([_frac(c) for c in block])

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from pinclasses import classify, pimap
+from pinclasses import classify, pimap, pipeline
 from pinclasses.classify import (
     SYMMETRIES,
     all_pin_words,
@@ -14,8 +14,8 @@ from pinclasses.classify import (
     overcount_series,
     verify_tables,
 )
-from pinclasses.cperm import is_box_indecomposable
-from pinclasses.errors import CrossCheckMismatch
+from pinclasses.cperm import QUADRANT_SIGNS, is_box_indecomposable
+from pinclasses.errors import CensusTooLarge, CrossCheckMismatch
 from pinclasses.pimap import pi_map
 from pinclasses.pinword import PinWord
 from strategies import pin_words
@@ -117,6 +117,34 @@ class TestSymmetries:
         assert len(SYMMETRIES) == 8
         assert len({s.name for s in SYMMETRIES}) == 8
 
+    def test_eight_distinct_sign_matrices_closed_under_composition(self):
+        """The literal table is the whole group: 8 distinct orthogonal sign
+        matrices, and every product of two of them is in the table."""
+        matrices = {s.matrix for s in SYMMETRIES}
+        assert len(matrices) == 8
+        for (a, b), (c, d) in matrices:
+            assert sorted(map(abs, (a, b, c, d))) == [0, 0, 1, 1]
+            assert abs(a * d - b * c) == 1
+        for s in SYMMETRIES:
+            for t in SYMMETRIES:
+                (a, b), (c, d) = s.matrix
+                (e, f), (g, h) = t.matrix
+                assert ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)) in matrices
+
+    @given(pin_words(max_letters=8))
+    @settings(max_examples=60)
+    def test_word_agrees_with_matrix_letter_by_letter(self, w):
+        """The translation table of each symmetry moves every letter's unit
+        step, and the numeral's sign vector, as its matrix does."""
+        steps = {"r": (1, 0), "u": (0, 1), "l": (-1, 0), "d": (0, -1)}
+        for s in SYMMETRIES:
+            image = s.word(w)
+            assert len(image.letters) == len(w.letters)
+            for c, mapped in zip(w.letters, image.letters):
+                assert steps[mapped] == s.apply_xy(*steps[c])
+                assert s.letter(c) == mapped
+            assert QUADRANT_SIGNS[image.numeral] == s.apply_xy(*QUADRANT_SIGNS[w.numeral])
+
     @given(pin_words(max_letters=6))
     @settings(max_examples=80)
     def test_word_action_commutes_with_images(self, w):
@@ -183,6 +211,13 @@ class TestVerifyTables:
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
             verify_tables(1)
+
+    def test_rejects_bound_above_guard(self):
+        """The walk holds 2^(n+2) images per length n, so its depth is
+        guarded, at the longest length the tail window reads."""
+        assert classify._VERIFY_GUARD == pipeline._TAIL_WINDOW
+        with pytest.raises(CensusTooLarge):
+            verify_tables(classify._VERIFY_GUARD + 1)
 
 
 class TestTrieWalk:

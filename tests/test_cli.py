@@ -186,6 +186,14 @@ class TestVerifyTables:
         assert code == 3
         assert "n_max" in err and not out
 
+    def test_bound_above_guard(self, capsys):
+        """--n-max 30 would hold 2^32 images; above 16 it exits 3 at once."""
+        for n_max in ("17", "30"):
+            code, out, err = run(capsys, "verify-tables", "--n-max", n_max)
+            assert code == 3
+            assert err == f"error: verify-tables depth {n_max} exceeds the guard 16\n"
+            assert not out
+
 
 class TestOracle:
     def test_composition_match(self, capsys):

@@ -39,6 +39,7 @@ from pinclasses.errors import (
     NoOrigin,
     NonIndecomposableElement,
     NotAPermutation,
+    ParameterOutOfRange,
 )
 from strategies import centred_perms
 
@@ -83,6 +84,13 @@ class TestParsingAndBasics:
             with pytest.raises(IndexOutOfRange) as caught:
                 p.quadrant(position)
             assert caught.value.exit_code == 3
+
+    def test_origin_has_no_quadrant(self):
+        p = from_oneline("1[2]43")
+        with pytest.raises(ParameterOutOfRange) as caught:
+            p.quadrant(p.origin_index)
+        assert isinstance(caught.value, ValueError)
+        assert caught.value.exit_code == 3
 
     def test_json_round_trip(self):
         p = from_oneline("426[3]51")

@@ -186,6 +186,21 @@ class TestGuards:
         with pytest.raises(CensusTooLarge):
             enumerate_pin_permutations(9)
 
+    def test_guard_messages(self):
+        """One depth check words every census guard the same way."""
+        cases = [
+            (lambda: enumerate_class_subset("1(ru)*", 9), "subset census depth 9 exceeds the guard 8"),
+            (
+                lambda: enumerate_class_composition("1(ul)*", 11),
+                "composition census depth 11 exceeds the guard 10",
+            ),
+            (lambda: enumerate_pin_permutations(9), "representation census depth 9 exceeds the guard 8"),
+        ]
+        for call, message in cases:
+            with pytest.raises(CensusTooLarge) as info:
+                call()
+            assert str(info.value) == message
+
     def test_negative_depths(self):
         with pytest.raises(ParameterOutOfRange):
             enumerate_class_subset("1(ru)*", -1)
@@ -196,8 +211,8 @@ class TestGuards:
         with pytest.raises(ParameterOutOfRange):
             enumerate_closure_composition(["41[3]52"], -1)
 
-    def test_override_allows_deeper(self):
-        census = enumerate_pin_permutations(7, override_guard=True)
+    def test_depth_under_guard_runs(self):
+        census = enumerate_pin_permutations(7)
         assert census.counts[-1] == 70184
 
 

@@ -17,11 +17,10 @@ from pinclasses.pimap import (
     one_point_extension_candidates,
     pi_map,
     point_quadrant,
-    prefix_images,
     remove_interior_point,
     trie_images,
 )
-from pinclasses.pinword import PinWord, parse_pin_spec, parse_pin_word
+from pinclasses.pinword import NEXT_LETTERS, PinWord, parse_pin_spec, parse_pin_word
 from strategies import pin_words
 
 # Frozen word -> one-line expectations, independently derivable by hand from
@@ -76,10 +75,43 @@ class TestPiMap:
     @given(pin_words(max_letters=12))
     @settings(max_examples=80)
     def test_prefix_images_match_fresh_diagrams(self, w):
-        images = list(prefix_images(w))
-        assert images == [
-            pi_map(PinWord(w.numeral, w.letters[:k])) for k in range(w.length)
-        ]
+        """A filter that keeps only w's next letter walks w's prefixes."""
+        text = str(w)
+        nodes = list(trie_images(PinWord(w.numeral), w.length, lambda t: text[len(t)]))
+        assert nodes == [(text[:k], pi_map(text[:k])) for k in range(1, w.length + 1)]
+
+    @given(
+        pin_words(max_letters=3),
+        st.integers(min_value=1, max_value=7),
+        st.dictionaries(
+            st.tuples(st.integers(min_value=1, max_value=6), st.sampled_from(["", *"udlr"])),
+            st.text("udlr", max_size=4),
+        ),
+    )
+    @settings(max_examples=60)
+    def test_filtered_walk_yields_exactly_the_admitted_words(self, root, n_max, kept):
+        """With a filter, the walk yields the root and each extension whose
+        every letter past the root the filter kept for its parent; each
+        image matches the pi-map built from scratch.  The filter keeps, by
+        the parent's length and last letter, some of the letters that may
+        follow it (all of them when ``kept`` has no entry)."""
+
+        def children(text):
+            last = text[1:][-1:]
+            return [c for c in NEXT_LETTERS[last] if c in kept.get((len(text), last), "udlr")]
+
+        def admitted(text):
+            return all(text[k] in children(text[:k]) for k in range(root.length, len(text)))
+
+        every, frontier = [], [root]
+        while frontier:  # brute force: every extension of the root
+            every += frontier
+            frontier = [v for w in frontier if w.length < n_max for v in w.extensions()]
+        nodes = list(trie_images(root, n_max, children))
+        assert sorted(text for text, _ in nodes) == sorted(
+            str(w) for w in every if admitted(str(w))
+        )
+        assert all(img == pi_map(text) for text, img in nodes)
 
     @given(pin_words(max_letters=4), st.integers(min_value=1, max_value=7))
     @settings(max_examples=40)

@@ -12,6 +12,7 @@ from pinclasses.errors import (
     NonAlternatingCycle,
     ParameterOutOfRange,
 )
+from pinclasses import pinword
 from pinclasses.pimap import point_quadrant
 from pinclasses.pinword import (
     PinSpec,
@@ -58,6 +59,14 @@ class TestPinWord:
     def test_bad_numeral(self):
         with pytest.raises(MalformedSyntax):
             PinWord(5, "")
+
+    def test_numeral_must_be_an_integer(self):
+        """Floats and strings are not truncated or parsed into numerals."""
+        with pytest.raises(MalformedSyntax):
+            PinWord(1.9, "ru")
+        with pytest.raises(MalformedSyntax):
+            PinWord("1", "ru")
+        assert type(PinWord(True).numeral) is int
         with pytest.raises(MalformedSyntax):
             parse_pin_word("0u")
 
@@ -100,6 +109,12 @@ class TestPinSpec:
         assert s.prefix_length == 10
         assert s.cycle_length == 2
         assert str(s) == "2ruldlurdr(ul)*"
+
+    def test_prefix_text_is_coerced(self):
+        s = PinSpec("1", "ru")
+        assert s.prefix == PinWord(1)
+        assert s == parse_pin_spec("1(ru)*")
+        assert str(PinSpec("2ru", "ld")) == "2ru(ld)*"
 
     def test_cycle_alternation_checked(self):
         with pytest.raises(NonAlternatingCycle):
@@ -174,6 +189,34 @@ class TestFactors:
         assert is_recurrent("1(ul)*") is False
         assert is_recurrent("1(ru)*") is True
         assert is_recurrent("1(ldru)*") is True
+
+    @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=5))
+    @settings(max_examples=150, deadline=None)
+    def test_recurrence_matches_per_length_definition(self, s):
+        """Comparing the factor sets at the longest length decides every
+        shorter length too."""
+        limit = s.prefix_length + 2 * s.cycle_length + 2
+        by_length = all(
+            enumerate_pin_factors(s, n, "all") == enumerate_pin_factors(s, n, "recurrent")
+            for n in range(1, limit + 1)
+        )
+        assert is_recurrent(s) == by_length
+
+    def test_recurrence_compared_at_the_window(self, monkeypatch):
+        """The one comparison is at |prefix| + 2|cycle| + 2.  On short specs
+        the sets first differ by |prefix| + 3, so no spec tried tells a
+        shorter window apart; this pins the window that is argued for."""
+        lengths = []
+        real = pinword.enumerate_pin_factors
+
+        def spy(spec, n, mode="all"):
+            lengths.append(n)
+            return real(spec, n, mode)
+
+        monkeypatch.setattr(pinword, "enumerate_pin_factors", spy)
+        assert is_recurrent("2ru(ldru)*") is False
+        assert is_recurrent("1(ldru)*") is True
+        assert lengths == [3 + 8 + 2] * 2 + [1 + 8 + 2] * 2
 
     @given(pin_specs(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)

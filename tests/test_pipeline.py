@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinclasses import pipeline
+from pinclasses import pimap, pipeline
 from pinclasses.cperm import QUADRANT_POINT, is_box_indecomposable, one_quadrant
 from pinclasses.errors import (
     BoundViolation,
@@ -21,7 +21,12 @@ from pinclasses.errors import (
 )
 from pinclasses.classify import all_pin_words
 from pinclasses.pimap import all_point_quadrants, pi_map
-from pinclasses.pinword import _start_numerals, enumerate_pin_factors, parse_pin_spec
+from pinclasses.pinword import (
+    _start_numerals,
+    enumerate_pin_factors,
+    left_truncate,
+    parse_pin_spec,
+)
 from pinclasses.pipeline import (
     DENOMINATOR_ROOT,
     G_EQUALS_1,
@@ -142,18 +147,28 @@ class TestFactorImages:
         assert class_gf(second) == FROZEN_CLASS_GFS["1(ru)*"]
 
     def test_incremental_image_checked_against_pi_map(self, monkeypatch):
-        real = pipeline.prefix_images
+        """A skewed placement step in the walk must fail the check of the
+        longest factors, while the pi-map built from scratch keeps the true
+        step.  The skewed step also reaches the cached start numerals, so
+        both caches are cleared before and after."""
+        place = pimap._place
+        mirrored = {"l": "r", "r": "l", "u": "u", "d": "d"}
+        monkeypatch.setattr(pimap, "_place", lambda pts, c: place(pts, mirrored[c]))
 
-        def skewed(w):
-            images = list(real(w))
-            images[-1] = images[0]
-            return iter(images)
+        def true_pi_map(w):
+            monkeypatch.setattr(pimap, "_place", place)
+            return pi_map(w)
 
-        monkeypatch.setattr(pipeline, "prefix_images", skewed)
+        monkeypatch.setattr(pipeline, "pi_map", true_pi_map)
         spec = parse_pin_spec("1(ldru)*")
         _factor_images.cache_clear()
-        with pytest.raises(CrossCheckMismatch):
-            _factor_images(spec.prefix, spec.cycle, "all")
+        _start_numerals.cache_clear()
+        try:
+            with pytest.raises(CrossCheckMismatch):
+                _factor_images(spec.prefix, spec.cycle, "all")
+        finally:
+            _factor_images.cache_clear()
+            _start_numerals.cache_clear()
 
 
 class TestGSequence:
@@ -440,6 +455,30 @@ class TestTruncationConvergence:
             assert later.root_interval[0] <= earlier.root_interval[1]
         for r in results:
             assert r.root_interval[0] <= interior.root_interval[1]
+
+
+    @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=4), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_choice_matches_per_length_definition(self, spec, t_max):
+        """n(t) compares factors at length t only; by definition it needs
+        every length up to t."""
+
+        def chosen(t):
+            rec = {ell: enumerate_pin_factors(spec, ell, "recurrent") for ell in range(1, t + 1)}
+            for n in range(1, spec.prefix_length + 3):
+                trunc = left_truncate(spec, n)
+                if all(
+                    enumerate_pin_factors(trunc, ell, "all") <= rec[ell]
+                    for ell in range(1, t + 1)
+                ):
+                    return str(trunc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            # each chosen truncation stands in for its growth rate
+            mp.setattr(pipeline, "closure_gf", lambda trunc: trunc)
+            mp.setattr(pipeline, "growth_rate", lambda trunc: trunc)
+            got = [str(trunc) for trunc in truncation_convergence(spec, t_max)]
+        assert got == [chosen(t) for t in range(1, t_max + 1)], spec
 
 
 class TestInteriorPositivity:

@@ -10,6 +10,7 @@ from pinclasses.errors import (
     DivisionByZero,
     MalformedSyntax,
     NonzeroConstantTerm,
+    ParameterOutOfRange,
     PoleAtZero,
 )
 from pinclasses.series import (
@@ -174,6 +175,30 @@ class TestSeriesBuilders:
         assert got[0] == 0
         assert got[1:start] == initial
         assert got[start:] == [constant] * 5
+
+    @given(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=5),
+        st.integers(min_value=-9, max_value=9),
+    )
+    @settings(max_examples=60)
+    def test_eventually_constant_is_a_one_term_period(self, initial, constant):
+        start = len(initial) + 1
+        assert from_eventually_constant(initial, constant, start) == from_eventually_periodic(
+            initial, [constant], start
+        )
+
+    def test_builders_reject_bad_arguments_with_typed_errors(self):
+        bad_calls = [
+            lambda: from_eventually_constant([], 1, 0),
+            lambda: from_eventually_constant([1, 2], 1, 2),
+            lambda: from_eventually_periodic([], [1], 0),
+            lambda: from_eventually_periodic([1], [1], 1),
+            lambda: from_eventually_periodic([], [], 1),
+        ]
+        for call in bad_calls:
+            with pytest.raises(ParameterOutOfRange) as caught:
+                call()
+            assert isinstance(caught.value, ValueError)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=4),
