@@ -8,11 +8,12 @@ letters r, u, l, d likewise; reflections swap a letter pair and two numeral
 pairs).  An exhaustive verifier re-derives both tables from scratch and
 reports any disagreement.  It walks the pin-word trie once for every length
 up to its bound (at most _VERIFY_GUARD), depth first from the words of
-length _ROOT_LENGTH: each word's diagram is its parent's plus one placed
-point (`pimap.trie_images`), and each word goes straight into its length's
-image -> word texts map and decomposable list.  The roots are also the
-``jobs`` partition, and the first deepest leaf under each root is checked
-against the pi-map built from scratch.
+length _ROOT_LENGTH: each word's image and ⊞-indecomposability are its
+parent's plus one placed point (`pimap.trie_images`), and each word goes
+straight into its length's image -> word texts map and decomposable list.
+The roots are also the ``jobs`` partition.  Under each root, the first
+deepest leaf and the first word flagged decomposable are checked against
+the pi-map and `is_box_indecomposable` built from scratch (`pimap.check_node`).
 """
 
 from __future__ import annotations
@@ -21,15 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from multiprocessing import get_context
 
-from .cperm import (
-    QUADRANT_SIGNS,
-    CentredPerm,
-    centred_pattern,
-    is_box_indecomposable,
-    quadrant_of,
-)
-from .errors import CensusTooLarge, CrossCheckMismatch, ParameterOutOfRange
-from .pimap import pi_map, trie_images
+from .cperm import QUADRANT_SIGNS, CentredPerm, centred_pattern, quadrant_of
+from .errors import CensusTooLarge, ParameterOutOfRange
+from .pimap import check_node, trie_images
 from .pinword import NEXT_LETTERS, PinWord, as_word
 
 _LETTER_VEC = {"r": (1, 0), "u": (0, 1), "l": (-1, 0), "d": (0, -1)}
@@ -206,30 +201,35 @@ _VERIFY_GUARD = 16
 def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
     """Worker: for root and its extensions up to length n_max, per length,
     image key -> word texts and the decomposable word texts.  The first
-    deepest leaf's image is checked against the pi-map built from scratch."""
+    deepest leaf and the first word flagged decomposable are checked
+    against the pi-map and the ⊞-indecomposability built from scratch."""
     tables = {n: ({}, []) for n in range(root.length, n_max + 1)}
-    leaf = None
-    for text, img in trie_images(root, n_max):
+    leaf = decomposable = None
+    for text, img, indecomposable, _ in trie_images(root, n_max):
         images, decs = tables[len(text)]
         key = bytes((*img.filled, img.origin_index))
         images[key] = images.get(key, ()) + (text,)
-        if not is_box_indecomposable(img):
+        if not indecomposable:
             decs.append(text)
+            if decomposable is None:
+                decomposable = (text, img, indecomposable)
         if leaf is None and len(text) == n_max:
-            leaf = (text, img)
-    text, img = leaf
-    if img != pi_map(text):
-        raise CrossCheckMismatch(f"incremental image {img} of {text} differs from its pi-map")
+            leaf = (text, img, indecomposable)
+    for node in (leaf, decomposable):
+        if node is not None:
+            check_node(*node)
     return tables
 
 
 def _walks(roots, limits, jobs: int):
     """The _walk of each root to its limit, in a pool of fresh interpreters
-    when jobs > 1."""
-    if jobs <= 1:
+    when jobs > 1; one root is one task, so the pool has at most one worker
+    per root."""
+    if jobs == 1:
         yield from map(_walk, roots, limits)
         return
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+    workers = min(jobs, len(roots))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         yield from pool.map(_walk, roots, limits)
 
 
@@ -263,6 +263,8 @@ def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
     """
     if n_max < 2:
         raise ParameterOutOfRange(f"n_max must be at least 2, got {n_max}")
+    if jobs < 1:
+        raise ParameterOutOfRange(f"jobs must be at least 1, got {jobs}")
     if n_max > _VERIFY_GUARD:
         raise CensusTooLarge(f"verify-tables depth {n_max} exceeds the guard {_VERIFY_GUARD}")
     derived = _derive(n_max, jobs)

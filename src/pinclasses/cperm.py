@@ -9,9 +9,9 @@ Every public way to make a CentredPerm validates its input: direct
 construction, `from_oneline`, `CentredPerm.from_json` and `centred_pattern`.
 One internal constructor, `CentredPerm._trusted`, checks nothing.  It serves
 only the three builders whose results are permutations by construction:
-`box_sum`, `pimap.diagram_image` and `_patterns.walk_patterns`.  Its
-contract: ``filled`` is a tuple of Python ints that is a permutation of
-1..m, and 1 <= ``origin_index`` <= m.
+`box_sum`, the pin-word trie walker `pimap.trie_images` and
+`_patterns.walk_patterns`.  Its contract: ``filled`` is a tuple of Python
+ints that is a permutation of 1..m, and 1 <= ``origin_index`` <= m.
 
 The exported functions that take centred permutations also accept them as
 bracket text.
@@ -159,6 +159,8 @@ _ENTRY_RE = re.compile(r"\[(\d+)\]|(\d)")
 
 def from_oneline(text: str) -> CentredPerm:
     """Parse bracket notation, e.g. ``426[3]51`` or ``4,2,6,[3],5,1``."""
+    if not isinstance(text, str):
+        raise MalformedSyntax(f"expected centred permutation text, got {text!r}")
     s = re.sub(r"\s+", "", text)
     if not s:
         raise EmptyInput("empty centred permutation text")

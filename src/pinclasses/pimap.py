@@ -5,21 +5,33 @@ goes one step diagonally into its numeral's quadrant; every later point p_k
 takes a fresh extreme rank in its letter's direction while its perpendicular
 coordinate is inserted strictly between the bounding rectangle of
 {p0..p_{k-2}} and p_{k-1}, on p_{k-1}'s side.  Insertion shifts existing
-ranks up by one, so no real coordinates are ever needed, and each axis's
-coordinates always form a contiguous range: a diagram's image is read off
-in O(n) (`diagram_image`).  Growing diagrams share one placement step,
-`_place`, and one walker, `trie_images`: it grows every word of a trie, or
-of the sub-trie its child filter keeps, at one placement per word.  The
-verify-tables walk and the factor images of a spec both use it.  `pi_map`
-builds each diagram from scratch and standardizes it by sorting: it is the
-independent route the walker is checked against.
+ranks up by one, so no real coordinates are ever needed.  `diagram_points`
+places points one by one (`_place`), and `pi_map` standardizes them by
+sorting: the point route, which `PinDiagram` draws.
+
+Growing diagrams take the image route instead: `_grow` applies the same
+rule to a word's image, one tuple insertion per point, and carries the
+image's proper ∘-intervals (so its ⊞-indecomposability) and its quadrant
+set from the parent.  `trie_images` grows every word of a trie, or of the
+sub-trie its child filter keeps, at one step per word; the verify-tables
+walk and the factor images of a spec both use it, and `check_node` checks
+a walked word against the point route.  The two routes share no placement
+code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cperm import QUADRANT_SIGNS, CentredPerm, box_sum, centred_pattern, quadrant_of
+from .cperm import (
+    QUADRANT_POINT,
+    QUADRANT_SIGNS,
+    CentredPerm,
+    box_sum,
+    centred_pattern,
+    is_box_indecomposable,
+    quadrant_of,
+)
 from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
 from .pinword import NEXT_LETTERS, PinWord, as_word
 
@@ -30,7 +42,7 @@ def _first_points(numeral: int) -> list[tuple[int, int]]:
 
 def _place(pts: list[tuple[int, int]], letter: str) -> list[tuple[int, int]]:
     """The points after placing one more point for ``letter``; the step of
-    every diagram.  ``pts`` itself is left unchanged."""
+    the point route.  ``pts`` itself is left unchanged."""
     px, py = pts[-1]
     if letter in "ud":
         ynew = max(y for _, y in pts) + 1 if letter == "u" else min(y for _, y in pts) - 1
@@ -55,35 +67,136 @@ def diagram_points(w) -> list[tuple[int, int]]:
     return pts
 
 
-def diagram_image(pts) -> CentredPerm:
-    """The image of a diagram's points, origin first.  Placement keeps each
-    axis's coordinates a contiguous range, so a coordinate's rank is its
-    offset from the minimum: O(n), no sorting.  The result is therefore a
-    permutation by construction and skips validation; `pi_map` is the
-    validated route it is checked against."""
-    xmin = min(x for x, _ in pts)
-    ymin = min(y for _, y in pts)
-    filled = [0] * len(pts)
-    for x, y in pts:
-        filled[x - xmin] = y - ymin + 1
-    return CentredPerm._trusted(tuple(filled), pts[0][0] - xmin + 1)
+def _seed(numeral: int):
+    """The node of a bare numeral: its one-point image, whose point is the
+    entry beside the origin, no proper ∘-interval, one quadrant."""
+    p = QUADRANT_POINT[numeral]
+    return p.filled, p.origin_index, 3 - p.origin_index, (), frozenset((numeral,))
+
+
+def _contiguous_tails(s, reach: int) -> list[tuple[int, int, int]]:
+    """(i, lo, hi) for each tail s[i-1:] with 2 <= i <= reach whose entries
+    are the consecutive integers lo..hi.  The span of a tail only grows as
+    it lengthens, so when it exceeds the tail's length by ``gap``, no
+    contiguous tail starts within the next ``gap`` entries."""
+    m = len(s)
+    out = []
+    i = reach
+    while i >= 2:
+        tail = s[i - 1 :]
+        lo, hi = min(tail), max(tail)
+        gap = hi - lo - (m - i)
+        if gap:
+            i -= gap
+        else:
+            out.append((i, lo, hi))
+            i -= 1
+    return out
+
+
+def _grow(node, letter: str):
+    """The image-level placement step: the node of a word's image after
+    one more point for ``letter``.
+
+    A node is (filled, origin index, position of the last point, proper
+    non-trivial ∘-intervals as (a, b, lo, hi) for positions a..b and
+    values lo..hi, quadrant set).  The last point is extreme on the axis
+    the letter does not move along, so the new point takes the extreme
+    value (u/d) or position (r/l), and its other coordinate goes just
+    inside the last point's: one tuple insertion, plus a shift by one of
+    the values above the new one.
+
+    An interval of the child without the new point is one of the parent's
+    that the new point does not split; the parent's whole image is always
+    split, as the new point's other coordinate lies inside its range.  One
+    with it reaches the new point's edge and covers the origin: read from
+    that edge, along the new point's extreme axis, it is a contiguous tail
+    (`_contiguous_tails`)."""
+    f, k, last, intervals, quadrants = node
+    m = len(f)
+    if letter in "ud":
+        p = last if last == m else last + 1
+        if letter == "u":
+            v = m + 1
+        else:
+            v = 1
+            f = tuple(map((1).__add__, f))
+        g = f[: p - 1] + (v,) + f[p - 1 :]
+    else:
+        if f[last - 1] == m:  # the last point is on top: the new one goes just below
+            v = m
+            f = f[: last - 1] + (m + 1,) + f[last:]
+        else:  # the last point is at the bottom: the new one goes just above
+            v = 2
+            f = tuple(map((1).__add__, f))
+            f = f[: last - 1] + (1,) + f[last:]
+        if letter == "r":
+            p = m + 1
+            g = f + (v,)
+        else:
+            p = 1
+            g = (v,) + f
+    k += k >= p
+    vo = g[k - 1]
+    q = quadrant_of((p, v), (k, vo))
+    if q not in quadrants:
+        quadrants = quadrants | {q}
+    found = [
+        (a + (a >= p), b + (b >= p), lo + (lo >= v), hi + (hi >= v))
+        for a, b, lo, hi in intervals
+        if not (a < p <= b or lo < v <= hi)
+    ]
+    n = m + 1
+    if letter == "r":
+        found += [(i, n, lo, hi) for i, lo, hi in _contiguous_tails(g, k)]
+    elif letter == "l":
+        found += [(1, n + 1 - i, lo, hi) for i, lo, hi in _contiguous_tails(g[::-1], n + 1 - k)]
+    else:
+        order = sorted(range(n), key=g.__getitem__)  # 0-based positions by value
+        if letter == "u":
+            found += [(a + 1, b + 1, i, n) for i, a, b in _contiguous_tails(order, vo)]
+        else:
+            found += [
+                (a + 1, b + 1, 1, n + 1 - i)
+                for i, a, b in _contiguous_tails(order[::-1], n + 1 - vo)
+            ]
+    return g, k, p, found, quadrants
 
 
 def trie_images(root, n_max: int, children=None):
-    """Yield (word text, image) for root and every extension of it up to
-    length n_max, depth first.  Each word's diagram is its parent's plus one
-    placed point, so a word costs one placement.  ``children(text)``, if
-    given, returns the letters, each one that may follow the word, to extend
-    a word shorter than n_max by; without it, every such letter in LETTERS
-    order."""
+    """Yield (word text, image, ⊞-indecomposable?, quadrant set) for root
+    and every extension of it up to length n_max, depth first.  Each word's
+    node is its parent's plus one `_grow` step, so a word costs one
+    placement and one scan for the ∘-intervals through its new point.
+    ``children(text)``, if given, returns the letters, each one that may
+    follow the word, to extend a word shorter than n_max by; without it,
+    every such letter in LETTERS order."""
     root = as_word(root)
-    stack = [(str(root), root.letters[-1:], diagram_points(root))]
+    node = _seed(root.numeral)
+    for letter in root.letters:
+        node = _grow(node, letter)
+    stack = [(str(root), root.letters[-1:], node)]
     while stack:
-        text, last, pts = stack.pop()
-        yield text, diagram_image(pts)
-        if len(pts) <= n_max:  # the word has len(pts) - 1 points
+        text, last, node = stack.pop()
+        f, k, _, intervals, quadrants = node
+        yield text, CentredPerm._trusted(f, k), not intervals, quadrants
+        if len(f) <= n_max:  # the word has len(f) - 1 points
             letters = NEXT_LETTERS[last] if children is None else children(text)
-            stack.extend((text + c, c, _place(pts, c)) for c in reversed(letters))
+            stack.extend((text + c, c, _grow(node, c)) for c in reversed(letters))
+
+
+def check_node(w, img: CentredPerm, indecomposable: bool) -> CentredPerm:
+    """Check a `trie_images` node of the word w (or its text) against the
+    routes built from scratch: its image against `pi_map`, its flag against
+    `is_box_indecomposable`.  Returns the image built from scratch."""
+    fresh = pi_map(w)
+    if img != fresh:
+        raise CrossCheckMismatch(f"walked image {img} of {w} differs from its pi-map {fresh}")
+    if indecomposable != is_box_indecomposable(fresh):
+        raise CrossCheckMismatch(
+            f"carried ⊞-indecomposability {indecomposable} of {w} differs from its image {fresh}"
+        )
+    return fresh
 
 
 @dataclass(frozen=True, slots=True)

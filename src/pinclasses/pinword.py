@@ -101,6 +101,8 @@ _SPEC_RE = re.compile(r"([1-4])([udlr]*)\(([udlr]+)\)\*\Z")
 
 
 def _normalize(text: str) -> str:
+    if not isinstance(text, str):
+        raise MalformedSyntax(f"expected pin word or spec text, got {text!r}")
     s = re.sub(r"\s+", "", text).lower()
     if not s:
         raise EmptyInput("empty pin word text")

@@ -29,7 +29,7 @@ from .errors import (
     ParameterOutOfRange,
     StabilizationFailure,
 )
-from .pimap import pi_map, point_quadrant, trie_images
+from .pimap import check_node, point_quadrant, trie_images
 from .pinword import (
     LETTERS,
     PinSpec,
@@ -105,12 +105,13 @@ def _factor_images(prefix: PinWord, cycle: str, mode: str) -> dict[int, dict]:
 
     A factor is the prefix of the longest factor at its start, so the
     factors are the sub-trie of the longest factors' prefixes, grown by one
-    `trie_images` walk per numeral; each longest factor's image is checked
-    against the pi-map built from scratch.  The total indecomposable count
-    is then checked against the classification-table route, once: the
-    check does not depend on which images a caller keeps.  Keyed by the
-    written prefix and cycle, since the window depends on the written
-    prefix length.
+    `trie_images` walk per numeral, which carries each image's flag and
+    quadrant set.  Each longest factor's image, flag and one quadrant are
+    checked against the routes built from scratch.  The total
+    indecomposable count is then checked against the classification-table
+    route, once: the check does not depend on which images a caller keeps.
+    Keyed by the written prefix and cycle, since the window depends on the
+    written prefix length.
     """
     spec = PinSpec(prefix, cycle)
     window = spec.prefix_length + 3 * spec.cycle_length + 2
@@ -122,12 +123,16 @@ def _factor_images(prefix: PinWord, cycle: str, mode: str) -> dict[int, dict]:
 
     table: dict[int, dict] = {n: {} for n in range(1, window + 1)}
     for numeral in sorted({w.numeral for w in longest}):
-        for text, img in trie_images(PinWord(numeral), window, children):
-            v = PinWord(numeral, text[1:])
-            table[len(text)][v] = (img, is_box_indecomposable(img), one_quadrant(img))
+        for text, img, indec, quadrants in trie_images(PinWord(numeral), window, children):
+            quadrant = next(iter(quadrants)) if len(quadrants) == 1 else None
+            table[len(text)][PinWord(numeral, text[1:])] = (img, indec, quadrant)
     for w in longest:
-        if (img := table[window][w][0]) != pi_map(w):
-            raise CrossCheckMismatch(f"incremental image {img} of {w} differs from its pi-map")
+        img, indec, quadrant = table[window][w]
+        fresh = check_node(w, img, indec)
+        if quadrant != one_quadrant(fresh):
+            raise CrossCheckMismatch(
+                f"carried quadrant {quadrant} of {w} differs from its image {fresh}"
+            )
     for n, rows in table.items():
         images = {img for img, _, _ in rows.values()}
         indec_images = {img for img, ind, _ in rows.values() if ind}

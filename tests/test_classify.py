@@ -1,5 +1,7 @@
 """Exhaustive classification of colliding and decomposable pin words."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,7 +17,7 @@ from pinclasses.classify import (
     verify_tables,
 )
 from pinclasses.cperm import QUADRANT_SIGNS, is_box_indecomposable
-from pinclasses.errors import CensusTooLarge, CrossCheckMismatch
+from pinclasses.errors import CensusTooLarge, CrossCheckMismatch, ParameterOutOfRange
 from pinclasses.pimap import pi_map
 from pinclasses.pinword import PinWord
 from strategies import pin_words
@@ -195,6 +197,35 @@ class TestVerifyTables:
         parallel = verify_tables(8, jobs=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ParameterOutOfRange) as caught:
+            verify_tables(4, jobs=jobs)
+        assert caught.value.exit_code == 3
+
+    def test_pool_has_at_most_one_worker_per_root(self, monkeypatch):
+        """The pool is sized from the roots, not from ``jobs`` alone; a
+        stand-in pool records its size and runs the walks in this process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+        reports = verify_tables(4, jobs=64)
+        assert sizes == [20]
+        assert [r.to_json() for r in reports] == [r.to_json() for r in verify_tables(4)]
+
     def test_json_schema(self):
         report = verify_tables(2)[0]
         data = report.to_json()
@@ -235,17 +266,32 @@ class TestTrieWalk:
         expected = [str(w) for n in range(1, 10) for w in all_pin_words(n)]
         assert sorted(walked) == sorted(expected)
 
+    def test_walk_yields_every_word_of_each_length(self):
+        """2^(n+2) words at each length n >= 2, so a skipped branch shows."""
+        counts = Counter()
+        for root in all_pin_words(classify._ROOT_LENGTH):
+            for n, (images, _) in classify._walk(root, 10).items():
+                counts[n] += sum(map(len, images.values()))
+        assert counts == {n: 2 ** (n + 2) for n in range(2, 11)}
+
     def test_leaf_checked_against_pi_map(self, monkeypatch):
-        """A skewed placement step in the walk must fail the leaf check,
-        while the pi-map built from scratch keeps the true step."""
-        place = pimap._place
+        """A skewed image-level step in the walk must fail the check built
+        from scratch, which places its points on the point route."""
+        grow = pimap._grow
         mirrored = {"l": "r", "r": "l", "u": "u", "d": "d"}
-        monkeypatch.setattr(pimap, "_place", lambda pts, c: place(pts, mirrored[c]))
+        monkeypatch.setattr(pimap, "_grow", lambda node, c: grow(node, mirrored[c]))
+        with pytest.raises(CrossCheckMismatch):
+            classify._walk(PinWord(1, "u"), 6)
 
-        def true_pi_map(w):
-            monkeypatch.setattr(pimap, "_place", place)
-            return pi_map(w)
+    def test_carried_flag_checked_from_scratch(self, monkeypatch):
+        """An inverted ⊞-indecomposability flag must fail the check built
+        from scratch."""
+        walk = pimap.trie_images
 
-        monkeypatch.setattr(classify, "pi_map", true_pi_map)
+        def inverted(*args):
+            for text, img, indecomposable, quadrants in walk(*args):
+                yield text, img, not indecomposable, quadrants
+
+        monkeypatch.setattr(classify, "trie_images", inverted)
         with pytest.raises(CrossCheckMismatch):
             classify._walk(PinWord(1, "u"), 6)

@@ -17,6 +17,7 @@ from pinclasses.cperm import (
     QUADRANT_POINT,
     CentredPerm,
     adjacency_condition,
+    as_perm,
     box_decompose,
     box_sum,
     centred_pattern,
@@ -73,6 +74,12 @@ class TestParsingAndBasics:
             from_oneline("[1]1")
         with pytest.raises(MalformedSyntax):
             from_oneline("[1]x2")
+
+    def test_non_text_input_is_a_parse_error(self):
+        """A value that is neither a CentredPerm nor text is malformed input."""
+        with pytest.raises(MalformedSyntax) as caught:
+            as_perm(1)
+        assert caught.value.exit_code == 2
 
     def test_quadrants(self):
         p = from_oneline("426[3]51")
@@ -397,10 +404,10 @@ class TestTrustedConstruction:
         inner, outer = from_oneline("241[3]5"), from_oneline("413[5]2")
         assert _inflate(inner, outer).one_line() == "413685[7]92"
 
-    def test_only_box_sum_and_diagram_image_use_it(self):
+    def test_only_box_sum_and_the_two_walkers_use_it(self):
         """The unchecked constructor must not spread to public entries: its
-        definition and its three builders (box_sum, diagram_image and the
-        subset census walk) are the only code that names it."""
+        definition and its three builders (box_sum, the pin-word trie walker
+        and the subset census walk) are the only code that names it."""
         found = []
 
         def visit(node, module, scope):
@@ -423,5 +430,5 @@ class TestTrustedConstruction:
             ("_patterns", "walk_patterns"),
             ("cperm", "CentredPerm._trusted"),
             ("cperm", "box_sum"),
-            ("pimap", "diagram_image"),
+            ("pimap", "trie_images"),
         ]

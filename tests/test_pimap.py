@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinclasses.cperm import CentredPerm, box_sum, centred_pattern, from_oneline
+from pinclasses.classify import all_pin_words
+from pinclasses.cperm import (
+    CentredPerm,
+    box_sum,
+    centred_pattern,
+    from_oneline,
+    is_box_indecomposable,
+)
 from pinclasses.errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
 from pinclasses.pimap import (
     PinDiagram,
     all_point_quadrants,
     compose_representation,
-    diagram_image,
     diagram_points,
     one_point_extension_candidates,
     pi_map,
@@ -44,6 +50,12 @@ KNOWN_IMAGES = {
 }
 
 
+def fresh_node(text):
+    """What `trie_images` yields for a word, built from scratch."""
+    img = pi_map(text)
+    return text, img, is_box_indecomposable(img), img.quadrants()
+
+
 class TestPiMap:
     def test_known_images(self):
         for word, expect in KNOWN_IMAGES.items():
@@ -72,13 +84,23 @@ class TestPiMap:
         shorter = PinWord(w.numeral, w.letters[:-1])
         assert contains(pi_map(w), pi_map(shorter))
 
-    @given(pin_words(max_letters=12))
+    @given(pin_words(max_letters=29))
     @settings(max_examples=80)
     def test_prefix_images_match_fresh_diagrams(self, w):
-        """A filter that keeps only w's next letter walks w's prefixes."""
+        """A filter that keeps only w's next letter walks w's prefixes; each
+        image, flag and quadrant set matches the routes built from scratch."""
         text = str(w)
         nodes = list(trie_images(PinWord(w.numeral), w.length, lambda t: text[len(t)]))
-        assert nodes == [(text[:k], pi_map(text[:k])) for k in range(1, w.length + 1)]
+        assert nodes == [fresh_node(text[:k]) for k in range(1, w.length + 1)]
+
+    def test_walk_matches_fresh_routes_to_ten(self):
+        """Every word of length <= 10, from each numeral root: image, flag
+        and quadrant set against pi_map, is_box_indecomposable and
+        quadrants() built from scratch."""
+        nodes = [node for root in all_pin_words(1) for node in trie_images(root, 10)]
+        assert len(nodes) == 4 + sum(2 ** (n + 2) for n in range(2, 11))
+        for node in nodes:
+            assert node == fresh_node(node[0])
 
     @given(
         pin_words(max_letters=3),
@@ -108,16 +130,16 @@ class TestPiMap:
             every += frontier
             frontier = [v for w in frontier if w.length < n_max for v in w.extensions()]
         nodes = list(trie_images(root, n_max, children))
-        assert sorted(text for text, _ in nodes) == sorted(
+        assert sorted(text for text, *_ in nodes) == sorted(
             str(w) for w in every if admitted(str(w))
         )
-        assert all(img == pi_map(text) for text, img in nodes)
+        assert all(node == fresh_node(node[0]) for node in nodes)
 
     @given(pin_words(max_letters=4), st.integers(min_value=1, max_value=7))
     @settings(max_examples=40)
     def test_trie_images_match_fresh_diagrams(self, root, n_max):
         nodes = list(trie_images(root, n_max))
-        assert all(img == pi_map(text) for text, img in nodes)
+        assert all(node == fresh_node(node[0]) for node in nodes)
         # the root and its extensions of every length up to n_max, in
         # depth-first LETTERS order
         words, expected = [root], []
@@ -126,15 +148,16 @@ class TestPiMap:
             expected.append(str(w))
             if w.length < n_max:
                 words.extend(reversed(w.extensions()))
-        assert [text for text, _ in nodes] == expected
+        assert [text for text, *_ in nodes] == expected
 
 
     @given(pin_words(max_letters=23))
     @settings(max_examples=100)
-    def test_diagram_image_is_a_valid_perm(self, w):
-        """diagram_image skips validation; its result must be exactly what
-        validation would build, and equal the sorting route's."""
-        img = diagram_image(diagram_points(w))
+    def test_walked_image_is_a_valid_perm(self, w):
+        """The walker builds images without validation; each must be exactly
+        what validation would build, and equal the sorting route's."""
+        text = str(w)
+        *_, (_, img, _, _) = trie_images(PinWord(w.numeral), w.length, lambda t: text[len(t)])
         assert type(img.filled) is tuple
         assert all(type(v) is int for v in img.filled)
         assert type(img.origin_index) is int
@@ -159,12 +182,12 @@ class TestDiagramGeometry:
     @given(pin_words(max_letters=23))
     @settings(max_examples=200)
     def test_coordinates_form_contiguous_ranges(self, w):
-        """What lets diagram_image rank a coordinate by its offset."""
+        """Placement inserts one rank per axis, shifting the ranks above it,
+        as the image-level step does."""
         pts = diagram_points(w)
         for axis in (0, 1):
             values = sorted(p[axis] for p in pts)
             assert values == list(range(values[0], values[0] + len(pts)))
-        assert diagram_image(pts) == pi_map(w)
 
     def test_each_letter_point_is_extreme(self):
         word = parse_pin_word("2lurdld")

@@ -13,7 +13,7 @@ from pinclasses.errors import (
     ParameterOutOfRange,
 )
 from pinclasses import pinword
-from pinclasses.pimap import point_quadrant
+from pinclasses.pimap import pi_map, point_quadrant
 from pinclasses.pinword import (
     PinSpec,
     PinWord,
@@ -73,6 +73,17 @@ class TestPinWord:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             parse_pin_word(" ")
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: pi_map(1), lambda: pi_map(None), lambda: PinSpec(1, "ru")],
+        ids=["pi_map(1)", "pi_map(None)", "PinSpec(1, 'ru')"],
+    )
+    def test_non_text_input_is_a_parse_error(self, call):
+        """A value that is neither a pin word nor text is malformed input."""
+        with pytest.raises(MalformedSyntax) as caught:
+            call()
+        assert caught.value.exit_code == 2
 
     def test_counts(self):
         def count(n):

@@ -147,28 +147,45 @@ class TestFactorImages:
         assert class_gf(second) == FROZEN_CLASS_GFS["1(ru)*"]
 
     def test_incremental_image_checked_against_pi_map(self, monkeypatch):
-        """A skewed placement step in the walk must fail the check of the
-        longest factors, while the pi-map built from scratch keeps the true
-        step.  The skewed step also reaches the cached start numerals, so
-        both caches are cleared before and after."""
-        place = pimap._place
+        """A skewed image-level step in the walk must fail the check of the
+        longest factors, which places their points on the point route.  The
+        cache is cleared before and after."""
+        grow = pimap._grow
         mirrored = {"l": "r", "r": "l", "u": "u", "d": "d"}
-        monkeypatch.setattr(pimap, "_place", lambda pts, c: place(pts, mirrored[c]))
-
-        def true_pi_map(w):
-            monkeypatch.setattr(pimap, "_place", place)
-            return pi_map(w)
-
-        monkeypatch.setattr(pipeline, "pi_map", true_pi_map)
+        monkeypatch.setattr(pimap, "_grow", lambda node, c: grow(node, mirrored[c]))
         spec = parse_pin_spec("1(ldru)*")
         _factor_images.cache_clear()
-        _start_numerals.cache_clear()
         try:
             with pytest.raises(CrossCheckMismatch):
                 _factor_images(spec.prefix, spec.cycle, "all")
         finally:
             _factor_images.cache_clear()
-            _start_numerals.cache_clear()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda indecomposable, quadrants: (not indecomposable, quadrants),
+            lambda indecomposable, quadrants: (indecomposable, quadrants | {1, 2, 3, 4}),
+        ],
+        ids=["flag", "quadrants"],
+    )
+    def test_carried_flags_checked_from_scratch(self, monkeypatch, corrupt):
+        """An inverted ⊞-indecomposability flag, or a wrong quadrant set,
+        must fail the check of the longest factors built from scratch."""
+        walk = pimap.trie_images
+
+        def corrupted(*args):
+            for text, img, indecomposable, quadrants in walk(*args):
+                yield text, img, *corrupt(indecomposable, quadrants)
+
+        monkeypatch.setattr(pipeline, "trie_images", corrupted)
+        spec = parse_pin_spec("1(ru)*")
+        _factor_images.cache_clear()
+        try:
+            with pytest.raises(CrossCheckMismatch):
+                _factor_images(spec.prefix, spec.cycle, "all")
+        finally:
+            _factor_images.cache_clear()
 
 
 class TestGSequence:
