@@ -8,10 +8,11 @@ toward the length.  Text form uses square brackets for the origin, e.g.
 Every public way to make a CentredPerm validates its input: direct
 construction, `from_oneline`, `CentredPerm.from_json` and `centred_pattern`.
 One internal constructor, `CentredPerm._trusted`, checks nothing.  It serves
-only the three builders whose results are permutations by construction:
-`box_sum`, the pin-word trie walker `pimap.trie_images` and
-`_patterns.walk_patterns`.  Its contract: ``filled`` is a tuple of Python
-ints that is a permutation of 1..m, and 1 <= ``origin_index`` <= m.
+only the four builders whose results are permutations by construction:
+`box_sum`, its level kernel `box_sum_level`, the pin-word trie walker
+`pimap.trie_images` and `_patterns.walk_patterns`.  Its contract: ``filled``
+is a tuple of Python ints that is a permutation of 1..m, and
+1 <= ``origin_index`` <= m.
 
 The exported functions that take centred permutations also accept them as
 bracket text.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
+    CrossCheckMismatch,
     EmptyInput,
     EmptyPermutation,
     IndexOutOfRange,
@@ -61,7 +63,7 @@ class CentredPerm:
     (``operator.index``, so numpy integers pass; floats and strings do not),
     the entries a permutation of 1..m and the origin index in 1..m.  The
     internal `_trusted` skips every check; see the module docstring for
-    its contract and its three callers.
+    its contract and its four callers.
     """
 
     filled: tuple[int, ...]
@@ -120,8 +122,21 @@ class CentredPerm:
 
     def quadrants(self) -> frozenset[int]:
         """The quadrants occupied by the non-origin entries."""
-        origin = self.origin_point()
-        return frozenset(quadrant_of(p, origin) for p in self.points() if p != origin)
+        f, k = self.filled, self.origin_index
+        vo = f[k - 1]
+        left, right = f[: k - 1], f[k:]
+        occupied = set()
+        if left:
+            if max(left) > vo:
+                occupied.add(2)
+            if min(left) < vo:
+                occupied.add(3)
+        if right:
+            if max(right) > vo:
+                occupied.add(1)
+            if min(right) < vo:
+                occupied.add(4)
+        return frozenset(occupied)
 
     def one_line(self) -> str:
         parts = [
@@ -270,6 +285,62 @@ def box_sum(inner: CentredPerm, outer: CentredPerm) -> CentredPerm:
     filled = [v if v < vo else v + shift for v in outer.filled]
     filled[ko - 1 : ko] = [v + vo - 1 for v in inner.filled]
     return CentredPerm._trusted(tuple(filled), ko - 1 + inner.origin_index)
+
+
+def box_sum_level(levels, parts, n: int) -> frozenset[CentredPerm]:
+    """Every ``box_sum(left, piece)`` with ``left`` in ``levels[n - p]`` and
+    ``piece`` in ``parts[p]``, over the piece lengths 1 <= p <= n.
+
+    For one p every left has length n - p, so each piece's head and tail
+    (its entries before and after the origin) take the same shift once, and
+    each left's block takes one offset per distinct piece origin value.  A
+    sum is the tuple ``head + block + tail``; sums are collected by that
+    tuple with a bitmask of their origin indices, and one CentredPerm is
+    built per distinct result.  For each p the first sum is checked against
+    `box_sum` from scratch."""
+    found: dict[tuple[int, ...], int] = {}
+    firsts = []
+    for p, pieces in parts.items():
+        lefts = levels[n - p] if p <= n else ()
+        if not lefts or not pieces:
+            continue
+        shift = n - p
+        cuts: dict[int, list] = {}  # origin value - 1 -> (head, tail, ko - 1)
+        for piece in pieces:
+            f, ko = piece.filled, piece.origin_index
+            vo = f[ko - 1]
+            head = tuple([v if v < vo else v + shift for v in f[: ko - 1]])
+            tail = tuple([v if v < vo else v + shift for v in f[ko:]])
+            cuts.setdefault(vo - 1, []).append((head, tail, ko - 1))
+        first = None
+        for offset, ends in cuts.items():
+            blocks = [
+                (tuple([v + offset for v in left.filled]), 1 << left.origin_index)
+                for left in lefts
+            ]
+            if first is None:
+                head, tail, before = ends[0]
+                block, bit = blocks[0]
+                first = (head + block + tail, (bit << before).bit_length() - 1)
+            for head, tail, before in ends:
+                for block, bit in blocks:
+                    filled = head + block + tail
+                    found[filled] = found.get(filled, 0) | bit << before
+        firsts.append((next(iter(lefts)), next(iter(pieces)), first))
+    level = frozenset(
+        CentredPerm._trusted(filled, i)
+        for filled, mask in found.items()
+        for i in range(1, mask.bit_length())
+        if mask >> i & 1
+    )
+    for left, piece, first in firsts:
+        expected = box_sum(left, piece)
+        if (expected.filled, expected.origin_index) != first or expected not in level:
+            raise CrossCheckMismatch(
+                f"the level kernel gives {left} ⊞ {piece} as {first[0]} with origin "
+                f"index {first[1]}, not {expected}"
+            )
+    return level
 
 
 def _is_interval(p: CentredPerm, a: int, b: int) -> bool:

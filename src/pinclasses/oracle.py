@@ -22,7 +22,7 @@ from .cperm import (
     CentredPerm,
     adjacency_condition,
     as_generators,
-    box_sum,
+    box_sum_level,
     strip_origin,
     subpatterns,
 )
@@ -109,18 +109,11 @@ def enumerate_class_subset(spec, n_max: int) -> ClassCensus:
 
 def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCensus:
     """All ⊞-compositions with total length <= n_max of the given pieces."""
-    levels: dict[int, set[CentredPerm]] = {0: {EMPTY}}
+    levels: dict[int, frozenset[CentredPerm]] = {0: frozenset({EMPTY})}
     total = 1
     for n in range(1, n_max + 1):
-        current: set[CentredPerm] = set()
-        for p, pieces in parts.items():
-            if p > n:
-                continue
-            for left in levels[n - p]:
-                for piece in pieces:
-                    current.add(box_sum(left, piece))
-        levels[n] = current
-        total += len(current)
+        levels[n] = box_sum_level(levels, parts, n)
+        total += len(levels[n])
         _guard(total, description)
     return ClassCensus(description, method, n_max, levels)
 
@@ -177,6 +170,8 @@ def census_adjacency(census: ClassCensus) -> bool:
     for perms in census.perms.values():
         for p in perms:
             occupied |= p.quadrants()
+            if len(occupied) == 4:
+                return adjacency_condition(occupied)
     return adjacency_condition(occupied)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinclasses
+from pinclasses import cperm
 from pinclasses.cperm import (
     EMPTY,
     QUADRANT_POINT,
@@ -20,6 +21,7 @@ from pinclasses.cperm import (
     as_perm,
     box_decompose,
     box_sum,
+    box_sum_level,
     centred_pattern,
     commutes,
     contains,
@@ -32,6 +34,7 @@ from pinclasses.cperm import (
     subpatterns,
 )
 from pinclasses.errors import (
+    CrossCheckMismatch,
     EmptyInput,
     EmptyPermutation,
     IndexOutOfRange,
@@ -317,6 +320,13 @@ class TestQuadrantHelpers:
     def test_quadrants_occupied(self):
         p = from_oneline("1[2]43")
         assert p.quadrants() == frozenset({1, 3})
+        assert EMPTY.quadrants() == frozenset()
+
+    @given(centred_perms(max_n=7))
+    @settings(max_examples=100)
+    def test_quadrants_are_those_of_the_entries(self, p):
+        positions = set(range(1, len(p.filled) + 1)) - {p.origin_index}
+        assert p.quadrants() == frozenset(p.quadrant(i) for i in positions)
 
 
 class TestTextInput:
@@ -404,10 +414,11 @@ class TestTrustedConstruction:
         inner, outer = from_oneline("241[3]5"), from_oneline("413[5]2")
         assert _inflate(inner, outer).one_line() == "413685[7]92"
 
-    def test_only_box_sum_and_the_two_walkers_use_it(self):
+    def test_only_the_box_sum_builders_and_the_two_walkers_use_it(self):
         """The unchecked constructor must not spread to public entries: its
-        definition and its three builders (box_sum, the pin-word trie walker
-        and the subset census walk) are the only code that names it."""
+        definition and its four builders (box_sum, the box-sum level kernel,
+        the pin-word trie walker and the subset census walk) are the only
+        code that names it."""
         found = []
 
         def visit(node, module, scope):
@@ -430,5 +441,72 @@ class TestTrustedConstruction:
             ("_patterns", "walk_patterns"),
             ("cperm", "CentredPerm._trusted"),
             ("cperm", "box_sum"),
+            ("cperm", "box_sum_level"),
             ("pimap", "trie_images"),
         ]
+
+
+def _pairwise(levels, parts, n):
+    return {
+        box_sum(left, piece)
+        for p, pieces in parts.items()
+        if p <= n
+        for left in levels[n - p]
+        for piece in pieces
+    }
+
+
+@st.composite
+def _level_inputs(draw):
+    """A level n, lefts of every length below it and pieces of mixed
+    lengths (some longer than n).  Each left comes with copies of its
+    entries under other origins, so that different pairs give one entry
+    tuple with several origin indices."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    levels = {k: set() for k in range(n)}
+    for left in draw(st.lists(centred_perms(max_n=n - 1), max_size=5)):
+        origins = draw(st.sets(st.integers(1, len(left.filled)), max_size=3))
+        levels[left.length] |= {left} | {
+            CentredPerm(left.filled, k) for k in origins
+        }
+    parts = {}
+    for piece in draw(st.lists(centred_perms(max_n=n + 1), max_size=6)):
+        if piece.length:
+            parts.setdefault(piece.length, set()).add(piece)
+    return {k: frozenset(v) for k, v in levels.items()}, parts, n
+
+
+class TestBoxSumLevel:
+    @given(_level_inputs())
+    @settings(max_examples=150)
+    def test_equals_the_pairwise_box_sums(self, inputs):
+        levels, parts, n = inputs
+        level = box_sum_level(levels, parts, n)
+        assert type(level) is frozenset
+        assert level == _pairwise(levels, parts, n)
+        for r in level:
+            assert r == CentredPerm(r.filled, r.origin_index)
+            assert type(r.filled) is tuple and all(type(v) is int for v in r.filled)
+
+    def test_one_entry_tuple_with_two_origins(self):
+        levels = {0: frozenset({EMPTY}), 1: frozenset(from_oneline(t) for t in ("[1]2", "1[2]"))}
+        parts = {1: {from_oneline("[1]2")}, 2: {from_oneline("[1]23")}}
+        level = box_sum_level(levels, parts, 2)
+        assert level == {from_oneline(t) for t in ("[1]23", "1[2]3")}
+        assert level == _pairwise(levels, parts, 2)
+
+    def test_nothing_to_sum_is_empty(self):
+        levels = {0: frozenset({EMPTY}), 1: frozenset()}
+        assert box_sum_level(levels, {2: {from_oneline("[1]23")}}, 1) == frozenset()
+        assert box_sum_level(levels, {1: {from_oneline("[1]2")}}, 2) == frozenset()
+
+    def test_disagreement_with_box_sum_is_a_mismatch(self, monkeypatch):
+        """The kernel checks its first sum per piece length against
+        box_sum; a box_sum that disagrees with the kernel must raise."""
+        real = cperm.box_sum
+        monkeypatch.setattr(
+            cperm, "box_sum", lambda inner, outer: real(real(inner, outer), QUADRANT_POINT[1])
+        )
+        levels = {0: frozenset({EMPTY})}
+        with pytest.raises(CrossCheckMismatch):
+            box_sum_level(levels, {1: {from_oneline("[1]2")}}, 1)

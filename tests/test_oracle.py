@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinclasses import _patterns, oracle
+from pinclasses import _patterns, cperm, oracle
 from pinclasses.errors import (
     CensusTooLarge,
     CrossCheckMismatch,
@@ -23,7 +23,7 @@ from pinclasses.oracle import (
     property_suite,
 )
 from pinclasses.pimap import diagram_points, pi_map
-from pinclasses.cperm import QUADRANT_POINT, centred_pattern, from_oneline
+from pinclasses.cperm import EMPTY, QUADRANT_POINT, box_sum, centred_pattern, from_oneline
 from pinclasses.pinword import as_spec
 
 from strategies import pin_specs, recurrent_specs
@@ -175,6 +175,62 @@ class TestClosureComposition:
             enumerate_closure_composition(["[1]"], 3)
         with pytest.raises(ParameterOutOfRange):
             enumerate_closure_composition([], 3)
+
+
+def _pairwise_fold(parts, n_max):
+    """The composition census by one box_sum per (left, piece) pair."""
+    levels = {0: {EMPTY}}
+    for n in range(1, n_max + 1):
+        levels[n] = {
+            box_sum(left, piece)
+            for p, pieces in parts.items()
+            if p <= n
+            for left in levels[n - p]
+            for piece in pieces
+        }
+    return levels
+
+
+class TestComposeCensusKernel:
+    """Every composition route builds its levels with cperm.box_sum_level;
+    its members must be those of the pairwise box_sum fold."""
+
+    @pytest.mark.parametrize(
+        "route, args",
+        [
+            (enumerate_pin_permutations, (5,)),
+            (enumerate_class_composition, ("1(ldru)*", 7)),
+            (enumerate_closure_composition, (["241[3]5", "[1]32"], 6)),
+        ],
+    )
+    def test_members_equal_the_pairwise_fold(self, monkeypatch, route, args):
+        seen = []
+        compose = oracle._compose_census
+
+        def spy(parts, n_max, description, method):
+            seen.append((parts, n_max))
+            return compose(parts, n_max, description, method)
+
+        monkeypatch.setattr(oracle, "_compose_census", spy)
+        census = route(*args)
+        [(parts, n_max)] = seen
+        reference = _pairwise_fold(parts, n_max)
+        for n in range(n_max + 1):
+            assert census.perms[n] == reference[n], n
+
+    def test_one_box_sum_check_per_level_and_piece_length(self, monkeypatch):
+        calls = []
+        real = cperm.box_sum
+
+        def counted(inner, outer):
+            calls.append((inner.length, outer.length))
+            return real(inner, outer)
+
+        monkeypatch.setattr(cperm, "box_sum", counted)
+        enumerate_pin_permutations(4)
+        assert sorted(calls) == sorted(
+            (n - p, p) for n in range(1, 5) for p in range(1, n + 1)
+        )
 
 
 class TestGuards:
