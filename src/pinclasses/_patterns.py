@@ -12,9 +12,11 @@ numeral's quadrant on that axis; p1 itself goes to the numeral's quadrant.
 The pattern of S + {p_t} is therefore fixed by the pattern of S, whether
 p_{t-1} is in S, and the symbols at t-1 and t.
 
-`walk_patterns` visits once each node (t, pattern of S with at most n_max
-non-origin points, is p_{t-1} in S) reachable from the origin, with each
-move either skipping or adding p_t.  Past the prefix only t's place in the
+`walk_patterns` visits once each node (t, pattern of S with fewer than
+n_max non-origin points, is p_{t-1} in S) reachable from the origin, with
+each move either skipping or adding p_t.  An add move that reaches n_max
+points only records its pattern: a skip move never changes a pattern, so
+such a node could lead to no new one.  Past the prefix only t's place in the
 cycle matters, so t >= P + 2 folds to P + 2 + (t - P - 2) mod c, for a
 prefix of P symbols and a cycle of c letters.  The nodes are then finitely
 many, and the census is complete when the worklist empties: there is no
@@ -88,6 +90,7 @@ def walk_patterns(spec, n_max: int) -> dict[int, frozenset]:
     start = (1, (1,), 1, True)
     seen = {start}
     stack = [start]
+    top = set()
     while stack:
         t, filled, origin, last = stack.pop()
         nxt = after[t]
@@ -96,18 +99,22 @@ def walk_patterns(spec, n_max: int) -> dict[int, frozenset]:
             seen.add(node)
             stack.append(node)
         m = len(filled)
-        if m > n_max:
+        if m > n_max:  # only when n_max is 0: no point may be added
             continue
         (hx, x_in, x_out), (hy, y_in, y_out) = steps[t]
         rx = hx * m + (x_in if last else x_out)
         ry = hy * m + (y_in if last else y_out)
         vals = [v + 1 if v >= ry else v for v in filled]
         vals.insert(rx - 1, ry)
-        node = (nxt, tuple(vals), origin + 1 if rx <= origin else origin, True)
+        pattern = (tuple(vals), origin + 1 if rx <= origin else origin)
+        if m == n_max:
+            top.add(pattern)
+            continue
+        node = (nxt, *pattern, True)
         if node not in seen:
             seen.add(node)
             stack.append(node)
     out: dict[int, set] = {k: set() for k in range(n_max + 1)}
-    for filled, origin in {(filled, origin) for _, filled, origin, _ in seen}:
+    for filled, origin in top.union((filled, origin) for _, filled, origin, _ in seen):
         out[len(filled) - 1].add(CentredPerm._trusted(filled, origin))
     return {k: frozenset(pats) for k, pats in out.items()}

@@ -2,16 +2,20 @@
 
 Both tables are stored as one representative pattern per family; the other
 members are generated by the eight symmetries of the square acting on words.
-`SYMMETRIES` writes the eight sign matrices out; each translates letters
-with one table (rotations permute the quadrant numerals cyclically and the
-letters r, u, l, d likewise; reflections swap a letter pair and two numeral
-pairs).  An exhaustive verifier re-derives both tables from scratch and
-reports any disagreement.  It walks the pin-word trie once for every length
-up to its bound (at most _VERIFY_GUARD), depth first from the words of
-length _ROOT_LENGTH: each word's image and ⊞-indecomposability are its
-parent's plus one placed point (`pimap.trie_images`), and each word goes
-straight into its length's image -> word texts map and decomposable list.
-The roots are also the ``jobs`` partition.  Under each root, the first
+Words here are valid by construction, so the tables and the verifier hold
+word texts (``"1ldr"``); `PinWord` validates only input from outside, and
+this module builds one only in `all_pin_words`.  The lookups accept a
+PinWord or its text.  `SYMMETRIES` writes the eight sign matrices out; each
+translates a word's text with one table (rotations permute the quadrant
+numerals cyclically and the letters r, u, l, d likewise; reflections swap a
+letter pair and two numeral pairs).  An exhaustive verifier re-derives both
+tables from scratch and reports any disagreement.  It walks the pin-word
+trie once for every length up to its bound (at most _VERIFY_GUARD), depth
+first from the words of length _ROOT_LENGTH: each word's image and
+⊞-indecomposability are its parent's plus one placed point
+(`pimap.trie_images`), and each word goes straight into its length's
+image -> word texts map and decomposable list.  The roots are also the
+``jobs`` partition.  Under each root, the first
 deepest leaf and the first word flagged decomposable are checked against
 the pi-map and `is_box_indecomposable` built from scratch (`pimap.check_node`).
 """
@@ -25,7 +29,7 @@ from multiprocessing import get_context
 from .cperm import QUADRANT_SIGNS, CentredPerm, centred_pattern, quadrant_of
 from .errors import CensusTooLarge, ParameterOutOfRange
 from .pimap import check_node, trie_images
-from .pinword import NEXT_LETTERS, PinWord, as_word
+from .pinword import NEXT_LETTERS, PinWord
 
 _LETTER_VEC = {"r": (1, 0), "u": (0, 1), "l": (-1, 0), "d": (0, -1)}
 _VEC_LETTER = {v: k for k, v in _LETTER_VEC.items()}
@@ -34,25 +38,28 @@ _VEC_LETTER = {v: k for k, v in _LETTER_VEC.items()}
 class Symmetry:
     """One of the eight symmetries of the square, as a 2x2 sign matrix."""
 
-    __slots__ = ("name", "matrix", "_letters")
+    __slots__ = ("name", "matrix", "_table")
 
     def __init__(self, name: str, matrix):
         self.name = name
         self.matrix = matrix
-        self._letters = {ord(c): _VEC_LETTER[self.apply_xy(*v)] for c, v in _LETTER_VEC.items()}
+        self._table = {ord(c): _VEC_LETTER[self.apply_xy(*v)] for c, v in _LETTER_VEC.items()}
+        self._table.update({ord(str(q)): str(self.numeral(q)) for q in QUADRANT_SIGNS})
 
     def apply_xy(self, x, y):
         (a, b), (c, d) = self.matrix
         return (a * x + b * y, c * x + d * y)
 
     def letter(self, letter: str) -> str:
-        return letter.translate(self._letters)
+        return letter.translate(self._table)
 
     def numeral(self, q: int) -> int:
         return quadrant_of(self.apply_xy(*QUADRANT_SIGNS[q]), (0, 0))
 
-    def word(self, w: PinWord) -> PinWord:
-        return PinWord(self.numeral(w.numeral), w.letters.translate(self._letters))
+    def word(self, w) -> str:
+        """The image of a word (a PinWord or its text) as text: one table
+        maps its numeral as `numeral` does and each letter as `letter`."""
+        return str(w).translate(self._table)
 
     def perm(self, p: CentredPerm) -> CentredPerm:
         pts = [self.apply_xy(i, v) for i, v in p.points()]
@@ -75,72 +82,57 @@ SYMMETRIES = (
 )
 
 
-def _orbit_words(w: PinWord) -> set[PinWord]:
-    return {s.word(w) for s in SYMMETRIES}
-
-
-def _orbit_groups(group: frozenset[PinWord]) -> set[frozenset[PinWord]]:
-    return {frozenset(s.word(w) for w in group) for s in SYMMETRIES}
-
-
 @lru_cache(maxsize=None)
-def decomposable_words(n: int) -> frozenset[PinWord]:
-    """All ⊞-decomposable pin words of length n, from the closed-form table."""
+def decomposable_words(n: int) -> frozenset[str]:
+    """All ⊞-decomposable pin word texts of length n, from the closed-form table."""
     reps = []
     if n >= 2 and n % 2 == 0:
-        reps.append(PinWord(1, "l" + "dl" * ((n - 2) // 2)))
+        reps.append("1l" + "dl" * ((n - 2) // 2))
     if n >= 3 and n % 2 == 1:
-        reps.append(PinWord(1, "ld" * ((n - 1) // 2)))
+        reps.append("1" + "ld" * ((n - 1) // 2))
     if n >= 4 and n % 2 == 0:
-        reps.append(PinWord(1, "ur" * ((n - 4) // 2) + "uld"))
+        reps.append("1" + "ur" * ((n - 4) // 2) + "uld")
     if n >= 5 and n % 2 == 1:
-        reps.append(PinWord(1, "ru" * ((n - 3) // 2) + "ld"))
-    out: set[PinWord] = set()
-    for rep in reps:
-        out |= _orbit_words(rep)
-    return frozenset(out)
+        reps.append("1" + "ru" * ((n - 3) // 2) + "ld")
+    return frozenset(s.word(rep) for rep in reps for s in SYMMETRIES)
 
 
-def is_decomposable_word(w: PinWord) -> bool:
-    """True iff pi_map(w) is ⊞-decomposable, by table lookup."""
-    return w in decomposable_words(w.length)
+def is_decomposable_word(w) -> bool:
+    """True iff pi_map(w) is ⊞-decomposable, by table lookup (w: PinWord or text)."""
+    text = str(w)
+    return text in decomposable_words(len(text))
 
 
 @lru_cache(maxsize=None)
-def collision_groups_at(n: int) -> frozenset[frozenset[PinWord]]:
-    """All collision groups (size >= 2) among pin words of length n."""
-    reps: list[frozenset[PinWord]] = []
+def collision_groups_at(n: int) -> frozenset[frozenset[str]]:
+    """All collision groups (size >= 2) among pin word texts of length n."""
+    reps: list[tuple[str, ...]] = []
     if n == 2:
-        reps.append(frozenset({PinWord(1, "u"), PinWord(1, "r")}))
+        reps.append(("1u", "1r"))
     elif n == 3:
-        reps.append(frozenset({PinWord(1, "ul"), PinWord(2, "ru")}))
+        reps.append(("1ul", "2ru"))
     elif n == 4:
-        reps.append(
-            frozenset(
-                {PinWord(1, "ldr"), PinWord(2, "dru"), PinWord(3, "rul"), PinWord(4, "uld")}
-            )
-        )
+        reps.append(("1ldr", "2dru", "3rul", "4uld"))
     elif n == 5:
-        reps.append(frozenset({PinWord(1, "uldl"), PinWord(3, "luru")}))
-        reps.append(frozenset({PinWord(1, "ldlu"), PinWord(2, "dlur")}))
+        reps.append(("1uldl", "3luru"))
+        reps.append(("1ldlu", "2dlur"))
     elif n >= 6 and n % 2 == 0:
         a, b = (n - 2) // 2, (n - 4) // 2
-        reps.append(frozenset({PinWord(1, "ld" * a + "r"), PinWord(2, "dl" * b + "dru")}))
+        reps.append(("1" + "ld" * a + "r", "2" + "dl" * b + "dru"))
     elif n >= 7:
         k = (n - 3) // 2
-        reps.append(frozenset({PinWord(1, "ld" * k + "lu"), PinWord(2, "dl" * k + "ur")}))
-    out: set[frozenset[PinWord]] = set()
-    for rep in reps:
-        out |= _orbit_groups(rep)
-    return frozenset(out)
+        reps.append(("1" + "ld" * k + "lu", "2" + "dl" * k + "ur"))
+    return frozenset(frozenset(map(s.word, rep)) for rep in reps for s in SYMMETRIES)
 
 
-def collision_group(w: PinWord) -> frozenset[PinWord]:
-    """The full colliding set containing w; {w} when w collides with nothing."""
-    for group in collision_groups_at(w.length):
-        if w in group:
+def collision_group(w) -> frozenset[str]:
+    """The full colliding set of texts containing w (a PinWord or its
+    text); {w's text} when w collides with nothing."""
+    text = str(w)
+    for group in collision_groups_at(len(text)):
+        if text in group:
             return group
-    return frozenset({w})
+    return frozenset({text})
 
 
 def all_pin_words(n: int) -> list[PinWord]:
@@ -176,10 +168,8 @@ class ClassificationReport:
     def to_json(self) -> dict:
         return {
             "length": self.length,
-            "decomposable_words": sorted(str(w) for w in self.decomposable_words),
-            "collision_groups": sorted(
-                sorted(str(w) for w in g) for g in self.collision_groups
-            ),
+            "decomposable_words": sorted(self.decomposable_words),
+            "collision_groups": sorted(sorted(g) for g in self.collision_groups),
             "table_match": self.table_match,
             "discrepancies": self.discrepancies,
         }
@@ -248,10 +238,7 @@ def _derive(n_max: int, jobs: int) -> dict[int, tuple[set, set]]:
                 merged[key] = merged.get(key, ()) + texts
             decs[n].extend(part_decs)
     return {
-        n: (
-            {as_word(t) for t in decs[n]},
-            {frozenset(map(as_word, g)) for g in images[n].values() if len(g) > 1},
-        )
+        n: (set(decs[n]), {frozenset(g) for g in images[n].values() if len(g) > 1})
         for n in range(1, n_max + 1)
     }
 
@@ -275,18 +262,14 @@ def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
         table_groups = set(collision_groups_at(n))
         discrepancies = []
         if derived_decs != table_decs:
-            extra = sorted(str(w) for w in derived_decs - table_decs)
-            missing = sorted(str(w) for w in table_decs - derived_decs)
+            extra = sorted(derived_decs - table_decs)
+            missing = sorted(table_decs - derived_decs)
             discrepancies.append(
                 f"decomposables at n={n}: not in table {extra}, not found {missing}"
             )
         if derived_groups != table_groups:
-            extra = sorted(
-                sorted(str(w) for w in g) for g in derived_groups - table_groups
-            )
-            missing = sorted(
-                sorted(str(w) for w in g) for g in table_groups - derived_groups
-            )
+            extra = sorted(sorted(g) for g in derived_groups - table_groups)
+            missing = sorted(sorted(g) for g in table_groups - derived_groups)
             discrepancies.append(
                 f"collision groups at n={n}: not in table {extra}, not found {missing}"
             )
@@ -305,16 +288,12 @@ def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
 def overcount_series(factor_sets_by_length: dict) -> dict[int, int]:
     """How far word counts overshoot permutation counts due to collisions.
 
-    For each length, sums max(0, |group ∩ S| - 1) over collision groups: a
-    fully present pair contributes 1, a present quadruple 3.
+    For each length n and its words S (PinWords or texts), sums
+    max(0, |g ∩ S| - 1) over the collision groups g of length n: a fully
+    present pair contributes 1, a present quadruple 3.
     """
     out: dict[int, int] = {}
     for n, words in factor_sets_by_length.items():
-        words = set(words)
-        seen: dict[frozenset, int] = {}
-        for w in words:
-            g = collision_group(w)
-            if len(g) > 1:
-                seen[g] = seen.get(g, 0) + 1
-        out[n] = sum(c - 1 for c in seen.values() if c >= 2)
+        texts = set(map(str, words))
+        out[n] = sum(max(0, len(g & texts) - 1) for g in collision_groups_at(n))
     return out

@@ -92,8 +92,8 @@ class CentredPerm:
         ``filled`` is a tuple of Python ints forming a permutation of 1..m
         and that 1 <= ``origin_index`` <= m."""
         p = object.__new__(cls)
-        object.__setattr__(p, "filled", filled)
-        object.__setattr__(p, "origin_index", origin_index)
+        _SET_FILLED(p, filled)
+        _SET_ORIGIN(p, origin_index)
         return p
 
     @property
@@ -168,6 +168,10 @@ class CentredPerm:
             ) from None
         return cls(filled, origin)
 
+
+# The slots' own setters, cheaper for `_trusted` than object.__setattr__.
+_SET_FILLED = CentredPerm.filled.__set__
+_SET_ORIGIN = CentredPerm.origin_index.__set__
 
 _ENTRY_RE = re.compile(r"\[(\d+)\]|(\d)")
 

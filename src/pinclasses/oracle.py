@@ -36,7 +36,7 @@ from .pimap import diagram_points, pi_map
 from .pinword import as_spec, enumerate_pin_factors, is_recurrent
 
 MEMORY_GUARD = 10**7
-_SUBSET_GUARD = 8
+_SUBSET_GUARD = 10
 _COMPOSITION_GUARD = 10
 _REPRESENTATION_GUARD = 8
 _REFERENCE_SYMBOLS = 12

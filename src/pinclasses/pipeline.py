@@ -100,8 +100,9 @@ class GSequence:
 
 @lru_cache(maxsize=128)
 def _factor_images(prefix: PinWord, cycle: str, mode: str) -> dict[int, dict]:
-    """Per length n, up to the stabilization window plus one cycle: every
-    distinct pin factor v -> (pi(v), indecomposable?, one quadrant).
+    """Per length n, up to the stabilization window plus one cycle: the
+    text of every distinct pin factor v -> (pi(v), indecomposable?, one
+    quadrant).
 
     A factor is the prefix of the longest factor at its start, so the
     factors are the sub-trie of the longest factors' prefixes, grown by one
@@ -125,9 +126,9 @@ def _factor_images(prefix: PinWord, cycle: str, mode: str) -> dict[int, dict]:
     for numeral in sorted({w.numeral for w in longest}):
         for text, img, indec, quadrants in trie_images(PinWord(numeral), window, children):
             quadrant = next(iter(quadrants)) if len(quadrants) == 1 else None
-            table[len(text)][PinWord(numeral, text[1:])] = (img, indec, quadrant)
+            table[len(text)][text] = (img, indec, quadrant)
     for w in longest:
-        img, indec, quadrant = table[window][w]
+        img, indec, quadrant = table[window][str(w)]
         fresh = check_node(w, img, indec)
         if quadrant != one_quadrant(fresh):
             raise CrossCheckMismatch(
@@ -344,15 +345,17 @@ _TAIL_WINDOW = 16
 _TAIL_FROM = 9
 
 
-def _word_quadrants(w: PinWord) -> set[int]:
-    """Quadrants of every point of w without building its diagram: p_1's is
-    the numeral, p_2's comes from the second-point table and every later
-    point's from the letter pair that placed it."""
+def _word_quadrants(w) -> set[int]:
+    """Quadrants of every point of w (a PinWord or its text) without its
+    diagram: p_1's is the numeral, p_2's comes from the second-point table
+    and every later point's from the letter pair that placed it."""
     pair = _pair_quadrant_table()
-    out = {w.numeral}
-    if w.letters:
-        out.add(_second_point_table()[(w.numeral, w.letters[0])])
-    out.update(pair[ab] for ab in zip(w.letters, w.letters[1:]))
+    text = str(w)
+    numeral, letters = int(text[0]), text[1:]
+    out = {numeral}
+    if letters:
+        out.add(_second_point_table()[(numeral, letters[0])])
+    out.update(pair[ab] for ab in zip(letters, letters[1:]))
     return out
 
 
@@ -361,7 +364,7 @@ def _confined_correction_gfs(quadrants: frozenset[int]) -> tuple[RatGF, RatGF]:
     confined to the given quadrants; both tails are periodic with period 2,
     which is asserted on the overlap window."""
 
-    def confined(w: PinWord) -> bool:
+    def confined(w: str) -> bool:
         return _word_quadrants(w) <= quadrants
 
     dec = {n: 0 for n in range(1, _TAIL_WINDOW + 1)}
@@ -374,7 +377,7 @@ def _confined_correction_gfs(quadrants: frozenset[int]) -> tuple[RatGF, RatGF]:
             flags = {confined(w) for w in group}
             if len(flags) != 1:
                 raise CrossCheckMismatch(
-                    f"collision group {sorted(map(str, group))} splits on confinement"
+                    f"collision group {sorted(group)} splits on confinement"
                 )
             if flags.pop():
                 over[n] += len(group) - 1

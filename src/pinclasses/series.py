@@ -210,7 +210,10 @@ class Poly:
             m = cls._TERM_RE.match(body)
             if not m or (m.group("coeff") is None and m.group("z") is None):
                 raise MalformedSyntax(f"bad polynomial term {chunk!r} in {text!r}")
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            try:
+                coeff = Fraction(m.group("coeff") or 1)
+            except ZeroDivisionError:
+                raise MalformedSyntax(f"zero denominator in term {chunk!r} of {text!r}") from None
             if m.group("z") is None:
                 exp = 0
             else:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinclasses import classify, pimap, pipeline
 from pinclasses.classify import (
@@ -19,7 +20,7 @@ from pinclasses.classify import (
 from pinclasses.cperm import QUADRANT_SIGNS, is_box_indecomposable
 from pinclasses.errors import CensusTooLarge, CrossCheckMismatch, ParameterOutOfRange
 from pinclasses.pimap import pi_map
-from pinclasses.pinword import PinWord
+from pinclasses.pinword import PinWord, parse_pin_word
 from strategies import pin_words
 
 
@@ -57,7 +58,7 @@ class TestDecomposableWords:
     def test_matches_image_decomposability(self):
         for n in range(1, 7):
             expected = {
-                w for w in all_pin_words(n) if not is_box_indecomposable(pi_map(w))
+                str(w) for w in all_pin_words(n) if not is_box_indecomposable(pi_map(w))
             }
             assert decomposable_words(n) == frozenset(expected)
 
@@ -90,7 +91,7 @@ class TestCollisionGroups:
 
     def test_singleton_for_non_colliding(self):
         w = PinWord(1, "ururu")
-        assert collision_group(w) == frozenset({w})
+        assert collision_group(w) == frozenset({"1ururu"})
 
     @given(pin_words(max_letters=6))
     @settings(max_examples=100)
@@ -109,7 +110,7 @@ class TestCollisionGroups:
             # every colliding word of this length is covered
             by_image = {}
             for w in all_pin_words(n):
-                by_image.setdefault(pi_map(w), set()).add(w)
+                by_image.setdefault(pi_map(w), set()).add(str(w))
             colliding = {w for ws in by_image.values() if len(ws) > 1 for w in ws}
             assert seen == colliding
 
@@ -141,11 +142,11 @@ class TestSymmetries:
         steps = {"r": (1, 0), "u": (0, 1), "l": (-1, 0), "d": (0, -1)}
         for s in SYMMETRIES:
             image = s.word(w)
-            assert len(image.letters) == len(w.letters)
-            for c, mapped in zip(w.letters, image.letters):
+            assert len(image[1:]) == len(w.letters)
+            for c, mapped in zip(w.letters, image[1:]):
                 assert steps[mapped] == s.apply_xy(*steps[c])
                 assert s.letter(c) == mapped
-            assert QUADRANT_SIGNS[image.numeral] == s.apply_xy(*QUADRANT_SIGNS[w.numeral])
+            assert QUADRANT_SIGNS[int(image[0])] == s.apply_xy(*QUADRANT_SIGNS[w.numeral])
 
     @given(pin_words(max_letters=6))
     @settings(max_examples=80)
@@ -183,6 +184,40 @@ class TestOvercountSeries:
         two = set(list(g)[:2])
         assert overcount_series({4: two}) == {4: 1}
         assert overcount_series({4: set(g)}) == {4: 3}
+
+    @staticmethod
+    def per_word_overcount(factor_sets_by_length):
+        """The definition the table route first used: look up each word's
+        group and count the present members of every group met twice."""
+        out = {}
+        for n, words in factor_sets_by_length.items():
+            seen = {}
+            for w in set(words):
+                g = collision_group(w)
+                if len(g) > 1:
+                    seen[g] = seen.get(g, 0) + 1
+            out[n] = sum(c - 1 for c in seen.values() if c >= 2)
+        return out
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_word_definition_on_words_or_texts(self, data):
+        """Random word sets of lengths 1..7, drawn from every colliding and
+        decomposable word and some others, each length as PinWords or as
+        texts: the group sum equals the per-word count, and each lookup
+        answers a PinWord as it answers its text."""
+        factor_sets = {}
+        for n in range(1, 8):
+            pool = set().union(*collision_groups_at(n), decomposable_words(n))
+            pool |= {str(w) for w in all_pin_words(n)[:24]}
+            texts = data.draw(st.sets(st.sampled_from(sorted(pool))), label=f"length {n}")
+            as_text = data.draw(st.booleans(), label=f"length {n} as text")
+            factor_sets[n] = texts if as_text else set(map(parse_pin_word, texts))
+            for text in texts:
+                w = parse_pin_word(text)
+                assert is_decomposable_word(w) == is_decomposable_word(text)
+                assert collision_group(w) == collision_group(text)
+        assert overcount_series(factor_sets) == self.per_word_overcount(factor_sets)
 
 
 class TestVerifyTables:

@@ -129,6 +129,13 @@ class TestGrowth:
         code, _, err = run(capsys, "growth", "--poly", "1 - 2q")
         assert code == 2
 
+    @pytest.mark.parametrize("poly", ["1/0", "1-(1/0)z"])
+    def test_zero_denominator_poly(self, capsys, poly):
+        """A zero denominator is malformed input: exit 2 with one message."""
+        code, out, err = run(capsys, "growth", "--poly", poly)
+        assert code == 2
+        assert "zero denominator" in err and "Traceback" not in err and not out
+
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", "0.01")
         assert code == 0
@@ -265,7 +272,7 @@ class TestOracle:
         assert "match" not in out
 
     def test_guard_exit(self, capsys):
-        code, _, err = run(capsys, "oracle", "1(ru)*", "--n", "9", "--method", "subset")
+        code, _, err = run(capsys, "oracle", "1(ru)*", "--n", "11", "--method", "subset")
         assert code == 3
         assert "guard" in err
 

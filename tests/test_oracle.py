@@ -236,7 +236,7 @@ class TestComposeCensusKernel:
 class TestGuards:
     def test_depth_guards(self):
         with pytest.raises(CensusTooLarge):
-            enumerate_class_subset("1(ru)*", 9)
+            enumerate_class_subset("1(ru)*", 11)
         with pytest.raises(CensusTooLarge):
             enumerate_class_composition("1(ru)*", 11)
         with pytest.raises(CensusTooLarge):
@@ -245,7 +245,10 @@ class TestGuards:
     def test_guard_messages(self):
         """One depth check words every census guard the same way."""
         cases = [
-            (lambda: enumerate_class_subset("1(ru)*", 9), "subset census depth 9 exceeds the guard 8"),
+            (
+                lambda: enumerate_class_subset("1(ru)*", 11),
+                "subset census depth 11 exceeds the guard 10",
+            ),
             (
                 lambda: enumerate_class_composition("1(ul)*", 11),
                 "composition census depth 11 exceeds the guard 10",
@@ -373,6 +376,16 @@ class TestSubsetKernels:
     @given(pin_specs(cycle_lengths=(4,), max_prefix_letters=2))
     def test_walk_matches_reference_at_depth_five(self, spec):
         assert _patterns.walk_patterns(spec, 5) == reference_census(spec, 5), spec
+
+    @settings(max_examples=15, deadline=None)
+    @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=3))
+    def test_top_level_patterns_need_no_deeper_walk(self, spec):
+        """The walk stops at its top level; one level deeper finds the same
+        patterns at every length up to it, for every depth d <= 6."""
+        walks = [_patterns.walk_patterns(spec, d) for d in range(8)]
+        for d in range(7):
+            for k in range(d + 1):
+                assert walks[d][k] == walks[d + 1][k], (spec, d, k)
 
     def test_walk_patterns_are_valid(self):
         for k, pats in _patterns.walk_patterns(as_spec("1ru(ldru)*"), 5).items():

@@ -51,6 +51,9 @@ class TestPoly:
             Poly.parse("1 + q")
         with pytest.raises(MalformedSyntax):
             Poly.parse("")
+        for zero_denominator in ("1/0", "1-(1/0)z", "z^2 + 3/00z"):
+            with pytest.raises(MalformedSyntax, match="zero denominator"):
+                Poly.parse(zero_denominator)
 
     def test_mul_known(self):
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
