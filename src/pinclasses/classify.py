@@ -50,15 +50,13 @@ class Symmetry:
         (a, b), (c, d) = self.matrix
         return (a * x + b * y, c * x + d * y)
 
-    def letter(self, letter: str) -> str:
-        return letter.translate(self._table)
-
     def numeral(self, q: int) -> int:
         return quadrant_of(self.apply_xy(*QUADRANT_SIGNS[q]), (0, 0))
 
     def word(self, w) -> str:
         """The image of a word (a PinWord or its text) as text: one table
-        maps its numeral as `numeral` does and each letter as `letter`."""
+        maps its numeral as `numeral` does and each letter's unit step as
+        `apply_xy` does."""
         return str(w).translate(self._table)
 
     def perm(self, p: CentredPerm) -> CentredPerm:

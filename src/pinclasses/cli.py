@@ -12,7 +12,6 @@ import json
 import sys
 from contextlib import nullcontext
 from decimal import Decimal
-from fractions import Fraction
 
 from . import classify, oracle, pipeline
 from .errors import (
@@ -27,11 +26,14 @@ from .pinword import PinWord, is_recurrent, parse_pin_spec, parse_pin_word
 from .series import Poly, coeffs
 
 
-def _parse_tol(text: str) -> Fraction:
+def _parse_tol(text: str) -> Decimal:
+    """A finite Decimal, left inexact: its exact fraction, if tiny, is slow."""
     try:
-        return Fraction(Decimal(text))
-    except (ArithmeticError, ValueError):
-        raise MalformedSyntax(f"tolerance must be a decimal number, got {text!r}") from None
+        if Decimal(text).is_finite():
+            return Decimal(text)
+    except ArithmeticError:
+        pass
+    raise MalformedSyntax(f"tolerance must be a decimal number, got {text!r}")
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -79,6 +81,8 @@ def cmd_gf(args) -> int:
 def cmd_growth(args) -> int:
     tol = _parse_tol(args.tol)
     if args.poly is not None:
+        if args.spec is not None:
+            raise MalformedSyntax("growth takes a spec or --poly, not both")
         target = Poly.parse(args.poly)
         context = {"polynomial": args.poly}
     elif args.spec is not None:
@@ -86,8 +90,7 @@ def cmd_growth(args) -> int:
         target = getattr(pipeline, f"{args.mode}_gf")(args.spec)
         context = {"spec": args.spec, "mode": args.mode, "f": target.to_json()}
     else:
-        print("error: growth needs a spec or --poly", file=sys.stderr)
-        return 2
+        raise MalformedSyntax("growth needs a spec or --poly")
     result = pipeline.growth_rate(target, tol=tol, digits=args.digits)
     payload = dict(context, growth=result.to_json())
     lo, hi = result.growth_interval
@@ -135,11 +138,9 @@ def _open_output(path: str):
 
 def cmd_oracle(args) -> int:
     if args.method != "representation" and not args.spec:
-        print("error: this oracle method needs a spec", file=sys.stderr)
-        return 2
+        raise MalformedSyntax("this oracle method needs a spec")
     if args.method == "representation" and args.spec:
-        print("error: the representation oracle takes no spec", file=sys.stderr)
-        return 2
+        raise MalformedSyntax("the representation oracle takes no spec")
     with _open_output(args.dump_perms) if args.dump_perms else nullcontext() as dump:
         _run_oracle(args, dump)
     return 0

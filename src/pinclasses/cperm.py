@@ -15,7 +15,8 @@ is a tuple of Python ints that is a permutation of 1..m, and
 1 <= ``origin_index`` <= m.
 
 The exported functions that take centred permutations also accept them as
-bracket text.
+bracket text, through `as_perm`.  `is_box_indecomposable` and
+`minimal_centred_intervals` both read one ∘-interval scan, `_centred_intervals`.
 """
 
 from __future__ import annotations
@@ -144,10 +145,6 @@ class CentredPerm:
             for i, v in enumerate(self.filled, 1)
         ]
         return ",".join(parts) if len(self.filled) > 9 else "".join(parts)
-
-    def key(self):
-        """Deterministic sort key."""
-        return (self.length, self.filled, self.origin_index)
 
     def __str__(self) -> str:
         return self.one_line()
@@ -279,10 +276,7 @@ def box_sum(inner: CentredPerm, outer: CentredPerm) -> CentredPerm:
     Outer's entries above its origin value move up by inner's length, and
     inner's block takes the origin's place, so the result is a permutation
     by construction and skips validation."""
-    if not isinstance(inner, CentredPerm):
-        inner = from_oneline(inner)
-    if not isinstance(outer, CentredPerm):
-        outer = from_oneline(outer)
+    inner, outer = as_perm(inner), as_perm(outer)
     ko = outer.origin_index
     vo = outer.filled[ko - 1]
     shift = len(inner.filled) - 1
@@ -347,14 +341,6 @@ def box_sum_level(levels, parts, n: int) -> frozenset[CentredPerm]:
     return level
 
 
-def _is_interval(p: CentredPerm, a: int, b: int) -> bool:
-    """Positions a..b contiguous in value and containing the origin."""
-    if not a <= p.origin_index <= b:
-        return False
-    vals = p.filled[a - 1 : b]
-    return max(vals) - min(vals) == b - a
-
-
 def _interval_pattern(p: CentredPerm, a: int, b: int) -> CentredPerm:
     pts = [(i, p.filled[i - 1]) for i in range(a, b + 1)]
     return centred_pattern(pts, p.origin_point())
@@ -369,47 +355,16 @@ def _contract(p: CentredPerm, a: int, b: int) -> CentredPerm:
     return centred_pattern(pts + [origin], origin)
 
 
-def minimal_centred_intervals(p: CentredPerm) -> list[tuple[int, int]]:
-    """Minimal non-trivial ∘-intervals of p, as 1-based position ranges.
+def _centred_intervals(p: CentredPerm):
+    """Every non-trivial ∘-interval (a, b) of p, as 1-based position ranges:
+    left ends outward from the origin, right ends upward, so the whole range
+    (1, m) comes last.
 
-    Always one or two ranges; when two, each is one-quadrant and they sit in
-    opposite quadrants.  The full range is returned when nothing smaller is a
-    ∘-interval (p then being ⊞-indecomposable).
-    """
-    p = as_perm(p)
-    if p.length == 0:
-        raise EmptyPermutation("length-0 centred permutation has no non-trivial interval")
-    m = len(p.filled)
-    found: list[tuple[int, int]] = []
-    for width in range(1, m):
-        for a in range(max(1, p.origin_index - width), p.origin_index + 1):
-            b = a + width
-            if b > m:
-                continue
-            if _is_interval(p, a, b):
-                if not any(a <= fa and fb <= b for fa, fb in found):
-                    found.append((a, b))
-    # prune non-minimal (every interval contains the origin, so containment
-    # of ranges is plain nesting)
-    minimal = [
-        (a, b)
-        for a, b in found
-        if not any((fa, fb) != (a, b) and a <= fa and fb <= b for fa, fb in found)
-    ]
-    return sorted(minimal)
-
-
-def is_box_indecomposable(p: CentredPerm) -> bool:
-    """True iff p has no proper non-trivial ∘-interval."""
-    if not isinstance(p, CentredPerm):
-        p = from_oneline(p)
-    if p.length == 0:
-        raise EmptyPermutation("indecomposability is defined for length ≥ 1")
+    Positions a..b form a ∘-interval iff they contain the origin and their
+    values span exactly b - a.  Running min/max outward from the origin give
+    each span in O(1), so the scan is O(m^2).  A span only grows with b, so
+    when it exceeds b - a by `gap`, no interval ends before b + gap."""
     f, k, m = p.filled, p.origin_index, len(p.filled)
-    # Positions a..b form a ∘-interval iff their values span exactly b - a.
-    # Running min/max outward from the origin give each span in O(1), so
-    # the scan is O(m^2).  A span only grows with b, so when it exceeds
-    # b - a by `gap`, no interval ends before b + gap.
     right_lo, right_hi = [], []  # min/max of positions k..b, for b = k..m
     lo = hi = f[k - 1]
     for v in f[k - 1 :]:
@@ -431,12 +386,36 @@ def is_box_indecomposable(p: CentredPerm) -> bool:
             span_hi = right_hi[b - k] if right_hi[b - k] > hi else hi
             span_lo = right_lo[b - k] if right_lo[b - k] < lo else lo
             gap = span_hi - span_lo - (b - a)
-            if gap == 0:
-                if (a, b) != (1, m):
-                    return False
-                break
-            b += gap
-    return True
+            if not gap:
+                yield a, b
+            b += gap or 1
+
+
+def minimal_centred_intervals(p: CentredPerm) -> list[tuple[int, int]]:
+    """Minimal non-trivial ∘-intervals of p, as 1-based position ranges.
+
+    Always one or two ranges; when two, each is one-quadrant and they sit in
+    opposite quadrants.  The full range is returned when nothing smaller is a
+    ∘-interval (p then being ⊞-indecomposable).
+    """
+    p = as_perm(p)
+    if p.length == 0:
+        raise EmptyPermutation("length-0 centred permutation has no non-trivial interval")
+    # Intervals nest (all hold the origin); one holds none seen before it
+    # iff it ends before all of them, as those start at or right of it.
+    found: list[tuple[int, int]] = []
+    for a, b in _centred_intervals(p):
+        if all(b < fb for _, fb in found):
+            found.append((a, b))
+    return sorted(found)
+
+
+def is_box_indecomposable(p: CentredPerm) -> bool:
+    """True iff p has no proper non-trivial ∘-interval."""
+    p = as_perm(p)
+    if p.length == 0:
+        raise EmptyPermutation("indecomposability is defined for length ≥ 1")
+    return next(_centred_intervals(p)) == (1, len(p.filled))
 
 
 def one_quadrant(p: CentredPerm):

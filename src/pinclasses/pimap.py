@@ -301,11 +301,7 @@ def pi_map(w) -> CentredPerm:
 
 
 def point_quadrant(w, k: int) -> int:
-    """Quadrant of p_k relative to the origin in the diagram of w.
-
-    This is the authority consulted by pin_factor and left_truncate for
-    numeral reconstruction.
-    """
+    """Quadrant of p_k relative to the origin in the diagram of w."""
     return PinDiagram(w).quadrant(k)
 
 

@@ -8,7 +8,8 @@ spec ``prefix(cycle)*`` describes the infinite eventually periodic sequence
 Positions are 1-based: position 1 is the numeral, position t >= 2 is a
 letter.  The numeral of a factor w_{i,j} with i >= 2 is the quadrant of the
 i-th placed point, obtained from the pi-map geometry, never from a lookup
-table keyed on letter pairs.
+table keyed on letter pairs.  Every such numeral comes through
+`_start_numeral`, which reads one cached diagram per spec.
 """
 
 from __future__ import annotations
@@ -229,8 +230,8 @@ def as_spec(spec) -> PinSpec:
 def pin_factor(spec, i: int, j: int) -> PinWord:
     """The pin factor w_{i,j}: letters i+1..j with the numeral of point p_i.
 
-    For i = 1 this is the literal initial segment; for i >= 2 the leading
-    symbol is replaced by the quadrant of p_i in the pi-map diagram.
+    The numeral is the quadrant of p_i in the pi-map diagram, read through
+    `_start_numeral`; for i = 1 that is the spec's own numeral.
     """
     spec = as_spec(spec)
     if i < 1:
@@ -238,20 +239,13 @@ def pin_factor(spec, i: int, j: int) -> PinWord:
     if j < i:
         raise IndexOutOfRange(f"end position {j} before start {i}")
     letters = "".join(spec.symbol(t) for t in range(i + 1, j + 1))
-    if i == 1:
-        return PinWord(spec.numeral, letters)
-    from . import pimap
-
-    numeral = pimap.point_quadrant(spec.initial_word(i), i)
-    return PinWord(numeral, letters)
+    return PinWord(_start_numeral(spec, i), letters)
 
 
 def left_truncate(spec, n: int) -> PinSpec:
     """Drop the first n-1 symbols of the realized sequence, renumbering the head.
 
-    The new numeral is the quadrant of p_n, read from the spec's cached
-    start numerals; past them, quadrants recur with the cycle from the
-    first recurrent start on.
+    The new numeral is the quadrant of p_n, read through `_start_numeral`.
     """
     spec = as_spec(spec)
     if n < 1:
@@ -259,9 +253,7 @@ def left_truncate(spec, n: int) -> PinSpec:
     if n == 1:
         return spec
     p, c = spec.prefix_length, spec.cycle
-    lo, hi = _factor_windows(spec)
-    k = n if n <= hi else lo + (n - lo) % len(c)
-    numeral = _start_numerals(spec.prefix, spec.cycle)[k - 1]
+    numeral = _start_numeral(spec, n)
     if n <= p:
         rest = "".join(spec.symbol(t) for t in range(n + 1, p + 1))
         return PinSpec(PinWord(numeral, rest), c)
@@ -291,6 +283,16 @@ def _start_numerals(prefix: PinWord, cycle: str) -> tuple[int, ...]:
     _, hi = _factor_windows(spec)
     quads = pimap.all_point_quadrants(spec.initial_word(hi))
     return tuple(quads[i] for i in range(1, hi + 1))
+
+
+def _start_numeral(spec: PinSpec, i: int) -> int:
+    """Numeral of the factors starting at position i: the quadrant of p_i.
+    Past the cached starts, quadrants recur with the cycle from the first
+    recurrent start on, so i folds into that first cycle of starts."""
+    lo, hi = _factor_windows(spec)
+    if i > hi:
+        i = lo + (i - lo) % spec.cycle_length
+    return _start_numerals(spec.prefix, spec.cycle)[i - 1]
 
 
 def enumerate_pin_factors(spec, n: int, mode: str = "all") -> set[PinWord]:

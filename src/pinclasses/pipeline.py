@@ -15,6 +15,7 @@ from functools import lru_cache
 from . import classify
 from .cperm import (
     CentredPerm,
+    adjacency_condition,
     as_generators,
     is_box_indecomposable,
     one_quadrant,
@@ -406,15 +407,8 @@ def _check_connected(quadrants: frozenset[int]) -> None:
     bad = quadrants - {1, 2, 3, 4}
     if bad:
         raise ParameterOutOfRange(f"invalid quadrants {sorted(bad)}")
-    seen = {min(quadrants)}
-    frontier = [min(quadrants)]
-    while frontier:
-        q = frontier.pop()
-        for nb in ((q % 4) + 1, ((q - 2) % 4) + 1):
-            if nb in quadrants and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    if seen != quadrants:
+    # On the 4-cycle of quadrants, connected means one or an adjacent pair.
+    if not adjacency_condition(quadrants):
         raise DisconnectedQuadrants(
             f"quadrants {sorted(quadrants)} are not adjacent-connected; "
             "no single pin sequence realizes them"
@@ -441,8 +435,9 @@ def complete_class_gf(quadrants=(1, 2, 3, 4)) -> RatGF:
 
 
 _HALF = Fraction(1, 2)
-DENOMINATOR_ROOT = "denominator-root"
-G_EQUALS_1 = "G-equals-1"
+# Bisection cost grows with the digits of 1/tol: on 1 - 2z - z^3, 1e-1000
+# takes about 1 s, 1e-3000 about 12 s and 1e-10000 over a minute.
+_MIN_TOL = Fraction(1, 10**1000)
 
 
 def _square_free(p: Poly) -> Poly:
@@ -522,31 +517,22 @@ def _check_digits(digits: int) -> None:
         raise ParameterOutOfRange(f"digits must be at least 1, got {digits}")
 
 
-def growth_rate(
-    f_or_g,
-    target: str = DENOMINATOR_ROOT,
-    tol=Fraction(1, 10**12),
-    digits: int = 10,
-) -> GrowthResult:
+def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResult:
     """Certified growth rate: reciprocal of the smallest root in (0, 1/2].
 
-    ``f_or_g`` may be a RatGF (denominator root, or G(z) = 1 when target is
-    G_EQUALS_1) or a bare Poly whose own smallest positive root is wanted.
-    The bisection stops once the root interval is at most ``tol`` wide, so
-    ``tol`` must be positive.
+    ``f_or_g`` is a RatGF, whose denominator's smallest positive root is
+    wanted, or a bare Poly, whose own is.  The bisection stops once the
+    root interval is at most ``tol`` wide; ``tol`` is an int, Fraction or
+    Decimal of at least 10^-1000, checked before it is made exact (the
+    exact fraction of a tiny Decimal is itself slow to build).
     """
-    tol = Fraction(tol)
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterOutOfRange(f"tolerance must be positive, got {tol}")
+    if tol < _MIN_TOL:
+        raise ParameterOutOfRange("tolerance must be at least 1e-1000")
+    tol = Fraction(tol)
     _check_digits(digits)
-    if isinstance(f_or_g, Poly):
-        poly = f_or_g
-    elif target == DENOMINATOR_ROOT:
-        poly = f_or_g.den
-    elif target == G_EQUALS_1:
-        poly = f_or_g.num - f_or_g.den
-    else:
-        raise ParameterOutOfRange(f"unknown target {target!r}")
+    poly = f_or_g if isinstance(f_or_g, Poly) else f_or_g.den
     p = _square_free(poly)
     if p.degree < 1:
         raise NoRootInRange(f"{poly} has no roots at all")
@@ -585,7 +571,7 @@ def interior_positivity(spec) -> bool:
     numerator's."""
     spec = as_spec(spec)
     gs = amended_G(spec, "recurrent")
-    alpha = growth_rate(gs.G, target=G_EQUALS_1).root_interval[0]
+    alpha = growth_rate(gs.G.num - gs.G.den).root_interval[0]
     return _positive_on(gs.G.num, alpha)
 
 

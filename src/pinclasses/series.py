@@ -52,11 +52,6 @@ class Poly:
     def one(cls) -> "Poly":
         return cls([1])
 
-    @classmethod
-    def z(cls, k: int = 1) -> "Poly":
-        """The monomial z**k."""
-        return cls([0] * k + [1])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial given degree -1."""
@@ -232,18 +227,20 @@ class Poly:
         return cls([Fraction(c) for c in data])
 
 
+def _as_poly(x) -> Poly:
+    """A Poly as given, a constant one from a number, or one from coefficients."""
+    if isinstance(x, Poly):
+        return x
+    return Poly([x]) if isinstance(x, (int, Fraction)) else Poly(x)
+
+
 class RatGF:
     """Rational generating function num/den in lowest terms, den(0) = 1."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly([num]) if isinstance(num, (int, Fraction)) else Poly(num)
-        if den is None:
-            den = Poly.one()
-        elif not isinstance(den, Poly):
-            den = Poly([den]) if isinstance(den, (int, Fraction)) else Poly(den)
+    def __init__(self, num, den=1):
+        num, den = _as_poly(num), _as_poly(den)
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         g = num.gcd(den)

@@ -26,7 +26,6 @@ from pinclasses.oracle import (
 from pinclasses.pimap import pi_map
 from pinclasses.pinword import is_recurrent, left_truncate, parse_pin_spec
 from pinclasses.pipeline import (
-    G_EQUALS_1,
     amended_G,
     class_gf,
     closure_gf,

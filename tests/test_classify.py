@@ -145,7 +145,6 @@ class TestSymmetries:
             assert len(image[1:]) == len(w.letters)
             for c, mapped in zip(w.letters, image[1:]):
                 assert steps[mapped] == s.apply_xy(*steps[c])
-                assert s.letter(c) == mapped
             assert QUADRANT_SIGNS[int(image[0])] == s.apply_xy(*QUADRANT_SIGNS[w.numeral])
 
     @given(pin_words(max_letters=6))

@@ -152,6 +152,26 @@ class TestGrowth:
         assert code == 3
         assert "tolerance" in err and not out
 
+    @pytest.mark.parametrize("tol", ["1e-1001", "1e-10000", "1e-999999999"])
+    def test_tolerance_below_floor_fails_fast(self, capsys, tol):
+        """A tolerance below 1e-1000 would make the bisection run for
+        minutes; it is refused with one line, before any work."""
+        code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", tol)
+        assert code == 3
+        assert err.count("\n") == 1 and "tolerance" in err and "Traceback" not in err
+        assert not out
+
+    def test_tolerance_at_1e_300_succeeds(self, capsys):
+        code, out, _ = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", "1e-300")
+        assert code == 0
+        assert out.splitlines()[0] == "growth = 2.20556943"
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "sNaN"])
+    def test_non_finite_tolerance(self, capsys, tol):
+        code, _, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", tol)
+        assert code == 2
+        assert "tolerance" in err
+
     def test_malformed_tolerance(self, capsys):
         code, _, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", "abc")
         assert code == 2
@@ -165,6 +185,13 @@ class TestGrowth:
     def test_needs_spec_or_poly(self, capsys):
         code, _, err = run(capsys, "growth")
         assert code == 2
+
+    def test_spec_and_poly_rejected(self, capsys):
+        """A spec next to --poly would be ignored, so the pair is refused."""
+        code, out, err = run(capsys, "growth", "1(ru)*", "--poly", "1-2z-z^3")
+        assert code == 2
+        assert err == "error: growth takes a spec or --poly, not both\n"
+        assert not out
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "growth", "--format", "json", "1(ru)*")

@@ -205,23 +205,31 @@ class TestIntervalsAndDecomposition:
 
     def test_indecomposability_matches_cubic_definition(self):
         """The O(m^2) scan agrees with slicing every origin-containing
-        window, on every centred permutation with up to 7 entries."""
+        window, on every centred permutation with up to 7 entries: p is
+        indecomposable iff its only window is the whole range, and the
+        minimal intervals are the windows that hold no other."""
 
-        def by_definition(p):
+        def windows(p):
             m, k = len(p.filled), p.origin_index
             for a in range(1, k + 1):
                 for b in range(max(k, a + 1), m + 1):
                     window = p.filled[a - 1 : b]
-                    if (a, b) != (1, m) and max(window) - min(window) == b - a:
-                        return False
-            return True
+                    if max(window) - min(window) == b - a:
+                        yield a, b
 
         checked = 0
         for m in range(2, 8):
             for filled in permutations(range(1, m + 1)):
                 for origin in range(1, m + 1):
                     p = CentredPerm(filled, origin)
-                    assert is_box_indecomposable(p) == by_definition(p), p
+                    found = list(windows(p))
+                    assert is_box_indecomposable(p) == (found == [(1, m)]), p
+                    minimal = [
+                        (a, b)
+                        for a, b in found
+                        if not any(a <= c and d <= b and (c, d) != (a, b) for c, d in found)
+                    ]
+                    assert minimal_centred_intervals(p) == sorted(minimal), p
                     checked += 1
         assert checked == sum(factorial(m) * m for m in range(2, 8))
 
@@ -240,7 +248,7 @@ class TestIntervalsAndDecomposition:
         parts = box_decompose(p)
         if len(parts) < 2:
             return
-        rng = random.Random(p.key().__hash__() & 0xFFFF)
+        rng = random.Random(hash((p.length, p.filled, p.origin_index)) & 0xFFFF)
         shuffled = list(parts)
         for _ in range(6):
             i = rng.randrange(len(shuffled) - 1)

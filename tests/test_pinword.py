@@ -232,8 +232,10 @@ class TestFactors:
     @given(pin_specs(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
     def test_factors_match_brute_windows(self, s, n):
-        """Dual route: factor sets from the sliding enumerator equal the set
-        of pin_factor(s, i, i+n-1) over a long explicit range of starts."""
+        """Dual route for letters and windows: factor sets from the sliding
+        enumerator equal the set of pin_factor(s, i, i+n-1) over a long
+        explicit range of starts.  Both read the same start numerals;
+        test_factor_numeral_is_point_quadrant checks those."""
         horizon = s.prefix_length + 3 * s.cycle_length + 4
         brute = {pin_factor(s, i, i + n - 1) for i in range(1, horizon + 1)}
         assert enumerate_pin_factors(s, n, "all") == brute
@@ -254,6 +256,16 @@ class TestFactors:
         last = s.prefix_length + 4 * s.cycle_length + 1
         for n in range(2, last + 1):
             assert left_truncate(s, n).numeral == point_quadrant(s.initial_word(n), n)
+
+    @given(pin_specs(cycle_lengths=(2, 4, 6)))
+    @settings(max_examples=40, deadline=None)
+    def test_factor_numeral_is_point_quadrant(self, s):
+        """pin_factor's numeral, read from the cached start numerals and
+        folded by the cycle past their end, is the quadrant of p_i in a
+        fresh diagram of w_{1,i}."""
+        last = s.prefix_length + 4 * s.cycle_length + 1  # hi + 2c
+        for i in range(1, last + 1):
+            assert pin_factor(s, i, i).numeral == point_quadrant(s.initial_word(i), i)
 
     @given(pin_specs())
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 """Generating functions, amended counting sequences, and certified growth."""
 
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,8 +29,6 @@ from pinclasses.pinword import (
     parse_pin_spec,
 )
 from pinclasses.pipeline import (
-    DENOMINATOR_ROOT,
-    G_EQUALS_1,
     GSequence,
     _factor_images,
     _stabilized_gf,
@@ -333,6 +332,24 @@ class TestCompleteClass:
         with pytest.raises(DisconnectedQuadrants):
             complete_class_gf((2, 4))
 
+    @pytest.mark.parametrize("mask", range(16))
+    def test_disconnected_exactly_where_a_search_says(self, mask):
+        """complete_class_gf refuses a quadrant set exactly when a search
+        over adjacent quadrants finds it empty or disconnected."""
+        quadrants = {q for q in (1, 2, 3, 4) if mask >> (q - 1) & 1}
+        seen = set()
+        frontier = [min(quadrants)] if quadrants else []
+        while frontier:
+            q = frontier.pop()
+            if q in quadrants and q not in seen:
+                seen.add(q)
+                frontier += [q % 4 + 1, (q - 2) % 4 + 1]
+        if quadrants and seen == quadrants:
+            complete_class_gf(quadrants)
+        else:
+            with pytest.raises(DisconnectedQuadrants):
+                complete_class_gf(quadrants)
+
     def test_invalid_quadrants_rejected(self):
         with pytest.raises(ValueError):
             complete_class_gf((1, 5))
@@ -374,8 +391,8 @@ class TestGrowthRate:
 
     def test_g_equals_one_target_agrees(self):
         gs = amended_G("1(ru)*")
-        r1 = growth_rate(gs.G, target=G_EQUALS_1)
-        r2 = growth_rate(gs.f, target=DENOMINATOR_ROOT)
+        r1 = growth_rate(gs.G.num - gs.G.den)
+        r2 = growth_rate(gs.f)
         assert abs(r1.value - r2.value) < 1e-9
 
     def test_coarse_tolerance(self):
@@ -404,9 +421,17 @@ class TestGrowthRate:
         with pytest.raises(ParameterOutOfRange):
             describe("1(ru)*", digits=0)
 
-    def test_bad_target(self):
-        with pytest.raises(ParameterOutOfRange):
-            growth_rate(class_gf("1(ru)*"), target="nonsense")
+    def test_tolerance_floor(self):
+        """Bisection time grows with the bits of 1/tol, so a tolerance
+        below 10^-1000 is refused before any step; Decimals are compared
+        before they are made exact."""
+        poly = Poly.parse("1 - 2z - z^3")
+        for tol in (Fraction(1, 10**1001), Decimal("1e-10000"), Decimal("1e-99999999")):
+            with pytest.raises(ParameterOutOfRange, match="at least"):
+                growth_rate(poly, tol=tol)
+        r = growth_rate(poly, tol=Decimal("1e-300"))
+        lo, hi = r.root_interval
+        assert 0 < hi - lo <= Fraction(1, 10**300)
 
     def test_json(self):
         data = growth_rate(class_gf("1(ru)*")).to_json()

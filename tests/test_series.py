@@ -108,7 +108,7 @@ class TestRatGF:
     def test_cancellation(self):
         f = RatGF(Poly([1, 0, -1]), Poly([1, 1]))
         assert f == RatGF(Poly([1, -1]))
-        assert f.is_polynomial
+        assert f.is_polynomial()
 
     def test_den_normalized_to_unit_constant(self):
         f = RatGF(Poly([2]), Poly([2, -2]))
