@@ -146,6 +146,22 @@ class TestGrowth:
         lo, hi = Fraction(m.group(1)), Fraction(m.group(2))
         assert hi - lo <= Fraction(1, 100) * 6  # growth interval of a coarse root box
 
+    @pytest.mark.parametrize("tol", ["0.5", "1"])
+    def test_coarse_tolerance_succeeds(self, capsys, tol):
+        """The bracket is halved past 0 even when (0, 1/2] is within tol."""
+        code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", tol)
+        assert code == 0 and not err
+        assert out.splitlines() == [
+            "growth = 3",
+            "exact interval: [2, 4]",
+            "smallest root of 1 - 2z - z^3 in (1/4, 1/2]",
+        ]
+
+    def test_growth_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "growth", "--poly", f"1 - {10**400}z")
+        assert code == 4 and not out
+        assert err.count("\n") == 1 and "float range" in err
+
     @pytest.mark.parametrize("tol", ["0", "-0.001"])
     def test_nonpositive_tolerance_fails_fast(self, capsys, tol):
         code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", tol)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinclasses import pimap, pipeline
@@ -17,6 +17,7 @@ from pinclasses.errors import (
     EmptyPermutation,
     NoRootInRange,
     NotRecurrent,
+    NumericError,
     ParameterOutOfRange,
     StabilizationFailure,
 )
@@ -441,19 +442,42 @@ class TestGrowthRate:
         assert Fraction(data["interval"][0]) < Fraction(data["interval"][1])
 
     def test_bisection_evaluates_each_midpoint_once(self, monkeypatch):
-        calls = []
-        original = pipeline._variations
+        dyadic, exact = [], []
+        for name, calls in (("_dyadic_variations", dyadic), ("_variations", exact)):
 
-        def counted(chain, x):
-            calls.append(x)
-            return original(chain, x)
+            def counted(*args, original=getattr(pipeline, name), calls=calls):
+                calls.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(pipeline, "_variations", counted)
+            monkeypatch.setattr(pipeline, name, counted)
         result = growth_rate(class_gf("1(ru)*"), tol=Fraction(1, 2**40))
         lo, hi = result.root_interval
         assert hi - lo == Fraction(1, 2**40)
-        # 39 halvings of (0, 1/2], the endpoints once, the certificate four times
-        assert len(calls) == 39 + 2 + 4
+        # 39 halvings of (0, 1/2] and its two ends on the integral chain;
+        # the exact-rational certificate alone evaluates at Fractions
+        assert len(dyadic) == 39 + 2
+        assert len(exact) == 4
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 2), 1])
+    def test_coarse_tolerance_still_brackets_the_root(self, tol):
+        """A tolerance of at least 1/2 used to leave the bracket at (0, 1/2]
+        and report the root as below tolerance; halving goes on until the
+        lower end is past 0."""
+        r = growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+        assert r.root_interval == (Fraction(1, 4), Fraction(1, 2))
+        assert r.growth_interval == (2, 4)
+
+    def test_root_below_tolerance_is_certified(self):
+        r = growth_rate(Poly.parse("1 - 1000z"), tol=Fraction(1, 100))
+        lo, hi = r.root_interval
+        assert 0 < lo < Fraction(1, 1000) <= hi
+        assert hi - lo <= Fraction(1, 100)
+
+    def test_growth_beyond_float_range_is_typed(self):
+        """A root below 2^-1024 is certified, but its reciprocal has no
+        float to print: a NumericError, not an OverflowError."""
+        with pytest.raises(NumericError, match="float range"):
+            growth_rate(Poly([1, -(10**400)]))
 
     def test_parameters_out_of_range_are_typed(self):
         with pytest.raises(ParameterOutOfRange):
@@ -464,6 +488,75 @@ class TestGrowthRate:
     def test_repeated_root_handled_by_square_free_part(self):
         squared = Poly.parse("1 - 2z - z^3") * Poly.parse("1 - 2z - z^3")
         assert growth_rate(squared).growth_rate == "2.20556943"
+
+
+def _fraction_bisection(poly: Poly, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """The exact-rational bisection: every midpoint a Fraction, every chain
+    member evaluated by Poly.__call__, halving until the bracket is at most
+    tol wide and its lower end is past 0."""
+    chain = pipeline._sturm_chain(pipeline._square_free(poly))
+    lo, hi = Fraction(0), Fraction(1, 2)
+    var_lo = pipeline._variations(chain, lo)
+    while lo == 0 or hi - lo > tol:
+        mid = (lo + hi) / 2
+        var_mid = pipeline._variations(chain, mid)
+        if var_lo - var_mid >= 1:
+            hi = mid
+        else:
+            lo, var_lo = mid, var_mid
+    return lo, hi
+
+
+_small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+
+
+@st.composite
+def _polys_with_root_in_window(draw):
+    """A linear factor with its root in (0, 1/2], dyadic or not, times a
+    nonzero cofactor with rational coefficients, either of them maybe
+    squared."""
+    dyadic = st.builds(
+        lambda e, j: Fraction(j % 2**e or 1, 2 ** (e + 1)),
+        st.integers(1, 12),
+        st.integers(1, 4096),
+    )
+    other = st.builds(
+        lambda a, b: Fraction(a, max(b, 2 * a)), st.integers(1, 50), st.integers(2, 200)
+    )
+    root = draw(st.one_of(dyadic, other))
+    linear = Poly([1, -1 / root])
+    cofactor = Poly(draw(st.lists(_small_fractions, min_size=1, max_size=4)))
+    if cofactor.is_zero():
+        cofactor = Poly([Fraction(1, 3), 1])
+    squared = draw(st.sampled_from([Poly.one(), linear, cofactor]))
+    return linear * cofactor * squared
+
+
+# a squared factor with non-integral coefficients, its root near 0.46
+_THIRDS = Poly.parse("1 - (1/3)z - 4z^2")
+
+
+class TestDyadicBisection:
+    @given(
+        _polys_with_root_in_window(),
+        st.sampled_from(
+            [
+                Fraction(1, 3),
+                Fraction(1, 10**7),
+                Fraction(1, 10**300),
+                Fraction(1, 2),
+                Fraction(1, 100),
+                Fraction(1, 2**40),
+            ]
+        ),
+    )
+    @example(Poly.parse("1 - 4z"), Fraction(1, 3))
+    @example(Poly.parse("1 - 4z"), Fraction(1, 10**7))
+    @example(Poly.parse("1 - 4z") * Poly.parse("1 - 2z - z^3"), Fraction(1, 10**300))
+    @example(_THIRDS * _THIRDS, Fraction(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_bisection(self, poly, tol):
+        assert growth_rate(poly, tol=tol).root_interval == _fraction_bisection(poly, tol)
 
 
 class TestStabilizationGuard:
