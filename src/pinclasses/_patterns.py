@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cperm import QUADRANT_SIGNS, CentredPerm, centred_pattern
+from .cperm import QUADRANT_SIGNS, centred_pattern
 
 BACKEND = "walk"
 
@@ -81,9 +81,11 @@ def _steps(spec) -> list:
     return steps
 
 
-def walk_patterns(spec, n_max: int) -> dict[int, frozenset]:
+def walk_patterns(spec, n_max: int) -> dict[int, dict]:
     """The patterns of spec's pin class with at most n_max non-origin
-    points, by length: every node of the state walk visited once."""
+    points, by length: every node of the state walk visited once.  Each
+    length maps a one-line tuple to the bitmask of its origin indices, as
+    `cperm.box_sum_level` does; `cperm.expand_level` builds the members."""
     steps = _steps(spec)
     last_t = len(steps) - 1
     after = list(range(1, last_t + 1)) + [spec.prefix_length + 2]
@@ -114,7 +116,8 @@ def walk_patterns(spec, n_max: int) -> dict[int, frozenset]:
         if node not in seen:
             seen.add(node)
             stack.append(node)
-    out: dict[int, set] = {k: set() for k in range(n_max + 1)}
+    out: dict[int, dict] = {k: {} for k in range(n_max + 1)}
     for filled, origin in top.union((filled, origin) for _, filled, origin, _ in seen):
-        out[len(filled) - 1].add(CentredPerm._trusted(filled, origin))
-    return {k: frozenset(pats) for k, pats in out.items()}
+        level = out[len(filled) - 1]
+        level[filled] = level.get(filled, 0) | 1 << origin
+    return out

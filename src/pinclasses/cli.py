@@ -23,7 +23,7 @@ from .errors import (
 )
 from .pimap import PinDiagram, pi_map
 from .pinword import PinWord, is_recurrent, parse_pin_spec, parse_pin_word
-from .series import Poly, coeffs
+from .series import MAX_PARSE_DEGREE, Poly, coeffs
 
 
 def _parse_tol(text: str) -> Decimal:
@@ -279,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("growth", help="certified growth rate")
     p.add_argument("spec", nargs="?")
-    p.add_argument("--poly", help='polynomial, e.g. "1-2z-z^3"')
+    p.add_argument(
+        "--poly", help=f'polynomial of degree at most {MAX_PARSE_DEGREE}, e.g. "1-2z-z^3"'
+    )
     p.add_argument("--mode", choices=("class", "closure", "interior"), default="closure")
     p.add_argument("--tol", default="1e-12", help="root isolation tolerance")
     _add_format(p)

@@ -8,11 +8,16 @@ toward the length.  Text form uses square brackets for the origin, e.g.
 Every public way to make a CentredPerm validates its input: direct
 construction, `from_oneline`, `CentredPerm.from_json` and `centred_pattern`.
 One internal constructor, `CentredPerm._trusted`, checks nothing.  It serves
-only the four builders whose results are permutations by construction:
-`box_sum`, its level kernel `box_sum_level`, the pin-word trie walker
-`pimap.trie_images` and `_patterns.walk_patterns`.  Its contract: ``filled``
-is a tuple of Python ints that is a permutation of 1..m, and
-1 <= ``origin_index`` <= m.
+only the three builders whose results are permutations by construction:
+`box_sum`, the pin-word trie walker `pimap.trie_images` and `expand_level`.
+Its contract: ``filled`` is a tuple of Python ints that is a permutation of
+1..m, and 1 <= ``origin_index`` <= m.
+
+The censuses keep each level as a dict from one-line tuple to a bitmask of
+origin indices (bit i for origin index i): `box_sum_level` and
+`_patterns.walk_patterns` build levels in that form, `level_size` counts a
+level's members and `in_level` tests one, and `expand_level` alone turns a
+level into CentredPerms, when a caller asks for the members.
 
 The exported functions that take centred permutations also accept them as
 bracket text, through `as_perm`.  `is_box_indecomposable` and
@@ -64,7 +69,7 @@ class CentredPerm:
     (``operator.index``, so numpy integers pass; floats and strings do not),
     the entries a permutation of 1..m and the origin index in 1..m.  The
     internal `_trusted` skips every check; see the module docstring for
-    its contract and its four callers.
+    its contract and its three callers.
     """
 
     filled: tuple[int, ...]
@@ -285,21 +290,24 @@ def box_sum(inner: CentredPerm, outer: CentredPerm) -> CentredPerm:
     return CentredPerm._trusted(tuple(filled), ko - 1 + inner.origin_index)
 
 
-def box_sum_level(levels, parts, n: int) -> frozenset[CentredPerm]:
+def box_sum_level(levels, parts, n: int) -> dict[tuple[int, ...], int]:
     """Every ``box_sum(left, piece)`` with ``left`` in ``levels[n - p]`` and
     ``piece`` in ``parts[p]``, over the piece lengths 1 <= p <= n.
 
-    For one p every left has length n - p, so each piece's head and tail
-    (its entries before and after the origin) take the same shift once, and
-    each left's block takes one offset per distinct piece origin value.  A
-    sum is the tuple ``head + block + tail``; sums are collected by that
-    tuple with a bitmask of their origin indices, and one CentredPerm is
-    built per distinct result.  For each p the first sum is checked against
+    ``levels`` and the result are levels of origin masks (see the module
+    docstring); ``parts`` holds CentredPerms.  For one p every left has
+    length n - p, so each piece's head and tail (its
+    entries before and after the origin) take the same shift once, and each
+    left tuple's block takes one offset per distinct piece origin value.  A
+    sum is the tuple ``head + block + tail`` and carries the left's whole
+    mask, shifted by the head's length, so the inner loop runs over distinct
+    left tuples, not over their origins.  For each p the sum of the first
+    left (at its lowest origin) and the first piece is checked against
     `box_sum` from scratch."""
     found: dict[tuple[int, ...], int] = {}
     firsts = []
     for p, pieces in parts.items():
-        lefts = levels[n - p] if p <= n else ()
+        lefts = levels[n - p] if p <= n else None
         if not lefts or not pieces:
             continue
         shift = n - p
@@ -313,32 +321,53 @@ def box_sum_level(levels, parts, n: int) -> frozenset[CentredPerm]:
         first = None
         for offset, ends in cuts.items():
             blocks = [
-                (tuple([v + offset for v in left.filled]), 1 << left.origin_index)
-                for left in lefts
+                (tuple([v + offset for v in filled]), mask)
+                for filled, mask in lefts.items()
             ]
             if first is None:
                 head, tail, before = ends[0]
-                block, bit = blocks[0]
-                first = (head + block + tail, (bit << before).bit_length() - 1)
+                block, mask = blocks[0]
+                first = (head + block + tail, before + _lowest_bit(mask))
             for head, tail, before in ends:
-                for block, bit in blocks:
+                for block, mask in blocks:
                     filled = head + block + tail
-                    found[filled] = found.get(filled, 0) | bit << before
-        firsts.append((next(iter(lefts)), next(iter(pieces)), first))
-    level = frozenset(
-        CentredPerm._trusted(filled, i)
-        for filled, mask in found.items()
-        for i in range(1, mask.bit_length())
-        if mask >> i & 1
-    )
+                    found[filled] = found.get(filled, 0) | mask << before
+        left, mask = next(iter(lefts.items()))
+        firsts.append((CentredPerm(left, _lowest_bit(mask)), next(iter(pieces)), first))
     for left, piece, first in firsts:
         expected = box_sum(left, piece)
-        if (expected.filled, expected.origin_index) != first or expected not in level:
+        if (expected.filled, expected.origin_index) != first or not in_level(found, expected):
             raise CrossCheckMismatch(
                 f"the level kernel gives {left} ⊞ {piece} as {first[0]} with origin "
                 f"index {first[1]}, not {expected}"
             )
-    return level
+    return found
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def in_level(level, p: CentredPerm) -> bool:
+    """Is p a member of a level of origin masks?"""
+    return bool(level.get(p.filled, 0) >> p.origin_index & 1)
+
+
+def level_size(level) -> int:
+    """The number of members of a level of origin masks."""
+    return sum(mask.bit_count() for mask in level.values())
+
+
+def expand_level(level) -> frozenset[CentredPerm]:
+    """The CentredPerms of a level that maps each one-line tuple to a bitmask
+    of its origin indices, as `box_sum_level` and `_patterns.walk_patterns`
+    return it: one member per set bit."""
+    return frozenset(
+        CentredPerm._trusted(filled, i)
+        for filled, mask in level.items()
+        for i in range(1, mask.bit_length())
+        if mask >> i & 1
+    )
 
 
 def _interval_pattern(p: CentredPerm, a: int, b: int) -> CentredPerm:

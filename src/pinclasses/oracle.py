@@ -23,6 +23,9 @@ from .cperm import (
     adjacency_condition,
     as_generators,
     box_sum_level,
+    expand_level,
+    in_level,
+    level_size,
     strip_origin,
     subpatterns,
 )
@@ -44,18 +47,29 @@ _REFERENCE_DEPTH = 3
 
 
 class ClassCensus:
-    """Counts (and retained members) of a centred class, per length."""
+    """Counts (and retained members) of a centred class, per length.
 
-    __slots__ = ("description", "method", "n_max", "counts", "perms")
+    ``levels`` maps each length to a dict from one-line tuple to the bitmask
+    of its origin indices, the form `cperm.box_sum_level` and
+    `_patterns.walk_patterns` return; the counts are its popcounts.  The
+    members are built on first read of `perms` (or `members`), through
+    `cperm.expand_level`."""
 
-    def __init__(self, description: str, method: str, n_max: int, perms_by_len):
+    __slots__ = ("description", "method", "n_max", "counts", "_levels", "_perms")
+
+    def __init__(self, description: str, method: str, n_max: int, levels):
         self.description = description
         self.method = method
         self.n_max = n_max
-        self.perms = {
-            n: frozenset(perms_by_len.get(n, ())) for n in range(n_max + 1)
-        }
-        self.counts = [len(self.perms[n]) for n in range(n_max + 1)]
+        self._levels = {n: levels.get(n, {}) for n in range(n_max + 1)}
+        self._perms = None
+        self.counts = [level_size(self._levels[n]) for n in range(n_max + 1)]
+
+    @property
+    def perms(self) -> dict[int, frozenset[CentredPerm]]:
+        if self._perms is None:
+            self._perms = {n: expand_level(level) for n, level in self._levels.items()}
+        return self._perms
 
     def to_json(self) -> dict:
         return {"method": self.method, "counts": self.counts, "n_max": self.n_max}
@@ -93,12 +107,12 @@ def enumerate_class_subset(spec, n_max: int) -> ClassCensus:
     _check_depth(n_max, _SUBSET_GUARD, "subset")
     table = _patterns.walk_patterns(spec, n_max)
     description = f"subset census of {spec}"
-    _guard(sum(map(len, table.values())), description)
+    _guard(sum(map(level_size, table.values())), description)
     symbols = min(spec.prefix_length + 2 * spec.cycle_length, _REFERENCE_SYMBOLS)
     pts = diagram_points(spec.initial_word(symbols))
     reference = _patterns.subset_patterns(pts, pts[0], min(n_max, _REFERENCE_DEPTH))
     for k, pats in reference.items():
-        missing = pats - table[k]
+        missing = [p for p in pats if not in_level(table[k], p)]
         if missing:
             raise CrossCheckMismatch(
                 f"the state walk of {spec} misses {min(missing, key=str)}, a pattern "
@@ -109,11 +123,11 @@ def enumerate_class_subset(spec, n_max: int) -> ClassCensus:
 
 def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCensus:
     """All ⊞-compositions with total length <= n_max of the given pieces."""
-    levels: dict[int, frozenset[CentredPerm]] = {0: frozenset({EMPTY})}
+    levels = {0: {EMPTY.filled: 1 << EMPTY.origin_index}}
     total = 1
     for n in range(1, n_max + 1):
         levels[n] = box_sum_level(levels, parts, n)
-        total += len(levels[n])
+        total += level_size(levels[n])
         _guard(total, description)
     return ClassCensus(description, method, n_max, levels)
 

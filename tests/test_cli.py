@@ -1,9 +1,11 @@
 """Command-line interface: output shapes and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,20 @@ class TestGrowth:
             "smallest root of 1 - 2z - z^3 in (1/4, 1/2]",
         ]
 
+    def test_coefficient_beyond_the_digit_bound(self, capsys):
+        """CPython refuses int-text conversion past 4300 digits; the parser
+        refuses such a coefficient first, with exit 2 and one line."""
+        code, out, err = run(capsys, "growth", "--poly", f"1-1{'0' * 5000}z")
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and "more than 4300 digits" in err
+
+    def test_exponent_beyond_the_degree_bound_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "growth", "--poly", "1-2z^99999999999")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert err.count("\n") == 1 and "exponents are at most 64" in err
+
     def test_growth_beyond_float_range(self, capsys):
         code, out, err = run(capsys, "growth", "--poly", f"1 - {10**400}z")
         assert code == 4 and not out
@@ -280,6 +296,35 @@ class TestOracle:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 1 + 2 + 5
         assert "[1]" in lines
+
+    def test_counts_build_no_members(self, capsys, tmp_path, monkeypatch):
+        """The census keeps one-line tuples with origin masks; only a dump of
+        the members builds them, and the dump's bytes are those of the
+        per-member census (SHA-256 of its 2796 lines, one per member)."""
+        from pinclasses import cperm, oracle
+
+        calls = []
+        expand = cperm.expand_level
+
+        def spy(level):
+            calls.append(len(level))
+            return expand(level)
+
+        monkeypatch.setattr(cperm, "expand_level", spy)
+        monkeypatch.setattr(oracle, "expand_level", spy)
+        argv = ["oracle", "1(ldru)*", "--n", "6", "--method", "composition", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["match"] is True
+        assert calls == []
+        path = tmp_path / "perms.txt"
+        code, dumped, _ = run(capsys, *argv, "--dump-perms", str(path))
+        assert code == 0 and dumped == out
+        assert len(calls) == 7
+        data = path.read_bytes()
+        assert data.count(b"\n") == 1 + 4 + 14 + 48 + 165 + 572 + 1992
+        assert hashlib.sha256(data).hexdigest() == (
+            "ce31d2f11feaf1725f5b2c686448508dfd4fd2c932558eb45d4fbc3bce26bf44"
+        )
 
     def test_dump_perms_unwritable_path(self, capsys, tmp_path, monkeypatch):
         def no_census(*args, **kwargs):

@@ -25,6 +25,7 @@ from pinclasses.cperm import (
     centred_pattern,
     commutes,
     contains,
+    expand_level,
     from_oneline,
     is_box_indecomposable,
     minimal_centred_intervals,
@@ -422,11 +423,11 @@ class TestTrustedConstruction:
         inner, outer = from_oneline("241[3]5"), from_oneline("413[5]2")
         assert _inflate(inner, outer).one_line() == "413685[7]92"
 
-    def test_only_the_box_sum_builders_and_the_two_walkers_use_it(self):
+    def test_only_box_sum_the_trie_walker_and_the_expander_use_it(self):
         """The unchecked constructor must not spread to public entries: its
-        definition and its four builders (box_sum, the box-sum level kernel,
-        the pin-word trie walker and the subset census walk) are the only
-        code that names it."""
+        definition and its three builders (box_sum, the pin-word trie walker
+        and the census levels' member expander) are the only code that
+        names it."""
         found = []
 
         def visit(node, module, scope):
@@ -446,12 +447,32 @@ class TestTrustedConstruction:
         for path in sorted(Path(pinclasses.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
         assert sorted(found) == [
-            ("_patterns", "walk_patterns"),
             ("cperm", "CentredPerm._trusted"),
             ("cperm", "box_sum"),
-            ("cperm", "box_sum_level"),
+            ("cperm", "expand_level"),
             ("pimap", "trie_images"),
         ]
+
+    @given(st.lists(centred_perms(max_n=5), max_size=12))
+    @settings(max_examples=100)
+    def test_expander_inverts_the_mask_form(self, perms):
+        """expand_level skips validation; each member it builds from a level
+        of origin masks must be exactly what validation would build."""
+        members = expand_level(_masks(perms))
+        assert members == frozenset(perms)
+        for r in members:
+            assert type(r.filled) is tuple and all(type(v) is int for v in r.filled)
+            assert type(r.origin_index) is int
+            assert r == CentredPerm(r.filled, r.origin_index)
+
+
+def _masks(perms):
+    """A set of CentredPerms as a census level: one-line tuple -> bitmask of
+    origin indices."""
+    level = {}
+    for p in perms:
+        level[p.filled] = level.get(p.filled, 0) | 1 << p.origin_index
+    return level
 
 
 def _pairwise(levels, parts, n):
@@ -484,29 +505,36 @@ def _level_inputs(draw):
     return {k: frozenset(v) for k, v in levels.items()}, parts, n
 
 
+def _mask_levels(levels):
+    return {k: _masks(v) for k, v in levels.items()}
+
+
 class TestBoxSumLevel:
     @given(_level_inputs())
     @settings(max_examples=150)
     def test_equals_the_pairwise_box_sums(self, inputs):
         levels, parts, n = inputs
-        level = box_sum_level(levels, parts, n)
-        assert type(level) is frozenset
-        assert level == _pairwise(levels, parts, n)
-        for r in level:
-            assert r == CentredPerm(r.filled, r.origin_index)
-            assert type(r.filled) is tuple and all(type(v) is int for v in r.filled)
+        level = box_sum_level(_mask_levels(levels), parts, n)
+        expected = _pairwise(levels, parts, n)
+        assert type(level) is dict
+        assert level == _masks(expected)
+        assert all(type(v) is int for filled in level for v in filled)
+        assert expand_level(level) == expected
 
     def test_one_entry_tuple_with_two_origins(self):
         levels = {0: frozenset({EMPTY}), 1: frozenset(from_oneline(t) for t in ("[1]2", "1[2]"))}
         parts = {1: {from_oneline("[1]2")}, 2: {from_oneline("[1]23")}}
-        level = box_sum_level(levels, parts, 2)
-        assert level == {from_oneline(t) for t in ("[1]23", "1[2]3")}
-        assert level == _pairwise(levels, parts, 2)
+        masks = _mask_levels(levels)
+        assert masks[1] == {(1, 2): 0b110}
+        level = box_sum_level(masks, parts, 2)
+        assert level == {(1, 2, 3): 0b110}
+        assert expand_level(level) == {from_oneline(t) for t in ("[1]23", "1[2]3")}
+        assert expand_level(level) == _pairwise(levels, parts, 2)
 
     def test_nothing_to_sum_is_empty(self):
-        levels = {0: frozenset({EMPTY}), 1: frozenset()}
-        assert box_sum_level(levels, {2: {from_oneline("[1]23")}}, 1) == frozenset()
-        assert box_sum_level(levels, {1: {from_oneline("[1]2")}}, 2) == frozenset()
+        levels = _mask_levels({0: frozenset({EMPTY}), 1: frozenset()})
+        assert box_sum_level(levels, {2: {from_oneline("[1]23")}}, 1) == {}
+        assert box_sum_level(levels, {1: {from_oneline("[1]2")}}, 2) == {}
 
     def test_disagreement_with_box_sum_is_a_mismatch(self, monkeypatch):
         """The kernel checks its first sum per piece length against
@@ -515,6 +543,6 @@ class TestBoxSumLevel:
         monkeypatch.setattr(
             cperm, "box_sum", lambda inner, outer: real(real(inner, outer), QUADRANT_POINT[1])
         )
-        levels = {0: frozenset({EMPTY})}
+        levels = _mask_levels({0: frozenset({EMPTY})})
         with pytest.raises(CrossCheckMismatch):
             box_sum_level(levels, {1: {from_oneline("[1]2")}}, 1)

@@ -23,7 +23,14 @@ from pinclasses.oracle import (
     property_suite,
 )
 from pinclasses.pimap import diagram_points, pi_map
-from pinclasses.cperm import EMPTY, QUADRANT_POINT, box_sum, centred_pattern, from_oneline
+from pinclasses.cperm import (
+    EMPTY,
+    QUADRANT_POINT,
+    box_sum,
+    centred_pattern,
+    expand_level,
+    from_oneline,
+)
 from pinclasses.pinword import as_spec
 
 from strategies import pin_specs, recurrent_specs
@@ -113,7 +120,10 @@ class TestSubsetCensus:
 
         def lossy(spec, n_max):
             table = dict(walk(spec, n_max))
-            table[2] = table[2] - {min(table[2], key=str)}
+            level = dict(table[2])
+            filled = min(level)
+            level[filled] &= level[filled] - 1  # drop its lowest origin
+            table[2] = level
             return table
 
         monkeypatch.setattr(_patterns, "walk_patterns", lossy)
@@ -270,6 +280,28 @@ class TestGuards:
         with pytest.raises(ParameterOutOfRange):
             enumerate_closure_composition(["41[3]52"], -1)
 
+    @pytest.mark.parametrize(
+        "route, args",
+        [
+            (enumerate_class_composition, ("1(ldru)*", 6)),
+            (enumerate_class_subset, ("1(ldru)*", 6)),
+            (enumerate_pin_permutations, (5,)),
+        ],
+    )
+    def test_memory_guard_counts_centred_members(self, monkeypatch, route, args):
+        """The levels hold one entry per one-line tuple, but the guard counts
+        the centred permutations: a guard between the two totals still stops
+        the census, and one equal to the member total does not."""
+        census = route(*args)
+        members = sum(census.counts)
+        tuples = sum(len({p.filled for p in perms}) for perms in census.perms.values())
+        assert tuples < members
+        monkeypatch.setattr(oracle, "MEMORY_GUARD", tuples)
+        with pytest.raises(CensusTooLarge, match=f"more than {tuples} permutations"):
+            route(*args)
+        monkeypatch.setattr(oracle, "MEMORY_GUARD", members)
+        assert route(*args).counts == census.counts
+
     def test_depth_under_guard_runs(self):
         census = enumerate_pin_permutations(7)
         assert census.counts[-1] == 70184
@@ -335,17 +367,22 @@ def reference_census(spec, k: int) -> dict:
     return _patterns.subset_patterns(pts, pts[0], k)
 
 
+def walk_perms(spec, k: int) -> dict:
+    """The state walk's census with its origin masks expanded to members."""
+    return {n: expand_level(level) for n, level in _patterns.walk_patterns(spec, k).items()}
+
+
 class TestSubsetKernels:
     def test_backends_agree(self):
         spec = as_spec("2ruldlurdr(ul)*")
-        assert _patterns.walk_patterns(spec, 5) == reference_census(spec, 5)
+        assert walk_perms(spec, 5) == reference_census(spec, 5)
 
     def test_segment_bound_is_tight(self):
         # one symbol fewer than the bound misses a pattern of this class
         spec = as_spec("1rd(ldru)*")
         pts = diagram_points(spec.initial_word(enough_symbols(spec, 4) - 1))
         short = _patterns.subset_patterns(pts, pts[0], 4)
-        walk = _patterns.walk_patterns(spec, 4)
+        walk = walk_perms(spec, 4)
         assert all(short[k] <= walk[k] for k in walk)
         assert short != walk
 
@@ -370,12 +407,12 @@ class TestSubsetKernels:
         # C(P + k(c + 1), k), so longer cycles are checked less deep
         top = {2: 5, 4: 4, 6: 3}[spec.cycle_length]
         k = data.draw(st.integers(min_value=1, max_value=top), label="depth")
-        assert _patterns.walk_patterns(spec, k) == reference_census(spec, k), spec
+        assert walk_perms(spec, k) == reference_census(spec, k), spec
 
     @settings(max_examples=3, deadline=None)
     @given(pin_specs(cycle_lengths=(4,), max_prefix_letters=2))
     def test_walk_matches_reference_at_depth_five(self, spec):
-        assert _patterns.walk_patterns(spec, 5) == reference_census(spec, 5), spec
+        assert walk_perms(spec, 5) == reference_census(spec, 5), spec
 
     @settings(max_examples=15, deadline=None)
     @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=3))
@@ -388,8 +425,10 @@ class TestSubsetKernels:
                 assert walks[d][k] == walks[d + 1][k], (spec, d, k)
 
     def test_walk_patterns_are_valid(self):
-        for k, pats in _patterns.walk_patterns(as_spec("1ru(ldru)*"), 5).items():
-            for p in pats:
+        for k, level in _patterns.walk_patterns(as_spec("1ru(ldru)*"), 5).items():
+            # bits 1..m only, for the m entries of each tuple
+            assert all(0 < mask < 2 << len(f) and not mask & 1 for f, mask in level.items())
+            for p in expand_level(level):
                 assert p == from_oneline(p.one_line()) and p.length == k
                 assert all(type(v) is int for v in p.filled)
 
@@ -399,8 +438,9 @@ class TestSubsetKernels:
 
 class TestClassCensusObject:
     def test_length_zero_always_counted(self):
-        census = ClassCensus("test", "subset", 2, {0: {pi_map("1")}, 1: set(), 2: set()})
+        census = ClassCensus("test", "subset", 2, {0: {pi_map("1").filled: 0b10}, 1: {}, 2: {}})
         assert census.counts[0] == 1
+        assert census.perms == {0: {pi_map("1")}, 1: frozenset(), 2: frozenset()}
 
     def test_members_of_absent_length(self):
         census = enumerate_class_composition("1(ru)*", 3)

@@ -14,6 +14,8 @@ from pinclasses.errors import (
     PoleAtZero,
 )
 from pinclasses.series import (
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_DIGITS,
     Poly,
     RatGF,
     coeffs,
@@ -54,6 +56,33 @@ class TestPoly:
         for zero_denominator in ("1/0", "1-(1/0)z", "z^2 + 3/00z"):
             with pytest.raises(MalformedSyntax, match="zero denominator"):
                 Poly.parse(zero_denominator)
+
+    def test_parse_degree_bound(self):
+        """Exponents up to MAX_PARSE_DEGREE parse, leading zeros and all;
+        one above it is refused before a coefficient list is built."""
+        assert Poly.parse(f"1 - z^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+        assert Poly.parse(f"1 - z^000{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+        for exp in (MAX_PARSE_DEGREE + 1, 99999999999, "9" * 6000):
+            with pytest.raises(ParameterOutOfRange, match=f"at most {MAX_PARSE_DEGREE}"):
+                Poly.parse(f"1 - 2z^{exp}")
+
+    def test_parse_digit_bound(self):
+        """Coefficients of up to MAX_PARSE_DIGITS digits parse and print; a
+        longer numerator or denominator, written or reached by adding like
+        terms, is malformed input, not a ValueError from int conversion."""
+        top = "9" * MAX_PARSE_DIGITS
+        p = Poly.parse(f"1 - {top}z + (1/{top})z^2")
+        assert p[1] == -int(top) and p[2] == Fraction(1, int(top))
+        assert Poly.parse(str(p)) == p
+        assert Poly.parse(f"1 - 0000{top}z") == Poly([1, -int(top)])
+        for text in (
+            f"1 - 1{'0' * 5000}z",
+            f"1 - (1/1{'0' * MAX_PARSE_DIGITS})z",
+            f"1 - {top}z - {top}z",
+            f"1 - (1/{'3' * MAX_PARSE_DIGITS})z - (1/{'7' * MAX_PARSE_DIGITS})z",
+        ):
+            with pytest.raises(MalformedSyntax, match=f"more than {MAX_PARSE_DIGITS} digits"):
+                Poly.parse(text)
 
     def test_mul_known(self):
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
