@@ -222,18 +222,29 @@ def cmd_closure_of(args) -> int:
     return 0
 
 
+# The ASCII grid of n points has (n + 1)^2 cells, about 8 MB of text at
+# 2000 points; `render` refuses more before placing any point.
+RENDER_MAX_POINTS = 2000
+
+
 def cmd_render(args) -> int:
     if args.steps is not None and args.steps < 1:
         raise ParameterOutOfRange(f"--steps must be at least 1, got {args.steps}")
     text = args.word.strip()
     if "(" in text:
         spec = parse_pin_spec(text)
-        steps = args.steps or spec.prefix_length + 2 * spec.cycle_length
-        word = spec.initial_word(steps)
+        points = args.steps or spec.prefix_length + 2 * spec.cycle_length
     else:
         word = parse_pin_word(text)
-        if args.steps and args.steps < word.length:
-            word = PinWord(word.numeral, word.letters[: args.steps - 1])
+        points = min(args.steps or word.length, word.length)
+    if points > RENDER_MAX_POINTS:
+        raise ParameterOutOfRange(
+            f"render draws at most {RENDER_MAX_POINTS} points, asked for {points}"
+        )
+    if "(" in text:
+        word = spec.initial_word(points)
+    elif points < word.length:
+        word = PinWord(word.numeral, word.letters[: points - 1])
     diagram = PinDiagram(word)
     fmt = args.format or ("svg" if args.out else "ascii")
     rendered = diagram.to_svg() if fmt == "svg" else diagram.to_ascii()
@@ -316,9 +327,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_digits(p)
     p.set_defaults(func=cmd_closure_of)
 
-    p = subs.add_parser("render", help="draw a pin diagram")
+    p = subs.add_parser(
+        "render",
+        help="draw a pin diagram",
+        description=f"Draw the diagram of a pin word or spec: at most {RENDER_MAX_POINTS} points.",
+    )
     p.add_argument("word", help="pin word or spec")
-    p.add_argument("--steps", type=int, help="points to realize for a spec")
+    p.add_argument(
+        "--steps", type=int, help=f"points to realize for a spec (at most {RENDER_MAX_POINTS})"
+    )
     p.add_argument(
         "--format",
         choices=("svg", "ascii"),

@@ -6,8 +6,11 @@ takes a fresh extreme rank in its letter's direction while its perpendicular
 coordinate is inserted strictly between the bounding rectangle of
 {p0..p_{k-2}} and p_{k-1}, on p_{k-1}'s side.  Insertion shifts existing
 ranks up by one, so no real coordinates are ever needed.  `diagram_points`
-places points one by one (`_place`), and `pi_map` standardizes them by
-sorting: the point route, which `PinDiagram` draws.
+keeps each axis's order as a doubly linked list over point indices: a new
+point goes at one end of its letter's axis and next to p_{k-1} on the
+other, so placing it costs O(1) and the whole word O(n), with the ranks
+read once at the end.  `pi_map` standardizes the points by sorting: the
+point route, which `PinDiagram` draws.
 
 Growing diagrams take the image route instead: `_grow` applies the same
 rule to a word's image, one tuple insertion per point, and carries the
@@ -36,35 +39,44 @@ from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
 from .pinword import NEXT_LETTERS, PinWord, as_word
 
 
-def _first_points(numeral: int) -> list[tuple[int, int]]:
-    return [(0, 0), QUADRANT_SIGNS[numeral]]
+def _axis(sign: int, letters: str, high: str, low: str) -> list[int]:
+    """One coordinate of p0..p_n, with p1 at ``sign`` beside the origin.
 
-
-def _place(pts: list[tuple[int, int]], letter: str) -> list[tuple[int, int]]:
-    """The points after placing one more point for ``letter``; the step of
-    the point route.  ``pts`` itself is left unchanged."""
-    px, py = pts[-1]
-    if letter in "ud":
-        ynew = max(y for _, y in pts) + 1 if letter == "u" else min(y for _, y in pts) - 1
-        rxmax = max(x for x, _ in pts[:-1])
-        xnew = rxmax + 1 if px > rxmax else px + 1
-        out = [(x + 1 if x >= xnew else x, y) for x, y in pts]
-    else:
-        xnew = max(x for x, _ in pts) + 1 if letter == "r" else min(x for x, _ in pts) - 1
-        rymax = max(y for _, y in pts[:-1])
-        ynew = rymax + 1 if py > rymax else py + 1
-        out = [(x, y + 1 if y >= ynew else y) for x, y in pts]
-    out.append((xnew, ynew))
+    The points' order along the axis is a doubly linked list over point
+    indices.  A point for ``high`` (``low``) takes the high (low) end; any
+    other goes beside p_{t-1}, on the inner side: just below it if p_{t-1}
+    holds the high end, else just above it.  The ranks are read once at the
+    end, from min(0, sign) minus the number of ``low`` letters upwards, as
+    each ``low`` point lowers the minimum by one and no other point moves it."""
+    n = len(letters) + 2
+    up = [-1] * n  # the next point up the axis
+    down = [-1] * n
+    lo, hi = (0, 1) if sign > 0 else (1, 0)
+    up[lo], down[hi] = hi, lo
+    for t, c in enumerate(letters, 2):
+        if c == high:
+            up[hi], down[t], hi = t, hi, t
+        elif c == low:
+            down[lo], up[t], lo = t, lo, t
+        else:
+            q = t - 1 if t - 1 != hi else down[hi]  # the new point goes just above q
+            r = up[q]
+            up[q], down[t], up[t], down[r] = t, q, r, t
+    start = min(0, sign) - letters.count(low)
+    out = [0] * n
+    t = lo
+    for v in range(start, start + n):
+        out[t] = v
+        t = up[t]
     return out
 
 
 def diagram_points(w) -> list[tuple[int, int]]:
-    """Integer-rank coordinates of p0..p_n for the word w, in placement order."""
+    """Integer-rank coordinates of p0..p_n for the word w, in placement
+    order; O(n), one linked list per axis (`_axis`)."""
     w = as_word(w)
-    pts = _first_points(w.numeral)
-    for letter in w.letters:
-        pts = _place(pts, letter)
-    return pts
+    sx, sy = QUADRANT_SIGNS[w.numeral]
+    return list(zip(_axis(sx, w.letters, "r", "l"), _axis(sy, w.letters, "u", "d")))
 
 
 def _seed(numeral: int):

@@ -210,7 +210,7 @@ def amended_G(spec, mode: str = "all") -> GSequence:
     g1, g2, g3, g4 = (quadrant_indecomposable_counts(spec, q, mode) for q in (1, 2, 3, 4))
     gs = GSequence(g, g1, g2, g3, g4)
     if not _is_power_of_one_minus_z(gs.G.den):
-        raise BoundViolation(f"G denominator {gs.G.den} is not a power of (1 - z)")
+        raise BoundViolation(f"G denominator {gs.G.den.quoted()} is not a power of (1 - z)")
     return gs
 
 
@@ -560,7 +560,7 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     poly = f_or_g if isinstance(f_or_g, Poly) else f_or_g.den
     p = _square_free(poly)
     if p.degree < 1:
-        raise NoRootInRange(f"{poly} has no roots at all")
+        raise NoRootInRange(f"{poly.quoted()} has no roots at all")
     chain = _sturm_chain(p)
     ints = [_integral(q) for q in chain]
     # the bracket is (k/2^m, (k+1)/2^m], starting at (0, 1/2]; sign
@@ -568,7 +568,7 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     k, m = 0, 1
     var_lo = _dyadic_variations(ints, k, m)
     if var_lo - _dyadic_variations(ints, k + 1, m) == 0:
-        raise NoRootInRange(f"{poly} has no root in (0, 1/2]")
+        raise NoRootInRange(f"{poly.quoted()} has no root in (0, 1/2]")
     # halve until the width 2^-m is at most tol and the lower end is past 0
     while k == 0 or tol.denominator > tol.numerator << m:
         k, m = 2 * k, m + 1
@@ -581,7 +581,7 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     try:
         return GrowthResult((lo, hi), poly, digits=digits)
     except OverflowError:
-        raise NumericError(f"growth rate of {poly} is beyond the float range") from None
+        raise NumericError(f"growth rate of {poly.quoted()} is beyond the float range") from None
 
 
 def _positive_on(p: Poly, alpha: Fraction) -> bool:

@@ -161,26 +161,36 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def _term(self, c: Fraction, k: int) -> str:
+    def _term(self, c: Fraction, k: int, number) -> str:
         if k == 0:
-            return str(c)
+            return number(c)
         mono = "z" if k == 1 else f"z^{k}"
         if c == 1:
             return mono
         if c == -1:
             return f"-{mono}"
         if c.denominator == 1:
-            return f"{c}{mono}"
-        return f"({c}){mono}"
+            return f"{number(c)}{mono}"
+        return f"({number(c)}){mono}"
 
     def __str__(self) -> str:
+        return self._text(str)
+
+    def quoted(self) -> str:
+        """The text of the polynomial for an error message: `str`, except
+        that a coefficient whose numerator or denominator has more than
+        MAX_PARSE_DIGITS digits, which CPython will not write out, shows
+        as its sign and that bound."""
+        return self._text(_short_number)
+
+    def _text(self, number) -> str:
         if self.is_zero():
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            t = self._term(c, k)
+            t = self._term(c, k, number)
             if not parts:
                 parts.append(t)
             elif t.startswith("-"):
@@ -256,6 +266,12 @@ class Poly:
         return cls([Fraction(c) for c in data])
 
 
+def _short_number(c: Fraction) -> str:
+    if abs(c.numerator) < _DIGITS_BOUND and c.denominator < _DIGITS_BOUND:
+        return str(c)
+    return f"{'-' if c < 0 else ''}<number of more than {MAX_PARSE_DIGITS} digits>"
+
+
 def _long_coefficient() -> MalformedSyntax:
     return MalformedSyntax(
         f"a polynomial coefficient has a numerator or denominator of more "
@@ -285,7 +301,7 @@ class RatGF:
             den = den.divmod(g)[0]
         c0 = den[0]
         if c0 == 0:
-            raise PoleAtZero(f"denominator {den} vanishes at z = 0")
+            raise PoleAtZero(f"denominator {den.quoted()} vanishes at z = 0")
         if c0 != 1:
             num = num * (1 / c0)
             den = den * (1 / c0)
@@ -344,7 +360,7 @@ class RatGF:
     def coeffs(self, n: int) -> list[Fraction]:
         """First n+1 power-series coefficients, [z^0 .. z^n]."""
         if self.den[0] == 0:
-            raise PoleAtZero(f"denominator {self.den} vanishes at z = 0")
+            raise PoleAtZero(f"denominator {self.den.quoted()} vanishes at z = 0")
         out = []
         for k in range(n + 1):
             c = self.num[k]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pinclasses
-from pinclasses.cli import main
+from pinclasses.cli import RENDER_MAX_POINTS, main
 
 
 def run(capsys, *argv):
@@ -25,6 +25,16 @@ class TestPerm:
         code, out, err = run(capsys, "perm", "2lurdld")
         assert code == 0
         assert out.strip() == "31586[4]27"
+
+    def test_long_word_in_bounded_time(self, capsys):
+        """The point route is linear: 20,000 letters take well under the
+        bound, where placing each point by shifting every earlier one took
+        about 32 s on a 2-core x86-64."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "perm", "1" + "ru" * 10_000)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert out.count("\n") == 1 and out.count("[") == 1
 
     def test_multiple_words_tabulated(self, capsys):
         code, out, _ = run(capsys, "perm", "1", "1ul")
@@ -452,6 +462,33 @@ class TestRender:
         assert code == 0
         # 3 placed points plus the origin
         assert sum(ch.isdigit() for ch in out) + out.count("o") == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["1(ru)*", "--steps", "1000000"],
+            ["1(ru)*", "--steps", str(RENDER_MAX_POINTS + 1)],
+            ["1" + "ru" * 2500],
+            ["1" + "ru" * 2500, "--steps", "100000"],
+        ],
+        ids=["spec-steps", "spec-one-past", "long-word", "long-word-steps"],
+    )
+    def test_too_many_points_fail_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "render", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and f"at most {RENDER_MAX_POINTS} points" in err
+
+    def test_points_at_the_bound(self, capsys):
+        code, out, _ = run(capsys, "render", "1" + "ru" * 2500, "--steps", str(RENDER_MAX_POINTS))
+        assert code == 0
+        assert len(out.splitlines()) == RENDER_MAX_POINTS + 1
+
+    def test_help_names_the_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["render", "--help"])
+        assert f"at most {RENDER_MAX_POINTS} points" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", ["1ru", "1(ul)*"])
     @pytest.mark.parametrize("steps", ["0", "-1"])

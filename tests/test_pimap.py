@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pinclasses.classify import all_pin_words
 from pinclasses.cperm import (
+    QUADRANT_SIGNS,
     CentredPerm,
     box_sum,
     centred_pattern,
@@ -26,7 +27,7 @@ from pinclasses.pimap import (
     remove_interior_point,
     trie_images,
 )
-from pinclasses.pinword import NEXT_LETTERS, PinWord, parse_pin_spec, parse_pin_word
+from pinclasses.pinword import NEXT_LETTERS, PinWord, as_word, parse_pin_spec, parse_pin_word
 from strategies import pin_words
 
 # Frozen word -> one-line expectations, independently derivable by hand from
@@ -48,6 +49,35 @@ KNOWN_IMAGES = {
     "3": "1[2]",
     "1d": "[2]13",
 }
+
+
+def _place(pts, letter):
+    """The points after placing one more point for ``letter``: the new point
+    takes a fresh extreme rank on its letter's axis, and on the other axis
+    every rank at or past its own shifts up by one.  The definition of the
+    point route, at O(n) per point."""
+    px, py = pts[-1]
+    if letter in "ud":
+        ynew = max(y for _, y in pts) + 1 if letter == "u" else min(y for _, y in pts) - 1
+        rxmax = max(x for x, _ in pts[:-1])
+        xnew = rxmax + 1 if px > rxmax else px + 1
+        out = [(x + 1 if x >= xnew else x, y) for x, y in pts]
+    else:
+        xnew = max(x for x, _ in pts) + 1 if letter == "r" else min(x for x, _ in pts) - 1
+        rymax = max(y for _, y in pts[:-1])
+        ynew = rymax + 1 if py > rymax else py + 1
+        out = [(x, y + 1 if y >= ynew else y) for x, y in pts]
+    out.append((xnew, ynew))
+    return out
+
+
+def reference_points(w):
+    """`diagram_points` by its definition: a fold of `_place`."""
+    w = as_word(w)
+    pts = [(0, 0), QUADRANT_SIGNS[w.numeral]]
+    for letter in w.letters:
+        pts = _place(pts, letter)
+    return pts
 
 
 def fresh_node(text):
@@ -171,6 +201,27 @@ class TestDiagramGeometry:
         pts = diagram_points("1ru")
         assert pts[0] == (0, 0)
         assert len(pts) == 4
+
+    @given(pin_words(max_letters=300))
+    @settings(max_examples=100)
+    def test_points_match_reference(self, w):
+        assert diagram_points(w) == reference_points(w)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" + "ru" * 150,
+            "3" + "ld" * 150,
+            "2" + "lu" * 150 + "l",
+            "4" + "dr" * 150,
+            "1u" + "lurd" * 75,
+        ],
+        ids=lambda text: f"{text[:5]}-{len(text)}",
+    )
+    def test_long_words_match_reference(self, text):
+        ref = reference_points(text)
+        assert diagram_points(text) == ref
+        assert PinDiagram(text).points == tuple(ref)
 
     def test_coordinates_distinct(self):
         pts = diagram_points("2lurdld")

@@ -479,6 +479,13 @@ class TestGrowthRate:
         with pytest.raises(NumericError, match="float range"):
             growth_rate(Poly([1, -(10**400)]))
 
+    def test_growth_beyond_float_range_with_a_huge_coefficient(self):
+        """A coefficient past CPython's 4300-digit int-text limit is
+        shortened in the message, so the NumericError still forms."""
+        with pytest.raises(NumericError, match="float range") as info:
+            growth_rate(Poly([1, -(10**5000)]))
+        assert "\n" not in str(info.value) and len(str(info.value)) < 200
+
     def test_parameters_out_of_range_are_typed(self):
         with pytest.raises(ParameterOutOfRange):
             quadrant_indecomposable_counts("1(ru)*", 5)

@@ -84,6 +84,17 @@ class TestPoly:
             with pytest.raises(MalformedSyntax, match=f"more than {MAX_PARSE_DIGITS} digits"):
                 Poly.parse(text)
 
+    def test_quoted_shortens_only_long_coefficients(self):
+        """Error messages quote a polynomial through `quoted`, which forms
+        even where `str` would pass CPython's int-text limit."""
+        p = Poly.parse("1 - 2z + (1/3)z^2")
+        assert p.quoted() == str(p)
+        big = Poly([0, -(10**5000), Fraction(1, 10**5000)])
+        long = f"<number of more than {MAX_PARSE_DIGITS} digits>"
+        assert big.quoted() == f"-{long}z + ({long})z^2"
+        with pytest.raises(PoleAtZero, match=f"denominator -{long}z"):
+            RatGF(1, big)
+
     def test_mul_known(self):
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
         assert Poly([1, 2]) * 3 == Poly([3, 6])
