@@ -356,18 +356,3 @@ def compose_representation(words) -> CentredPerm:
         acc = box_sum(acc, pi_map(w))
     return acc
 
-
-def one_point_extension_candidates(rep) -> set[tuple[PinWord, ...]]:
-    """All representations reachable by one extension step.
-
-    Either a legal letter is appended to the last word, or a fresh
-    single-numeral word is appended.  Dedup by permutation is left to the
-    caller; the distinct images number at most 12.
-    """
-    rep = tuple(as_word(w) for w in rep)
-    if not rep:
-        raise IndexOutOfRange("a pin representation needs at least one word")
-    out = {rep[:-1] + (w,) for w in rep[-1].extensions()}
-    for q in (1, 2, 3, 4):
-        out.add(rep + (PinWord(q),))
-    return out

@@ -5,14 +5,16 @@ filters by ⊞-indecomposability; the classification tables recompute every
 count as an independent cross-check, and any disagreement is a hard error.
 Growth rates come from integer bisection at dyadic points with an
 exact-rational Sturm-chain root-count certificate, so "smallest positive root"
-is a checked claim.
+is a checked claim.  The square-free part and the Sturm chain run over the
+integers: each chain member is a primitive pseudo-remainder, a positive
+multiple of the member over the rationals, so every sign-variation count is
+the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import classify
 from .cperm import (
@@ -445,17 +447,20 @@ _MIN_TOL = Fraction(1, 10**1000)
 
 
 def _square_free(p: Poly) -> Poly:
-    d = p.derivative()
-    if d.is_zero():
-        return p
-    g = p.gcd(d)
-    return p.divmod(g)[0] if g.degree > 0 else p
+    """A positive multiple of p over its repeated factors, with coprime
+    integer coefficients: by Gauss's lemma the division by the primitive
+    gcd of p and p' is exact over the integers."""
+    p = p.primitive()
+    g = p.gcd(p.derivative())
+    return p.divmod(g.primitive())[0] if g.degree > 0 else p
 
 
 def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
+    """The Sturm chain of p as primitive integer polynomials, each a
+    positive multiple of its member over the rationals."""
+    chain = [p.primitive(), p.derivative().primitive()]
     while not chain[-1].is_zero():
-        chain.append(-(chain[-2].divmod(chain[-1])[1]))
+        chain.append(-chain[-2].pseudo_remainder(chain[-1]).primitive())
     chain.pop()
     return chain
 
@@ -474,20 +479,13 @@ def _roots_in(chain: list[Poly], a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _integral(p: Poly) -> tuple[int, ...]:
-    """p's coefficients times the lcm of their denominators, highest first:
-    a positive multiple of p, so it has p's sign everywhere."""
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return tuple(int(c * scale) for c in reversed(p.coeffs))
-
-
-def _dyadic_variations(chain: list[tuple[int, ...]], k: int, m: int) -> int:
-    """Sign variations of an integral chain at k / 2^m, each member's sign
+def _dyadic_variations(chain: list[Poly], k: int, m: int) -> int:
+    """Sign variations of an integer chain at k / 2^m, each member's sign
     read from 2^(m·deg) p(k / 2^m) by integer Horner."""
     values = []
-    for cs in chain:
+    for p in chain:
         acc = shift = 0
-        for c in cs:
+        for c in reversed(p.coeffs):
             acc = acc * k + (c << shift)
             shift += m
         values.append(acc)
@@ -562,17 +560,16 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     if p.degree < 1:
         raise NoRootInRange(f"{poly.quoted()} has no roots at all")
     chain = _sturm_chain(p)
-    ints = [_integral(q) for q in chain]
     # the bracket is (k/2^m, (k+1)/2^m], starting at (0, 1/2]; sign
     # variations at its lower end change only when it moves, so carry them
     k, m = 0, 1
-    var_lo = _dyadic_variations(ints, k, m)
-    if var_lo - _dyadic_variations(ints, k + 1, m) == 0:
+    var_lo = _dyadic_variations(chain, k, m)
+    if var_lo - _dyadic_variations(chain, k + 1, m) == 0:
         raise NoRootInRange(f"{poly.quoted()} has no root in (0, 1/2]")
     # halve until the width 2^-m is at most tol and the lower end is past 0
     while k == 0 or tol.denominator > tol.numerator << m:
         k, m = 2 * k, m + 1
-        var_mid = _dyadic_variations(ints, k + 1, m)
+        var_mid = _dyadic_variations(chain, k + 1, m)
         if var_lo - var_mid < 1:
             k, var_lo = k + 1, var_mid
     lo, hi = Fraction(k, 1 << m), Fraction(k + 1, 1 << m)

@@ -1,10 +1,12 @@
 """Exact univariate polynomials and rational generating functions.
 
-Coefficients are ``fractions.Fraction`` throughout; no floating point
-anywhere in this module.  A ``Poly`` stores ascending coefficients with no
-trailing zeros.  A ``RatGF`` is a reduced fraction of two polynomials whose
-denominator has constant term 1, so power-series coefficient extraction is
-always well defined.  One builder, `from_eventually_periodic`, turns an
+A ``Poly`` stores ascending coefficients with no trailing zeros, each an
+``int`` when it is integral and a ``fractions.Fraction`` otherwise; there is
+no floating point anywhere in this module, and every true division goes
+through one exact helper, `_div`.  Greatest common divisors run as a
+primitive pseudo-remainder sequence over the integers.  A ``RatGF`` is a
+reduced fraction of two polynomials whose denominator has constant term 1,
+so power-series coefficient extraction is always well defined.  One builder, `from_eventually_periodic`, turns an
 eventually periodic counting sequence into its generating function; an
 eventually constant one is the case of a one-term period.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -25,24 +28,40 @@ from .errors import (
 
 # `Poly.parse` bounds its input so that `growth --poly` always ends in
 # seconds and every parsed coefficient prints: exponents are at most
-# MAX_PARSE_DEGREE (through `growth_rate`, a degree-64 polynomial with random
-# one-digit coefficients takes about 4 s on a 2-core x86-64, degree 100 about
-# 60 s), and each coefficient's numerator and denominator have at most
-# MAX_PARSE_DIGITS digits, CPython's default limit for int-text conversion.
-MAX_PARSE_DEGREE = 64
+# MAX_PARSE_DEGREE (through `growth_rate`, a dense polynomial with random
+# one-digit coefficients takes about 0.5 s at degree 128 and 6 s at degree
+# 256 on a 2-core x86-64 with CPython 3.11), and each coefficient's numerator
+# and denominator have at most MAX_PARSE_DIGITS digits, CPython's default
+# limit for int-text conversion.
+MAX_PARSE_DEGREE = 128
 MAX_PARSE_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_PARSE_DIGITS
 
 
-def _frac(x) -> Fraction:
+def _number(x):
+    """x as an exact number: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
     if isinstance(x, float):
         raise TypeError("floating point coefficients are not allowed")
-    return Fraction(x)
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """The exact quotient a / b of two exact numbers, an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _number(Fraction(a, b))
 
 
 class Poly:
     """Polynomial in one variable z over the rationals.
 
+    >>> Poly([Fraction(2, 1), Fraction(1, 2)])
+    Poly([2, Fraction(1, 2)])
     >>> str(Poly([1, -2, 0, -1]))
     '1 - 2z - z^3'
     """
@@ -50,7 +69,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [c if type(c) is int else _number(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -71,10 +90,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -104,7 +123,7 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -117,7 +136,7 @@ class Poly:
         """Multiply by z**k."""
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly((0,) * k + self.coeffs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division; ``other`` must be nonzero."""
@@ -128,9 +147,9 @@ class Poly:
         lead = other.coeffs[-1]
         if dn < dd:
             return Poly(), self
-        quo = [Fraction(0)] * (dn - dd + 1)
+        quo = [0] * (dn - dd + 1)
         for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] / lead
+            c = _div(rem[k + dd], lead)
             quo[k] = c
             if c:
                 for j, b in enumerate(other.coeffs):
@@ -140,28 +159,80 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
+        return self.over(self.coeffs[-1])
+
+    def over(self, d) -> "Poly":
+        """The polynomial divided by a nonzero number d, exactly."""
+        if d == 1:
+            return self
+        return Poly([_div(c, d) for c in self.coeffs])
+
+    def primitive(self) -> "Poly":
+        """The positive rational multiple of the polynomial whose
+        coefficients are coprime integers; zero stays zero.
+
+        >>> Poly([Fraction(-1, 2), 3, Fraction(3, 4)]).primitive()
+        Poly([-2, 12, 3])
+        """
+        cs = self.coeffs
+        if any(type(c) is not int for c in cs):
+            scale = lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (scale // c.denominator) for c in cs]
+        g = gcd(*cs)
+        if g == 1 and cs is self.coeffs:
+            return self
+        return Poly([c // g for c in cs])
+
+    def pseudo_remainder(self, other: "Poly") -> "Poly":
+        """A positive multiple of the remainder of the polynomial by
+        ``other``, both with integer coefficients, found without division.
+
+        ``other`` is negated if its leading coefficient is negative, which
+        leaves the remainder unchanged; then each elimination step scales the
+        running remainder by that now positive leading coefficient."""
+        if other.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        b = other.coeffs
+        if b[-1] < 0:
+            b = [-c for c in b]
+        lead, top = b[-1], len(b) - 1
+        rem = list(self.coeffs)
+        while len(rem) > top:
+            c = rem.pop()
+            if c:
+                if lead != 1:
+                    rem = [x * lead for x in rem]
+                k = len(rem) - top
+                for j in range(top):
+                    rem[k + j] -= c * b[j]
+        return Poly(rem)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
+        """Monic greatest common divisor, by the primitive pseudo-remainder
+        sequence over the integers (Collins; Knuth, TAOCP vol. 2, 4.6.1)."""
+        a, b = self.primitive(), other.primitive()
         while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
+            a, b = b, a.pseudo_remainder(b).primitive()
         return a.monic()
 
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x) -> Fraction:
-        """Evaluate at an exact rational point (Horner)."""
-        x = _frac(x)
-        acc = Fraction(0)
+    def __call__(self, x):
+        """Evaluate at an exact rational point: integer Horner on the
+        numerator of x, each coefficient scaled by its power of x's
+        denominator, and one division at the end."""
+        if not self.coeffs:
+            return 0
+        x = _number(x)
+        num, den = x.numerator, x.denominator
+        acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * num + c * scale
+            scale *= den
+        return _div(acc, scale // den)
 
-    def _term(self, c: Fraction, k: int, number) -> str:
+    def _term(self, c, k: int, number) -> str:
         if k == 0:
             return number(c)
         mono = "z" if k == 1 else f"z^{k}"
@@ -224,7 +295,7 @@ class Poly:
         chunks = re.findall(r"[+-]?[^+-]+", s)
         if "".join(chunks) != s:
             raise MalformedSyntax(f"cannot tokenize polynomial: {text!r}")
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for chunk in chunks:
             sign = 1
             body = chunk
@@ -247,13 +318,13 @@ class Poly:
                 coeff = Fraction(int((m.group("sign") or "") + num), int(den))
             except ZeroDivisionError:
                 raise MalformedSyntax(f"zero denominator in term {chunk!r} of {text!r}") from None
-            acc[exp] = acc.get(exp, Fraction(0)) + sign * coeff
+            acc[exp] = acc.get(exp, 0) + sign * coeff
         if any(
             abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND
             for c in acc.values()
         ):
             raise _long_coefficient()
-        out = [Fraction(0)] * (max(acc) + 1)
+        out = [0] * (max(acc) + 1)
         for k, c in acc.items():
             out[k] = c
         return cls(out)
@@ -266,7 +337,7 @@ class Poly:
         return cls([Fraction(c) for c in data])
 
 
-def _short_number(c: Fraction) -> str:
+def _short_number(c) -> str:
     if abs(c.numerator) < _DIGITS_BOUND and c.denominator < _DIGITS_BOUND:
         return str(c)
     return f"{'-' if c < 0 else ''}<number of more than {MAX_PARSE_DIGITS} digits>"
@@ -302,11 +373,8 @@ class RatGF:
         c0 = den[0]
         if c0 == 0:
             raise PoleAtZero(f"denominator {den.quoted()} vanishes at z = 0")
-        if c0 != 1:
-            num = num * (1 / c0)
-            den = den * (1 / c0)
-        self.num = num
-        self.den = den
+        self.num = num.over(c0)
+        self.den = den.over(c0)
 
     @classmethod
     def zero(cls) -> "RatGF":
@@ -351,13 +419,13 @@ class RatGF:
             raise DivisionByZero("division of generating functions by zero")
         return RatGF(self.num * other.den, self.den * other.num)
 
-    def __call__(self, x) -> Fraction:
-        return self.num(x) / self.den(x)
+    def __call__(self, x):
+        return _div(self.num(x), self.den(x))
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int):
         return self.coeffs(k)[k]
 
-    def coeffs(self, n: int) -> list[Fraction]:
+    def coeffs(self, n: int) -> list:
         """First n+1 power-series coefficients, [z^0 .. z^n]."""
         if self.den[0] == 0:
             raise PoleAtZero(f"denominator {self.den.quoted()} vanishes at z = 0")
@@ -366,7 +434,7 @@ class RatGF:
             c = self.num[k]
             for j in range(1, min(k, self.den.degree) + 1):
                 c -= self.den[j] * out[k - j]
-            out.append(c / self.den[0])
+            out.append(_div(c, self.den[0]))
         return out
 
     def __str__(self) -> str:
@@ -412,9 +480,9 @@ def from_eventually_periodic(initial, block, from_index: int) -> RatGF:
         )
     if not block:
         raise ParameterOutOfRange("period block must be non-empty")
-    head = Poly([0] + [_frac(c) for c in initial])
+    head = Poly([0, *initial])
     p = len(block)
-    rep = Poly([_frac(c) for c in block])
+    rep = Poly(block)
     tail = RatGF(rep.shift(from_index), Poly([1] + [0] * (p - 1) + [-1]))
     return RatGF(head) + tail
 
@@ -426,6 +494,6 @@ def seq(g: RatGF) -> RatGF:
     return RatGF(g.den, g.den - g.num)
 
 
-def coeffs(f: RatGF, n: int) -> list[Fraction]:
+def coeffs(f: RatGF, n: int) -> list:
     """First n+1 power-series coefficients of f."""
     return f.coeffs(n)

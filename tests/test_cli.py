@@ -3,15 +3,19 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import pinclasses
 from pinclasses.cli import RENDER_MAX_POINTS, main
+from pinclasses.series import MAX_PARSE_DEGREE, Poly
 
 
 def run(capsys, *argv):
@@ -152,7 +156,6 @@ class TestGrowth:
         code, out, _ = run(capsys, "growth", "--poly", "1-2z-z^3", "--tol", "0.01")
         assert code == 0
         import re
-        from fractions import Fraction
 
         m = re.search(r"\[(\S+), (\S+)\]", out)
         lo, hi = Fraction(m.group(1)), Fraction(m.group(2))
@@ -181,7 +184,24 @@ class TestGrowth:
         code, out, err = run(capsys, "growth", "--poly", "1-2z^99999999999")
         assert time.perf_counter() - start < 1
         assert code == 3 and not out
-        assert err.count("\n") == 1 and "exponents are at most 64" in err
+        assert err.count("\n") == 1 and f"exponents are at most {MAX_PARSE_DEGREE}" in err
+
+    def test_dense_poly_at_the_degree_bound_in_bounded_time(self, capsys):
+        """(1 - 3z) times a cofactor of one-digit coefficients above a
+        constant term of 100, which is at least 100 - 9 on [0, 1/2], is a
+        dense polynomial of degree MAX_PARSE_DEGREE with growth rate 3."""
+        rng = random.Random(5)
+        middle = [rng.randint(-9, 9) for _ in range(MAX_PARSE_DEGREE - 2)]
+        poly = Poly([1, -3]) * Poly([100, *middle, rng.randint(1, 9)])
+        assert poly.degree == MAX_PARSE_DEGREE and poly.coeffs.count(0) < 10
+        start = time.perf_counter()
+        code, out, err = run(capsys, "growth", "--poly", str(poly))
+        assert time.perf_counter() - start < 5
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert lines[0] == "growth = 3"
+        lo, hi = (Fraction(x) for x in lines[1].removeprefix("exact interval: [")[:-1].split(", "))
+        assert lo < 3 < hi and hi - lo < Fraction(1, 10**10)
 
     def test_growth_beyond_float_range(self, capsys):
         code, out, err = run(capsys, "growth", "--poly", f"1 - {10**400}z")

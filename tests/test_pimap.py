@@ -21,7 +21,6 @@ from pinclasses.pimap import (
     all_point_quadrants,
     compose_representation,
     diagram_points,
-    one_point_extension_candidates,
     pi_map,
     point_quadrant,
     remove_interior_point,
@@ -348,30 +347,6 @@ class TestComposeRepresentation:
 
         expect = reduce(box_sum, (pi_map(w) for w in words), EMPTY)
         assert compose_representation(words) == expect
-
-
-class TestOnePointExtensions:
-    def test_bare_numeral_has_eight(self):
-        reps = (PinWord(1, ""),)
-        cands = one_point_extension_candidates(reps)
-        assert len(cands) == 8  # four letter-appends + four numeral-appends
-
-    def test_letter_word_has_six(self):
-        reps = (PinWord(1, "ru"),)
-        cands = one_point_extension_candidates(reps)
-        assert len(cands) == 6  # two legal letters + four numerals
-
-    @given(st.lists(pin_words(max_letters=4), min_size=1, max_size=3))
-    @settings(max_examples=200)
-    def test_at_most_twelve_distinct_extended_perms(self, words):
-        """Each pin permutation has at most 12 one-point extensions along its
-        representation: at most 2 letter continuations plus 4 fresh numerals,
-        with multiple-representation overlap only shrinking the image count."""
-        reps = tuple(words)
-        perms = set()
-        for cand in one_point_extension_candidates(reps):
-            perms.add(compose_representation(cand))
-        assert len(perms) <= 12
 
 
 class TestRendering:

@@ -51,6 +51,8 @@ from pinclasses.pipeline import (
 from pinclasses.series import Poly, RatGF, seq
 from strategies import pin_specs
 
+import fraction_poly as fp
+
 Z = Poly.parse("z")
 ONE = Poly.parse("1")
 
@@ -498,15 +500,15 @@ class TestGrowthRate:
 
 
 def _fraction_bisection(poly: Poly, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """The exact-rational bisection: every midpoint a Fraction, every chain
-    member evaluated by Poly.__call__, halving until the bracket is at most
-    tol wide and its lower end is past 0."""
-    chain = pipeline._sturm_chain(pipeline._square_free(poly))
+    """The exact-rational bisection on the Fraction-only Sturm chain: every
+    midpoint a Fraction, halving until the bracket is at most tol wide and
+    its lower end is past 0."""
+    chain = fp.sturm_chain(fp.square_free(fp.frac_poly(poly)))
     lo, hi = Fraction(0), Fraction(1, 2)
-    var_lo = pipeline._variations(chain, lo)
+    var_lo = fp.variations(chain, lo)
     while lo == 0 or hi - lo > tol:
         mid = (lo + hi) / 2
-        var_mid = pipeline._variations(chain, mid)
+        var_mid = fp.variations(chain, mid)
         if var_lo - var_mid >= 1:
             hi = mid
         else:
@@ -564,6 +566,85 @@ class TestDyadicBisection:
     @settings(max_examples=60, deadline=None)
     def test_matches_fraction_bisection(self, poly, tol):
         assert growth_rate(poly, tol=tol).root_interval == _fraction_bisection(poly, tol)
+
+
+# The published anchors' denominators: the four frozen class generating
+# functions, the complete class, its part confined to quadrants 1 and 2, and
+# the closures of 41[3]52 and of the four single points.
+ANCHOR_DENOMINATORS = [f.den for f in FROZEN_CLASS_GFS.values()] + [
+    Poly.parse(text)
+    for text in (
+        "1 - 8z + 19z^2 - 26z^3 + 14z^4 - 12z^5 - 8z^6 + 20z^7 - 8z^8",
+        "1 - 2z - 4z^2 - 2z^3 - 8z^4 - 4z^5",
+        "1 - 4z + 2z^2 - z^4",
+        "1 - 4z + 2z^2",
+    )
+]
+
+@st.composite
+def _core_polys(draw, max_degree=64, max_rational_degree=32):
+    """A polynomial with one-digit integer coefficients up to max_degree, or
+    with rational ones up to max_rational_degree, maybe times the square of
+    a short one.  The Fraction route's cost grows about as degree^6, and
+    about five times faster with rational coefficients."""
+    if draw(st.booleans()):
+        cs, top = st.integers(-9, 9), max_degree
+    else:
+        cs, top = st.fractions(-9, 9, max_denominator=12), max_rational_degree
+    degree = draw(st.integers(0, top))
+    p = Poly(draw(st.lists(cs, min_size=degree + 1, max_size=degree + 1)))
+    if degree <= top - 4 and draw(st.booleans()):
+        q = Poly(draw(st.lists(cs, min_size=1, max_size=3)))
+        p = p * q * q
+    return p
+
+
+def _positive_multiple(got: Poly, want) -> bool:
+    """got = c·want for some rational c > 0."""
+    got = fp.frac_poly(got)
+    if not got or not want:
+        return got == want
+    return fp.monic(got) == fp.monic(want) and (got[-1] > 0) == (want[-1] > 0)
+
+
+class TestIntegerCore:
+    """The primitive pseudo-remainder gcd, square-free part and Sturm chain
+    against the Euclidean ones over the rationals."""
+
+    @given(_core_polys(8, 8), _core_polys(16, 16), _core_polys(16, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_matches_euclid(self, g, u, v):
+        for a, b in ((g * u, g * v), (u, v), (g * u, Poly.zero())):
+            want = fp.gcd(fp.frac_poly(a), fp.frac_poly(b))
+            assert a.gcd(b).coeffs == want == b.gcd(a).coeffs
+
+    @given(_core_polys(), st.lists(_small_fractions, min_size=1, max_size=6))
+    @settings(max_examples=8, deadline=None)
+    def test_sturm_chain_matches_reference(self, p, points):
+        self.check_chain(p, points)
+
+    @pytest.mark.parametrize("den", ANCHOR_DENOMINATORS, ids=str)
+    def test_anchor_denominators(self, den):
+        self.check_chain(den, [Fraction(k, 20) for k in range(-20, 21)])
+        assert den.gcd(den.derivative()).coeffs == fp.gcd(
+            fp.frac_poly(den), fp.derivative(fp.frac_poly(den))
+        )
+
+    @staticmethod
+    def check_chain(p: Poly, points):
+        """Each member of the integer chain is a primitive integer positive
+        multiple of the Fraction chain's member, so the chains have the same
+        length and the same sign variations at every point."""
+        square_free = pipeline._square_free(p)
+        want = fp.square_free(fp.frac_poly(p))
+        assert _positive_multiple(square_free, want)
+        chain, reference = pipeline._sturm_chain(square_free), fp.sturm_chain(want)
+        assert len(chain) == len(reference)
+        for member, ref in zip(chain, reference):
+            assert all(type(c) is int for c in member.coeffs)
+            assert member == member.primitive() and _positive_multiple(member, ref)
+        for x in points:
+            assert pipeline._variations(chain, x) == fp.variations(reference, x)
 
 
 class TestStabilizationGuard:

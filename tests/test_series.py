@@ -24,6 +24,8 @@ from pinclasses.series import (
     seq,
 )
 
+import fraction_poly as fp
+
 small_polys = st.builds(
     Poly,
     st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=6),
@@ -271,3 +273,85 @@ class TestSeriesBuilders:
         g = RatGF(Poly([0] + cs))
         f = seq(g)
         assert f == RatGF.one() + g * f
+
+
+# Integers and fractions mixed, integral-valued fractions like 4/2 included.
+exact_numbers = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.just(1)),
+)
+mixed_polys = st.builds(Poly, st.lists(exact_numbers, min_size=0, max_size=7))
+
+
+def _exact(x) -> bool:
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _exact_poly(p: Poly) -> bool:
+    return isinstance(p, Poly) and all(_exact(c) for c in p.coeffs)
+
+
+class TestExactTypes:
+    """Every integral coefficient is an int and every other one a Fraction,
+    and each result equals its recomputation on the Fraction-only route."""
+
+    def test_integral_fractions_become_ints(self):
+        p = Poly([Fraction(4, 2), Fraction(1, 2), Fraction(-3, 1)])
+        assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+        assert repr(p) == "Poly([2, Fraction(1, 2), -3])"
+        assert repr(Poly.parse("1 - 2z - z^3")) == "Poly([1, -2, 0, -1])"
+        assert Poly.from_json(["1", "-2/4", "6/3"]).coeffs == (1, Fraction(-1, 2), 2)
+
+    def test_integer_division_stays_exact(self):
+        """Dividing int coefficients by an int lead gives a Fraction or an
+        int, never a float."""
+        q, r = Poly([1, 0, 1]).divmod(Poly([1, 2]))
+        assert q.coeffs == (Fraction(-1, 4), Fraction(1, 2)) and r.coeffs == (Fraction(5, 4),)
+        assert Poly([3, 6]).monic().coeffs == (Fraction(1, 2), 1)
+        assert RatGF(Poly([1]), Poly([2, 1])).den.coeffs == (1, Fraction(1, 2))
+        assert RatGF(Poly([1]), Poly([3])).coeffs(2) == [Fraction(1, 3), 0, 0]
+        assert RatGF(Poly([1]), Poly([1, 1]))(1) == Fraction(1, 2)
+        assert Poly([1, 1])(Fraction(1, 2)) == Fraction(3, 2) and Poly([1, 1])(2) == 3
+
+    @given(mixed_polys, mixed_polys)
+    @settings(max_examples=120, deadline=None)
+    def test_poly_arithmetic(self, a, b):
+        fa, fb = fp.frac_poly(a), fp.frac_poly(b)
+        results = [
+            (a + b, fp.add(fa, fb)),
+            (a - b, fp.sub(fa, fb)),
+            (a * b, fp.mul(fa, fb)),
+            (a * Fraction(2, 3), fp.scale(fa, Fraction(2, 3))),
+            (a.monic(), fp.monic(fa)),
+            (a.gcd(b), fp.gcd(fa, fb)),
+            (a.derivative(), fp.derivative(fa)),
+        ]
+        if not b.is_zero():
+            (q, r), (fq, fr) = a.divmod(b), fp.divmod_(fa, fb)
+            results += [(q, fq), (r, fr)]
+        for got, want in results:
+            assert _exact_poly(got) and got.coeffs == want
+        for x in (0, 2, Fraction(-1, 3)):
+            assert _exact(a(x)) and a(x) == fp.evaluate(fa, Fraction(x))
+
+    @given(mixed_polys, mixed_polys.filter(lambda p: p[0] != 0))
+    @settings(max_examples=120, deadline=None)
+    def test_ratgf_construction_coeffs_and_seq(self, num, den):
+        f = RatGF(num, den)
+        want_num, want_den = fp.reduced(fp.frac_poly(num), fp.frac_poly(den))
+        assert _exact_poly(f.num) and _exact_poly(f.den)
+        assert (f.num.coeffs, f.den.coeffs) == (want_num, want_den)
+        got = f.coeffs(8)
+        assert all(map(_exact, got)) and got == fp.series(want_num, want_den, 8)
+        for x in (1, Fraction(1, 7)):
+            if f.den(x):
+                want = fp.evaluate(want_num, Fraction(x)) / fp.evaluate(want_den, Fraction(x))
+                assert _exact(f(x)) and f(x) == want
+        g = RatGF(num.shift(1), den)
+        s = seq(g)
+        g_num, g_den = fp.frac_poly(g.num), fp.frac_poly(g.den)
+        assert _exact_poly(s.num) and _exact_poly(s.den)
+        assert (s.num.coeffs, s.den.coeffs) == fp.reduced(g_den, fp.sub(g_den, g_num))
+        assert all(map(_exact, s.coeffs(8)))
