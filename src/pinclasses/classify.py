@@ -22,9 +22,7 @@ the pi-map and `is_box_indecomposable` built from scratch (`pimap.check_node`).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from multiprocessing import get_context
 
 from .cperm import QUADRANT_SIGNS, CentredPerm, centred_pattern, quadrant_of
 from .errors import CensusTooLarge, ParameterOutOfRange
@@ -216,6 +214,10 @@ def _walks(roots, limits, jobs: int):
     if jobs == 1:
         yield from map(_walk, roots, limits)
         return
+    # imported here, as the pool's modules are a quarter of `import pinclasses`
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     workers = min(jobs, len(roots))
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         yield from pool.map(_walk, roots, limits)

@@ -15,11 +15,20 @@ point route, which `PinDiagram` draws.
 Growing diagrams take the image route instead: `_grow` applies the same
 rule to a word's image, one tuple insertion per point, and carries the
 image's proper ∘-intervals (so its ⊞-indecomposability) and its quadrant
-set from the parent.  `trie_images` grows every word of a trie, or of the
-sub-trie its child filter keeps, at one step per word; the verify-tables
-walk and the factor images of a spec both use it, and `check_node` checks
-a walked word against the point route.  The two routes share no placement
-code.
+set from the parent.  The intervals through the new point P = (p, v) come
+from the parent's in O(#intervals), by the extension rule: they are the
+blocks B = (a, b, lo, hi) with a <= p <= b + 1 and lo <= v <= hi + 1,
+each joined with P into (a, b + 1, lo, hi + 1), for B a parent interval
+or the bare origin.  Proof: in the child, B's positions are a..b with
+those at or past p moved up one, so with p they fill a run exactly when
+a <= p <= b + 1, and that run is a..b + 1; values likewise.  Conversely, a
+proper child interval through P, less P and re-standardised, is a block
+of the parent around the origin that is not the whole parent, so a parent
+interval or the bare origin.  `trie_images` grows every word of a trie,
+or of the sub-trie its child filter keeps, at one step per word; the
+verify-tables walk and the factor images of a spec both use it, and
+`check_node` checks a walked word against the point route.  The two routes
+share no placement code.
 """
 
 from __future__ import annotations
@@ -86,26 +95,6 @@ def _seed(numeral: int):
     return p.filled, p.origin_index, 3 - p.origin_index, (), frozenset((numeral,))
 
 
-def _contiguous_tails(s, reach: int) -> list[tuple[int, int, int]]:
-    """(i, lo, hi) for each tail s[i-1:] with 2 <= i <= reach whose entries
-    are the consecutive integers lo..hi.  The span of a tail only grows as
-    it lengthens, so when it exceeds the tail's length by ``gap``, no
-    contiguous tail starts within the next ``gap`` entries."""
-    m = len(s)
-    out = []
-    i = reach
-    while i >= 2:
-        tail = s[i - 1 :]
-        lo, hi = min(tail), max(tail)
-        gap = hi - lo - (m - i)
-        if gap:
-            i -= gap
-        else:
-            out.append((i, lo, hi))
-            i -= 1
-    return out
-
-
 def _grow(node, letter: str):
     """The image-level placement step: the node of a word's image after
     one more point for ``letter``.
@@ -113,19 +102,22 @@ def _grow(node, letter: str):
     A node is (filled, origin index, position of the last point, proper
     non-trivial ∘-intervals as (a, b, lo, hi) for positions a..b and
     values lo..hi, quadrant set).  The last point is extreme on the axis
-    the letter does not move along, so the new point takes the extreme
-    value (u/d) or position (r/l), and its other coordinate goes just
-    inside the last point's: one tuple insertion, plus a shift by one of
-    the values above the new one.
+    the letter does not move along, so the new point P = (p, v) takes the
+    extreme value (u/d) or position (r/l), and its other coordinate goes
+    just inside the last point's: one tuple insertion, plus a shift by one
+    of the values above the new one.
 
-    An interval of the child without the new point is one of the parent's
-    that the new point does not split; the parent's whole image is always
-    split, as the new point's other coordinate lies inside its range.  One
-    with it reaches the new point's edge and covers the origin: read from
-    that edge, along the new point's extreme axis, it is a contiguous tail
-    (`_contiguous_tails`)."""
+    The child's intervals are the parent's that P does not split, shifted
+    past P, and, for each block B = (a, b, lo, hi) that is a parent
+    interval or the bare origin (k, k, vo, vo) with a <= p <= b + 1 and
+    lo <= v <= hi + 1, B joined with P as (a, b + 1, lo, hi + 1).  Proof:
+    B's shifted positions and values, with P's, are runs exactly then; and a
+    proper child interval through P, less P, is a block of the parent
+    around the origin short of the whole parent, so one of the B."""
     f, k, last, intervals, quadrants = node
     m = len(f)
+    vo = f[k - 1]
+    blocks = (*intervals, (k, k, vo, vo))
     if letter in "ud":
         p = last if last == m else last + 1
         if letter == "u":
@@ -149,8 +141,7 @@ def _grow(node, letter: str):
             p = 1
             g = (v,) + f
     k += k >= p
-    vo = g[k - 1]
-    q = quadrant_of((p, v), (k, vo))
+    q = quadrant_of((p, v), (k, g[k - 1]))
     if q not in quadrants:
         quadrants = quadrants | {q}
     found = [
@@ -158,20 +149,9 @@ def _grow(node, letter: str):
         for a, b, lo, hi in intervals
         if not (a < p <= b or lo < v <= hi)
     ]
-    n = m + 1
-    if letter == "r":
-        found += [(i, n, lo, hi) for i, lo, hi in _contiguous_tails(g, k)]
-    elif letter == "l":
-        found += [(1, n + 1 - i, lo, hi) for i, lo, hi in _contiguous_tails(g[::-1], n + 1 - k)]
-    else:
-        order = sorted(range(n), key=g.__getitem__)  # 0-based positions by value
-        if letter == "u":
-            found += [(a + 1, b + 1, i, n) for i, a, b in _contiguous_tails(order, vo)]
-        else:
-            found += [
-                (a + 1, b + 1, 1, n + 1 - i)
-                for i, a, b in _contiguous_tails(order[::-1], n + 1 - vo)
-            ]
+    found += [
+        (a, b + 1, lo, hi + 1) for a, b, lo, hi in blocks if a <= p <= b + 1 and lo <= v <= hi + 1
+    ]
     return g, k, p, found, quadrants
 
 
@@ -179,7 +159,7 @@ def trie_images(root, n_max: int, children=None):
     """Yield (word text, image, ⊞-indecomposable?, quadrant set) for root
     and every extension of it up to length n_max, depth first.  Each word's
     node is its parent's plus one `_grow` step, so a word costs one
-    placement and one scan for the ∘-intervals through its new point.
+    placement and one pass over its parent's ∘-intervals.
     ``children(text)``, if given, returns the letters, each one that may
     follow the word, to extend a word shorter than n_max by; without it,
     every such letter in LETTERS order."""

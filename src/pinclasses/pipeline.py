@@ -13,6 +13,7 @@ the same.
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -444,6 +445,10 @@ def complete_class_gf(quadrants=(1, 2, 3, 4)) -> RatGF:
 # 1 - 2z - z^3 takes 0.08 s at 1e-1000, 1.3 s at 1e-3000 and 29 s at 1e-10000;
 # the degree-5 denominator of 1(ldru)* takes 0.4 s, 6.8 s and 149 s.
 _MIN_TOL = Fraction(1, 10**1000)
+# A growth interval at the tolerance floor fixes about a thousand digits; the
+# decimal is divided out at ``digits`` precision, so a larger request would
+# only cost time and memory on digits no interval fixes.
+MAX_DIGITS = 1000
 
 
 def _square_free(p: Poly) -> Poly:
@@ -497,8 +502,9 @@ class GrowthResult:
 
     ``root_interval`` isolates the smallest positive real root of
     ``polynomial`` in (0, 1/2]; ``growth_rate`` is the decimal rendering of
-    its reciprocal.  The interval carries a Sturm-count certificate that no
-    root lies in (0, lo].
+    its reciprocal interval's midpoint, rounded from the exact midpoint.
+    The interval carries a Sturm-count certificate that no root lies in
+    (0, lo].  A midpoint beyond the float range raises OverflowError.
     """
 
     __slots__ = ("root_interval", "polynomial", "growth_rate", "digits")
@@ -506,9 +512,12 @@ class GrowthResult:
     def __init__(self, root_interval, polynomial: Poly, digits: int = 10):
         self.root_interval = (Fraction(root_interval[0]), Fraction(root_interval[1]))
         self.polynomial = polynomial
+        _check_digits(digits)
         self.digits = digits
         lo, hi = self.growth_interval
-        self.growth_rate = format(float((lo + hi) / 2), f".{digits}g")
+        mid = (lo + hi) / 2
+        float(mid)  # past the float range, `value` has no float: OverflowError
+        self.growth_rate = _significant(mid, digits)
 
     @property
     def growth_interval(self) -> tuple[Fraction, Fraction]:
@@ -534,9 +543,25 @@ class GrowthResult:
         return f"GrowthResult({self.growth_rate}, poly={self.polynomial})"
 
 
+def _significant(x: Fraction, digits: int) -> str:
+    """x > 0 rounded half-even to ``digits`` significant digits, from its
+    exact value, and laid out as format(float(x), f".{digits}g") lays out a
+    float of 1e-4 or more: trailing zeros dropped, and an exponent of at
+    least two digits when it is ``digits`` or more."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
+        rounded = Decimal(x.numerator) / x.denominator
+    mantissa, _, exponent = format(rounded, f".{digits}g").partition("e")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0").rstrip(".")
+    return mantissa + (f"e{int(exponent):+03d}" if exponent else "")
+
+
 def _check_digits(digits: int) -> None:
     if digits < 1:
         raise ParameterOutOfRange(f"digits must be at least 1, got {digits}")
+    if digits > MAX_DIGITS:
+        raise ParameterOutOfRange(f"digits must be at most {MAX_DIGITS}")
 
 
 def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResult:

@@ -1,5 +1,6 @@
 """Exhaustive classification of colliding and decomposable pin words."""
 
+import concurrent.futures
 from collections import Counter
 
 import pytest
@@ -255,7 +256,7 @@ class TestVerifyTables:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         reports = verify_tables(4, jobs=64)
         assert sizes == [20]
         assert [r.to_json() for r in reports] == [r.to_json() for r in verify_tables(4)]

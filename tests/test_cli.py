@@ -203,6 +203,17 @@ class TestGrowth:
         lo, hi = (Fraction(x) for x in lines[1].removeprefix("exact interval: [")[:-1].split(", "))
         assert lo < 3 < hi and hi - lo < Fraction(1, 10**10)
 
+    def test_thirty_digits_are_exact(self, capsys):
+        """The decimal is rounded from the exact midpoint, not from a float,
+        so every digit the interval fixes is right: the growth rate of
+        1 - 2z - z^3, the real root of x^3 - 2x^2 - 1, is
+        2.205569430400590311702028617783823...."""
+        code, out, err = run(
+            capsys, "growth", "--poly", "1-2z-z^3", "--tol", "1e-40", "--digits", "30"
+        )
+        assert code == 0 and not err
+        assert out.splitlines()[0] == "growth = 2.20556943040059031170202861778"
+
     def test_growth_beyond_float_range(self, capsys):
         code, out, err = run(capsys, "growth", "--poly", f"1 - {10**400}z")
         assert code == 4 and not out
@@ -243,6 +254,16 @@ class TestGrowth:
         code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--digits", "0")
         assert code == 3
         assert "digits" in err and not out
+
+    @pytest.mark.parametrize("digits", ["1001", "10000000000000000000"])
+    def test_digits_above_the_bound_fail_fast(self, capsys, digits):
+        """The decimal is divided out at ``digits`` precision, so an
+        unbounded request would allocate that many digits."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--digits", digits)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert err.count("\n") == 1 and "digits must be at most 1000" in err
 
     def test_needs_spec_or_poly(self, capsys):
         code, _, err = run(capsys, "growth")

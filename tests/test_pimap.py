@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pinclasses import pimap
 from pinclasses.classify import all_pin_words
 from pinclasses.cperm import (
     QUADRANT_SIGNS,
     CentredPerm,
+    _centred_intervals,
     box_sum,
     centred_pattern,
     from_oneline,
@@ -83,6 +85,68 @@ def fresh_node(text):
     """What `trie_images` yields for a word, built from scratch."""
     img = pi_map(text)
     return text, img, is_box_indecomposable(img), img.quadrants()
+
+
+def reference_intervals(f, k) -> set:
+    """The proper non-trivial ∘-intervals of the image (f, k) from scratch,
+    as (a, b, lo, hi): every ∘-interval but the whole range (1, m), with
+    lo and hi read from the image."""
+    m = len(f)
+    return {
+        (a, b, min(f[a - 1 : b]), max(f[a - 1 : b]))
+        for a, b in _centred_intervals(CentredPerm(f, k))
+        if (a, b) != (1, m)
+    }
+
+
+def check_intervals(text, node):
+    f, k, _, intervals, _ = node
+    assert len(set(intervals)) == len(intervals), text
+    assert set(intervals) == reference_intervals(f, k), text
+
+
+def path_nodes(text):
+    """(prefix, node) for every prefix of the word text, each node its
+    parent's plus one `_grow` step from the numeral's seed."""
+    node = pimap._seed(int(text[0]))
+    yield text[0], node
+    for end in range(2, len(text) + 1):
+        node = pimap._grow(node, text[end - 1])
+        yield text[:end], node
+
+
+class TestCarriedIntervals:
+    """The ∘-intervals `_grow` carries equal the from-scratch set at every
+    node; the other tests see only whether the set is empty."""
+
+    def test_every_word_to_ten(self):
+        stack = [(str(n), pimap._seed(n)) for n in QUADRANT_SIGNS]
+        seen = 0
+        while stack:
+            text, node = stack.pop()
+            check_intervals(text, node)
+            seen += 1
+            if len(text) < 10:
+                stack.extend((text + c, pimap._grow(node, c)) for c in NEXT_LETTERS[text[1:][-1:]])
+        assert seen == 4 + sum(2 ** (n + 2) for n in range(2, 11))
+
+    @given(pin_words(max_letters=300))
+    @settings(max_examples=40, deadline=None)
+    def test_long_paths(self, w):
+        for text, node in path_nodes(str(w)):
+            check_intervals(text, node)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" + "ru" * 75, "3" + "ld" * 75, "4" + "ul" * 75, "3" + "ur" * 75, "1u" + "lurd" * 37],
+        ids=lambda text: f"{text[:5]}-{len(text)}",
+    )
+    def test_periodic_words(self, text):
+        """Pin-word images have at most two proper ∘-intervals (to n = 12);
+        4(ul)* and 3(ur)* keep one from length 2 on, 1(ru)* and 3(ld)* have
+        none."""
+        for prefix, node in path_nodes(text):
+            check_intervals(prefix, node)
 
 
 class TestPiMap:

@@ -1,5 +1,7 @@
 """Generating functions, amended counting sequences, and certified growth."""
 
+import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -30,8 +32,10 @@ from pinclasses.pinword import (
     parse_pin_spec,
 )
 from pinclasses.pipeline import (
+    GrowthResult,
     GSequence,
     _factor_images,
+    _significant,
     _stabilized_gf,
     amended_G,
     class_gf,
@@ -387,6 +391,28 @@ class TestGrowthRate:
         r = growth_rate(class_gf("1(ru)*"), digits=6)
         assert r.growth_rate == "2.20557"
 
+    @given(
+        st.floats(min_value=2, max_value=1e300, allow_nan=False, allow_infinity=False),
+        st.integers(min_value=1, max_value=17),
+    )
+    @example(2.0, 10)
+    @example(100.0, 2)
+    @example(12345.0, 3)
+    @example(2.5, 1)
+    def test_decimal_layout_matches_float_format(self, x, digits):
+        """On a float's exact value, rounding from the exact fraction gives
+        what format() gives, so default output is unchanged."""
+        assert _significant(Fraction(x), digits) == format(x, f".{digits}g")
+
+    def test_thousand_digits(self):
+        r = growth_rate(Poly.parse("1 - 2z - z^3"), tol=Fraction(1, 10**1000), digits=1000)
+        lo, hi = r.growth_interval
+        assert 990 < len(r.growth_rate) <= 1001  # trailing zeros are dropped
+        # rounded from the exact midpoint, to within half the last place
+        assert abs(Fraction(r.growth_rate) - (lo + hi) / 2) <= Fraction(1, 2 * 10**999)
+        with pytest.raises(ParameterOutOfRange):
+            GrowthResult(r.root_interval, r.polynomial, digits=1001)
+
     def test_poly_input(self):
         direct = growth_rate(Poly.parse("1 - 2z - z^3"))
         via_gf = growth_rate(class_gf("1(ru)*"))
@@ -645,6 +671,25 @@ class TestIntegerCore:
             assert member == member.primitive() and _positive_multiple(member, ref)
         for x in points:
             assert pipeline._variations(chain, x) == fp.variations(reference, x)
+
+
+class TestLongCycles:
+    def test_closure_growth_of_a_128_letter_cycle_in_bounded_time(self):
+        """A seeded balanced 128-letter cycle: each axis alternates with the
+        other and uses its two letters equally often, so the diagram grows
+        on all four sides.  The bound is loose, about six times the time
+        measured on a 2-core x86-64: it catches a far costlier image step,
+        not a small slowdown."""
+        rng = random.Random(7)
+        ud, lr = list("ud" * 32), list("lr" * 32)
+        rng.shuffle(ud)
+        rng.shuffle(lr)
+        spec = "1(" + "".join(a + b for a, b in zip(ud, lr)) + ")*"
+        start = time.perf_counter()
+        r = growth_rate(closure_gf(spec))
+        assert time.perf_counter() - start < 10
+        lo, hi = r.growth_interval
+        assert 4 < lo < hi < 6 and hi - lo < Fraction(1, 10**10)
 
 
 class TestStabilizationGuard:
