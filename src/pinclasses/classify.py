@@ -193,7 +193,7 @@ def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
     leaf = decomposable = None
     for text, img, indecomposable, _ in trie_images(root, n_max):
         images, decs = tables[len(text)]
-        key = bytes((*img.filled, img.origin_index))
+        key = bytes((*img[0], img[1]))
         images[key] = images.get(key, ()) + (text,)
         if not indecomposable:
             decs.append(text)

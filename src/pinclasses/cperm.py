@@ -8,8 +8,8 @@ toward the length.  Text form uses square brackets for the origin, e.g.
 Every public way to make a CentredPerm validates its input: direct
 construction, `from_oneline`, `CentredPerm.from_json` and `centred_pattern`.
 One internal constructor, `CentredPerm._trusted`, checks nothing.  It serves
-only the three builders whose results are permutations by construction:
-`box_sum`, the pin-word trie walker `pimap.trie_images` and `expand_level`.
+only the two builders whose results are permutations by construction:
+`box_sum` and `expand_level`.
 Its contract: ``filled`` is a tuple of Python ints that is a permutation of
 1..m, and 1 <= ``origin_index`` <= m.
 
@@ -69,7 +69,7 @@ class CentredPerm:
     (``operator.index``, so numpy integers pass; floats and strings do not),
     the entries a permutation of 1..m and the origin index in 1..m.  The
     internal `_trusted` skips every check; see the module docstring for
-    its contract and its three callers.
+    its contract and its two callers.
     """
 
     filled: tuple[int, ...]

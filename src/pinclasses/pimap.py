@@ -24,9 +24,10 @@ those at or past p moved up one, so with p they fill a run exactly when
 a <= p <= b + 1, and that run is a..b + 1; values likewise.  Conversely, a
 proper child interval through P, less P and re-standardised, is a block
 of the parent around the origin that is not the whole parent, so a parent
-interval or the bare origin.  `trie_images` grows every word of a trie,
-or of the sub-trie its child filter keeps, at one step per word; the
-verify-tables walk and the factor images of a spec both use it, and
+interval or the bare origin.  `trie_images` grows every word of the
+pin-word trie, or of a nested-dict trie it is given, at one step per word,
+and yields each image as its raw (filled, origin index) pair, which its
+callers, the verify-tables walk and a spec's factor counts, only hash;
 `check_node` checks a walked word against the point route.  The two routes
 share no placement code.
 """
@@ -155,35 +156,36 @@ def _grow(node, letter: str):
     return g, k, p, found, quadrants
 
 
-def trie_images(root, n_max: int, children=None):
-    """Yield (word text, image, ⊞-indecomposable?, quadrant set) for root
-    and every extension of it up to length n_max, depth first.  Each word's
-    node is its parent's plus one `_grow` step, so a word costs one
-    placement and one pass over its parent's ∘-intervals.
-    ``children(text)``, if given, returns the letters, each one that may
-    follow the word, to extend a word shorter than n_max by; without it,
-    every such letter in LETTERS order."""
+def trie_images(root, n_max: int, trie=None):
+    """Yield (word text, image as its (filled, origin index) pair,
+    ⊞-indecomposable?, quadrant set) for root and every extension of it up
+    to length n_max, depth first.  Each word's node is its parent's plus
+    one `_grow` step, so a word costs one placement and one pass over its
+    parent's ∘-intervals.  ``trie``, if given, is a nested dict from each
+    letter that may follow the root to its own such dict, and the walk
+    keeps to the words it spells; without it, every letter that may follow
+    a word extends it, in LETTERS order."""
     root = as_word(root)
     node = _seed(root.numeral)
     for letter in root.letters:
         node = _grow(node, letter)
-    stack = [(str(root), root.letters[-1:], node)]
+    stack = [(str(root), root.letters[-1:], trie, node)]
     while stack:
-        text, last, node = stack.pop()
+        text, last, sub, node = stack.pop()
         f, k, _, intervals, quadrants = node
-        yield text, CentredPerm._trusted(f, k), not intervals, quadrants
+        yield text, (f, k), not intervals, quadrants
         if len(f) <= n_max:  # the word has len(f) - 1 points
-            letters = NEXT_LETTERS[last] if children is None else children(text)
-            stack.extend((text + c, c, _grow(node, c)) for c in reversed(letters))
+            kids = sub.items() if sub is not None else [(c, None) for c in NEXT_LETTERS[last]]
+            stack.extend((text + c, c, below, _grow(node, c)) for c, below in reversed(kids))
 
 
-def check_node(w, img: CentredPerm, indecomposable: bool) -> CentredPerm:
+def check_node(w, image: tuple, indecomposable: bool) -> CentredPerm:
     """Check a `trie_images` node of the word w (or its text) against the
-    routes built from scratch: its image against `pi_map`, its flag against
-    `is_box_indecomposable`.  Returns the image built from scratch."""
+    routes built from scratch: its image pair against `pi_map`, its flag
+    against `is_box_indecomposable`.  Returns the image built from scratch."""
     fresh = pi_map(w)
-    if img != fresh:
-        raise CrossCheckMismatch(f"walked image {img} of {w} differs from its pi-map {fresh}")
+    if image != (fresh.filled, fresh.origin_index):
+        raise CrossCheckMismatch(f"walked image {image} of {w} differs from its pi-map {fresh}")
     if indecomposable != is_box_indecomposable(fresh):
         raise CrossCheckMismatch(
             f"carried ⊞-indecomposability {indecomposable} of {w} differs from its image {fresh}"

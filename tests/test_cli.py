@@ -106,6 +106,23 @@ class TestGf:
         assert code == 3
         assert "digits" in err and not out
 
+    @pytest.mark.parametrize("command", ["gf", "growth"])
+    @pytest.mark.parametrize("mode", ["class", "closure", "interior"])
+    def test_spec_over_the_length_cap_fails_fast(self, capsys, command, mode):
+        """One symbol over MAX_SPEC_LENGTH exits 3 with one line, before the
+        recurrence test or any factor enumeration: the factor walk grows as
+        the cube of the spec's length, about 10 s at 256 symbols."""
+        from pinclasses.pipeline import MAX_SPEC_LENGTH
+
+        rng = random.Random(7)
+        letters = [rng.choice("ud") + rng.choice("lr") for _ in range(MAX_SPEC_LENGTH // 2)]
+        spec = "1" + "r" * (MAX_SPEC_LENGTH % 2) + "(" + "".join(letters) + ")*"
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, spec, "--mode", mode)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert f"at most {MAX_SPEC_LENGTH}" in err and err.count("\n") == 1
+
 
 class TestGrowth:
     def test_spec_default_closure_mode(self, capsys):

@@ -423,11 +423,10 @@ class TestTrustedConstruction:
         inner, outer = from_oneline("241[3]5"), from_oneline("413[5]2")
         assert _inflate(inner, outer).one_line() == "413685[7]92"
 
-    def test_only_box_sum_the_trie_walker_and_the_expander_use_it(self):
+    def test_only_box_sum_and_the_expander_use_it(self):
         """The unchecked constructor must not spread to public entries: its
-        definition and its three builders (box_sum, the pin-word trie walker
-        and the census levels' member expander) are the only code that
-        names it."""
+        definition and its two builders (box_sum and the census levels'
+        member expander) are the only code that names it."""
         found = []
 
         def visit(node, module, scope):
@@ -450,7 +449,6 @@ class TestTrustedConstruction:
             ("cperm", "CentredPerm._trusted"),
             ("cperm", "box_sum"),
             ("cperm", "expand_level"),
-            ("pimap", "trie_images"),
         ]
 
     @given(st.lists(centred_perms(max_n=5), max_size=12))

@@ -1,13 +1,17 @@
 """The benchmark tracer names functions of the package by string; each name
 must still resolve, so that deleting or renaming a function cannot break
-``perfbench/run.py --trace 1`` unnoticed.  The tracer is read, not run."""
+``perfbench/run.py --trace 1`` unnoticed.  The tracer is read, not run.
+Likewise the set-up code that ``perfbench/run.py --trace 0`` times is read
+from run.py and run as it stands."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +55,17 @@ def test_constructor_counts_resolve(tracer, layers):
     for counter, (layer, cls_name, attr) in tracer.CONSTRUCTOR_COUNTS.items():
         cls = getattr(layers[layer], cls_name)
         assert callable(cls.__dict__[attr]), counter
+
+
+def test_setup_code_runs():
+    """run.py's SETUP_CODE, the string its untraced runs time as setup_s,
+    calls private tables of the package by name; it must run unchanged."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    (code,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]
+    ]
+    assert "pipeline." in code and "classify." in code
+    exec(compile(code, "SETUP_CODE", "exec"), {})

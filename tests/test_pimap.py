@@ -84,7 +84,17 @@ def reference_points(w):
 def fresh_node(text):
     """What `trie_images` yields for a word, built from scratch."""
     img = pi_map(text)
-    return text, img, is_box_indecomposable(img), img.quadrants()
+    return text, (img.filled, img.origin_index), is_box_indecomposable(img), img.quadrants()
+
+
+def trie_of(words) -> dict:
+    """The nested-dict trie of the letter strings ``words``."""
+    trie: dict = {}
+    for letters in words:
+        node = trie
+        for c in letters:
+            node = node.setdefault(c, {})
+    return trie
 
 
 def reference_intervals(f, k) -> set:
@@ -180,10 +190,10 @@ class TestPiMap:
     @given(pin_words(max_letters=29))
     @settings(max_examples=80)
     def test_prefix_images_match_fresh_diagrams(self, w):
-        """A filter that keeps only w's next letter walks w's prefixes; each
-        image, flag and quadrant set matches the routes built from scratch."""
+        """The trie of w's letters alone walks w's prefixes; each image,
+        flag and quadrant set matches the routes built from scratch."""
+        nodes = list(trie_images(PinWord(w.numeral), w.length, trie_of([w.letters])))
         text = str(w)
-        nodes = list(trie_images(PinWord(w.numeral), w.length, lambda t: text[len(t)]))
         assert nodes == [fresh_node(text[:k]) for k in range(1, w.length + 1)]
 
     def test_walk_matches_fresh_routes_to_ten(self):
@@ -198,34 +208,24 @@ class TestPiMap:
     @given(
         pin_words(max_letters=3),
         st.integers(min_value=1, max_value=7),
-        st.dictionaries(
-            st.tuples(st.integers(min_value=1, max_value=6), st.sampled_from(["", *"udlr"])),
-            st.text("udlr", max_size=4),
-        ),
+        st.randoms(use_true_random=False),
     )
     @settings(max_examples=60)
-    def test_filtered_walk_yields_exactly_the_admitted_words(self, root, n_max, kept):
-        """With a filter, the walk yields the root and each extension whose
-        every letter past the root the filter kept for its parent; each
-        image matches the pi-map built from scratch.  The filter keeps, by
-        the parent's length and last letter, some of the letters that may
-        follow it (all of them when ``kept`` has no entry)."""
-
-        def children(text):
-            last = text[1:][-1:]
-            return [c for c in NEXT_LETTERS[last] if c in kept.get((len(text), last), "udlr")]
-
-        def admitted(text):
-            return all(text[k] in children(text[:k]) for k in range(root.length, len(text)))
-
+    def test_filtered_walk_yields_exactly_the_admitted_words(self, root, n_max, rng):
+        """Given a trie, the walk yields the root and exactly the words the
+        trie spells past it, up to n_max: here the trie of a random sample
+        of the root's extensions up to n_max + 2.  Each image matches the
+        pi-map built from scratch."""
         every, frontier = [], [root]
         while frontier:  # brute force: every extension of the root
             every += frontier
-            frontier = [v for w in frontier if w.length < n_max for v in w.extensions()]
-        nodes = list(trie_images(root, n_max, children))
-        assert sorted(text for text, *_ in nodes) == sorted(
-            str(w) for w in every if admitted(str(w))
-        )
+            frontier = [v for w in frontier if w.length < n_max + 2 for v in w.extensions()]
+        sample = [str(w) for w in every if rng.random() < 0.3]
+        spelled = {text[:k] for text in sample for k in range(root.length, len(text) + 1)}
+        admitted = {text for text in spelled if len(text) <= n_max} | {str(root)}
+        trie = trie_of(text[root.length :] for text in sample)
+        nodes = list(trie_images(root, n_max, trie))
+        assert sorted(text for text, *_ in nodes) == sorted(admitted)
         assert all(node == fresh_node(node[0]) for node in nodes)
 
     @given(pin_words(max_letters=4), st.integers(min_value=1, max_value=7))
@@ -247,16 +247,17 @@ class TestPiMap:
     @given(pin_words(max_letters=23))
     @settings(max_examples=100)
     def test_walked_image_is_a_valid_perm(self, w):
-        """The walker builds images without validation; each must be exactly
-        what validation would build, and equal the sorting route's."""
-        text = str(w)
-        *_, (_, img, _, _) = trie_images(PinWord(w.numeral), w.length, lambda t: text[len(t)])
-        assert type(img.filled) is tuple
-        assert all(type(v) is int for v in img.filled)
-        assert type(img.origin_index) is int
-        checked = CentredPerm(img.filled, img.origin_index)
-        assert img == checked and hash(img) == hash(checked)
-        assert img == pi_map(w)
+        """The walker yields raw (filled, origin index) pairs; each must be
+        exactly what validation would keep, and equal the sorting route's."""
+        *_, (_, (filled, origin), _, _) = trie_images(
+            PinWord(w.numeral), w.length, trie_of([w.letters])
+        )
+        assert type(filled) is tuple
+        assert all(type(v) is int for v in filled)
+        assert type(origin) is int
+        checked = CentredPerm(filled, origin)
+        assert (checked.filled, checked.origin_index) == (filled, origin)
+        assert checked == pi_map(w)
 
 
 class TestDiagramGeometry:

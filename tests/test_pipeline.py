@@ -34,7 +34,7 @@ from pinclasses.pinword import (
 from pinclasses.pipeline import (
     GrowthResult,
     GSequence,
-    _factor_images,
+    _factor_counts,
     _significant,
     _stabilized_gf,
     amended_G,
@@ -124,21 +124,30 @@ class TestIndecomposableCounts:
         ] == ["z + z^2", "z", "z + z^2", "0"]
 
 
+def reference_counts(spec, n, mode):
+    """(g_n, g1_n, .., g4_n) from scratch: the distinct pi-maps of the
+    length-n factors that are ⊞-indecomposable, in all and by the one
+    quadrant each lies in."""
+    images = {pi_map(v) for v in enumerate_pin_factors(spec, n, mode)}
+    quadrants = [one_quadrant(p) for p in images if is_box_indecomposable(p)]
+    return (len(quadrants), *(quadrants.count(q) for q in (1, 2, 3, 4)))
+
+
 class TestFactorImages:
+    """The counts of distinct factor images per length, from one walk of
+    the factor trie, and the cross-checks that run in that walk."""
+
     @given(
         pin_specs(cycle_lengths=(2, 4, 6, 8, 10, 12)),
         st.sampled_from(["all", "recurrent"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_incremental_images_match_pi_map(self, spec, mode):
-        table = _factor_images(spec.prefix, spec.cycle, mode)
-        assert len(table) == spec.prefix_length + 3 * spec.cycle_length + 2
-        for n, rows in table.items():
-            assert set(rows) == set(map(str, enumerate_pin_factors(spec, n, mode))), (spec, n)
-            for v, (img, indecomposable, quadrant) in rows.items():
-                assert img == pi_map(v), (spec, v)
-                assert indecomposable == is_box_indecomposable(img)
-                assert quadrant == one_quadrant(img)
+    def test_counts_match_reference_from_scratch(self, spec, mode):
+        table = _factor_counts(spec.prefix, spec.cycle, mode)
+        window = spec.prefix_length + 3 * spec.cycle_length + 2
+        assert sorted(table) == list(range(1, window + 1))
+        for n, row in table.items():
+            assert row == reference_counts(spec, n, mode), (spec, mode, n)
 
     @pytest.mark.parametrize(
         "first, second", [("1(ru)*", "1r(ur)*"), ("1r(ur)*", "1(ru)*")]
@@ -146,7 +155,7 @@ class TestFactorImages:
     def test_equal_specs_written_differently(self, first, second):
         """Equal specs with different written prefixes need tables sized
         for their own prefix, so the caches must not hand one to the other."""
-        _factor_images.cache_clear()
+        _factor_counts.cache_clear()
         _start_numerals.cache_clear()
         assert parse_pin_spec(first) == parse_pin_spec(second)
         assert class_gf(first) == FROZEN_CLASS_GFS["1(ru)*"]
@@ -160,12 +169,12 @@ class TestFactorImages:
         mirrored = {"l": "r", "r": "l", "u": "u", "d": "d"}
         monkeypatch.setattr(pimap, "_grow", lambda node, c: grow(node, mirrored[c]))
         spec = parse_pin_spec("1(ldru)*")
-        _factor_images.cache_clear()
+        _factor_counts.cache_clear()
         try:
             with pytest.raises(CrossCheckMismatch):
-                _factor_images(spec.prefix, spec.cycle, "all")
+                _factor_counts(spec.prefix, spec.cycle, "all")
         finally:
-            _factor_images.cache_clear()
+            _factor_counts.cache_clear()
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -186,12 +195,12 @@ class TestFactorImages:
 
         monkeypatch.setattr(pipeline, "trie_images", corrupted)
         spec = parse_pin_spec("1(ru)*")
-        _factor_images.cache_clear()
+        _factor_counts.cache_clear()
         try:
             with pytest.raises(CrossCheckMismatch):
-                _factor_images(spec.prefix, spec.cycle, "all")
+                _factor_counts(spec.prefix, spec.cycle, "all")
         finally:
-            _factor_images.cache_clear()
+            _factor_counts.cache_clear()
 
 
 class TestGSequence:
@@ -412,6 +421,23 @@ class TestGrowthRate:
         assert abs(Fraction(r.growth_rate) - (lo + hi) / 2) <= Fraction(1, 2 * 10**999)
         with pytest.raises(ParameterOutOfRange):
             GrowthResult(r.root_interval, r.polynomial, digits=1001)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            (0, Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(1, 4)),
+            (Fraction(1, 3), Fraction(1, 3)),
+            (Fraction(-1, 2), Fraction(1, 2)),
+        ],
+        ids=["zero-end", "inverted", "empty", "negative"],
+    )
+    def test_result_refuses_a_bad_root_interval(self, interval):
+        """GrowthResult is public: a root interval other than 0 < lo < hi
+        is refused with a typed error, not a ZeroDivisionError or an
+        inverted growth interval."""
+        with pytest.raises(ParameterOutOfRange, match="0 < lo < hi"):
+            GrowthResult(interval, Poly([1, -2]))
 
     def test_poly_input(self):
         direct = growth_rate(Poly.parse("1 - 2z - z^3"))
@@ -690,6 +716,62 @@ class TestLongCycles:
         assert time.perf_counter() - start < 10
         lo, hi = r.growth_interval
         assert 4 < lo < hi < 6 and hi - lo < Fraction(1, 10**10)
+
+
+def spec_of_size(size: int) -> str:
+    """A seeded spec text of ``size`` symbols: the numeral, one prefix
+    letter when ``size`` is even, and a cycle that alternates the axes and
+    uses the two letters of each axis about equally often."""
+    prefix = "1" + "r" * (1 - size % 2)
+    pairs = (size - len(prefix)) // 2
+    rng = random.Random(7)
+    ud, lr = list("ud" * pairs)[:pairs], list("lr" * pairs)[:pairs]
+    rng.shuffle(ud)
+    rng.shuffle(lr)
+    return prefix + "(" + "".join(a + b for a, b in zip(ud, lr)) + ")*"
+
+
+class TestSpecLengthCap:
+    """A spec of more than MAX_SPEC_LENGTH symbols is refused before any
+    factor is enumerated: the factor walk grows as the cube of the length."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            class_gf,
+            closure_gf,
+            interior_gf,
+            amended_G,
+            indecomposable_counts,
+            lambda spec: quadrant_indecomposable_counts(spec, 1),
+            lambda spec: describe(spec, "closure"),
+        ],
+        ids=["class", "closure", "interior", "amended_G", "g", "g1", "describe"],
+    )
+    def test_one_symbol_over_the_cap_is_refused_first(self, monkeypatch, call):
+        spec = parse_pin_spec(spec_of_size(pipeline.MAX_SPEC_LENGTH + 1))
+        assert spec.prefix_length + spec.cycle_length == pipeline.MAX_SPEC_LENGTH + 1
+
+        def unreached(*args):
+            raise AssertionError("reached past the length cap")
+
+        monkeypatch.setattr(pipeline, "is_recurrent", unreached)
+        monkeypatch.setattr(pipeline, "enumerate_pin_factors", unreached)
+        with pytest.raises(ParameterOutOfRange, match="at most"):
+            call(spec)
+
+    def test_the_cap_counts_the_written_spec(self, monkeypatch):
+        """The window the factor walk reads depends on the written prefix,
+        so the cap counts the spec as written: 1r(ur)* has 4 symbols though
+        it equals 1(ru)*.  A spec exactly at the cap passes the guard."""
+        cap = pipeline.MAX_SPEC_LENGTH
+        spec = parse_pin_spec(spec_of_size(cap))
+        assert spec.prefix_length + spec.cycle_length == cap
+        pipeline._check_spec_size(spec)
+        monkeypatch.setattr(pipeline, "MAX_SPEC_LENGTH", 3)
+        assert closure_gf("1(ru)*") == FROZEN_CLASS_GFS["1(ru)*"]
+        with pytest.raises(ParameterOutOfRange):
+            closure_gf("1r(ur)*")
 
 
 class TestStabilizationGuard:
