@@ -182,6 +182,9 @@ _ROOT_LENGTH = 2
 # The walk holds every word's image up to n_max, 2^(n+2) words of length n;
 # 16 is the longest length pipeline._TAIL_WINDOW reads from the tables.
 _VERIFY_GUARD = 16
+# An image key's last byte, the origin index, by index: one concatenation
+# instead of a tuple of the whole image.
+_INDEX_BYTE = [bytes((i,)) for i in range(_VERIFY_GUARD + 2)]
 
 
 def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
@@ -192,14 +195,15 @@ def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
     tables = {n: ({}, []) for n in range(root.length, n_max + 1)}
     leaf = decomposable = None
     for text, img, indecomposable, _ in trie_images(root, n_max):
-        images, decs = tables[len(text)]
-        key = bytes((*img[0], img[1]))
+        n = len(text)
+        images, decs = tables[n]
+        key = bytes(img[0]) + _INDEX_BYTE[img[1]]  # bytes((*filled, origin index))
         images[key] = images.get(key, ()) + (text,)
         if not indecomposable:
             decs.append(text)
             if decomposable is None:
                 decomposable = (text, img, indecomposable)
-        if leaf is None and len(text) == n_max:
+        if n == n_max and leaf is None:
             leaf = (text, img, indecomposable)
     for node in (leaf, decomposable):
         if node is not None:

@@ -13,11 +13,14 @@ read once at the end.  `pi_map` standardizes the points by sorting: the
 point route, which `PinDiagram` draws.
 
 Growing diagrams take the image route instead: `_grow` applies the same
-rule to a word's image, one tuple insertion per point, and carries the
-image's proper ∘-intervals (so its ⊞-indecomposability) and its quadrant
-set from the parent.  The intervals through the new point P = (p, v) come
-from the parent's in O(#intervals), by the extension rule: they are the
-blocks B = (a, b, lo, hi) with a <= p <= b + 1 and lo <= v <= hi + 1,
+rule to a word's image, one insertion per point.  It carries the image's
+proper ∘-intervals (so its ⊞-indecomposability) and its quadrant set from
+the parent, in one pass over the parent's intervals: each one the new
+point P = (p, v) does not split is kept, shifted past P, and each one P
+extends is joined with P.  The bare origin is tried after the pass, and
+P's quadrant is read against the child's origin.  So the intervals through
+P come from the parent's in O(#intervals), by the extension rule: they are
+the blocks B = (a, b, lo, hi) with a <= p <= b + 1 and lo <= v <= hi + 1,
 each joined with P into (a, b + 1, lo, hi + 1), for B a parent interval
 or the bare origin.  Proof: in the child, B's positions are a..b with
 those at or past p moved up one, so with p they fill a run exactly when
@@ -105,8 +108,9 @@ def _grow(node, letter: str):
     values lo..hi, quadrant set).  The last point is extreme on the axis
     the letter does not move along, so the new point P = (p, v) takes the
     extreme value (u/d) or position (r/l), and its other coordinate goes
-    just inside the last point's: one tuple insertion, plus a shift by one
-    of the values above the new one.
+    just inside the last point's: one insertion into a list copy of the
+    image, whose values above the new one are shifted by one as it is
+    copied.
 
     The child's intervals are the parent's that P does not split, shifted
     past P, and, for each block B = (a, b, lo, hi) that is a parent
@@ -114,46 +118,58 @@ def _grow(node, letter: str):
     lo <= v <= hi + 1, B joined with P as (a, b + 1, lo, hi + 1).  Proof:
     B's shifted positions and values, with P's, are runs exactly then; and a
     proper child interval through P, less P, is a block of the parent
-    around the origin short of the whole parent, so one of the B."""
+    around the origin short of the whole parent, so one of the B.
+
+    One pass over the parent's intervals keeps each unsplit one and joins
+    each one P extends.  The bare origin is tried after the pass, at the
+    parent's index k and value vo, which is the child's origin value less
+    one if that is above v.  P's quadrant is read inline, against the
+    child's origin."""
     f, k, last, intervals, quadrants = node
     m = len(f)
-    vo = f[k - 1]
-    blocks = (*intervals, (k, k, vo, vo))
     if letter in "ud":
         p = last if last == m else last + 1
         if letter == "u":
             v = m + 1
+            g = list(f)
         else:
             v = 1
-            f = tuple(map((1).__add__, f))
-        g = f[: p - 1] + (v,) + f[p - 1 :]
+            g = [x + 1 for x in f]
     else:
+        p = m + 1 if letter == "r" else 1
         if f[last - 1] == m:  # the last point is on top: the new one goes just below
             v = m
-            f = f[: last - 1] + (m + 1,) + f[last:]
+            g = list(f)
+            g[last - 1] = m + 1
         else:  # the last point is at the bottom: the new one goes just above
             v = 2
-            f = tuple(map((1).__add__, f))
-            f = f[: last - 1] + (1,) + f[last:]
-        if letter == "r":
-            p = m + 1
-            g = f + (v,)
-        else:
-            p = 1
-            g = (v,) + f
-    k += k >= p
-    q = quadrant_of((p, v), (k, g[k - 1]))
+            g = [x + 1 for x in f]
+            g[last - 1] = 1
+    g.insert(p - 1, v)
+    g = tuple(g)
+    found = []
+    for a, b, lo, hi in intervals:
+        if not (a < p <= b or lo < v <= hi):
+            found.append((a + (a >= p), b + (b >= p), lo + (lo >= v), hi + (hi >= v)))
+        if a <= p <= b + 1 and lo <= v <= hi + 1:
+            found.append((a, b + 1, lo, hi + 1))
+    j = k + (k >= p)  # the child's origin index
+    vo = g[j - 1]
+    if vo > v:  # P is below the origin
+        vo -= 1
+        q = 4 if p > j else 3
+    else:
+        q = 1 if p > j else 2
+    if k <= p <= k + 1 and vo <= v <= vo + 1:
+        found.append((k, k + 1, vo, vo + 1))
     if q not in quadrants:
         quadrants = quadrants | {q}
-    found = [
-        (a + (a >= p), b + (b >= p), lo + (lo >= v), hi + (hi >= v))
-        for a, b, lo, hi in intervals
-        if not (a < p <= b or lo < v <= hi)
-    ]
-    found += [
-        (a, b + 1, lo, hi + 1) for a, b, lo, hi in blocks if a <= p <= b + 1 and lo <= v <= hi + 1
-    ]
-    return g, k, p, found, quadrants
+    return g, j, p, found, quadrants
+
+
+# The (letter, None) children of a word by its last letter, in reverse
+# LETTERS order, so that a stack pops them in LETTERS order.
+_CHILDREN = {last: tuple((c, None) for c in reversed(cs)) for last, cs in NEXT_LETTERS.items()}
 
 
 def trie_images(root, n_max: int, trie=None):
@@ -163,20 +179,24 @@ def trie_images(root, n_max: int, trie=None):
     one `_grow` step, so a word costs one placement and one pass over its
     parent's ∘-intervals.  ``trie``, if given, is a nested dict from each
     letter that may follow the root to its own such dict, and the walk
-    keeps to the words it spells; without it, every letter that may follow
-    a word extends it, in LETTERS order."""
+    keeps to the words it spells, in the trie's insertion order; without
+    it, every letter that may follow a word extends it, in LETTERS order.
+    A word's children are pushed in one plain loop, in reverse, from
+    `_CHILDREN` or the reversed trie items; `_grow` is looked up at each
+    step."""
     root = as_word(root)
     node = _seed(root.numeral)
     for letter in root.letters:
         node = _grow(node, letter)
     stack = [(str(root), root.letters[-1:], trie, node)]
+    pop, push = stack.pop, stack.append
     while stack:
-        text, last, sub, node = stack.pop()
+        text, last, sub, node = pop()
         f, k, _, intervals, quadrants = node
         yield text, (f, k), not intervals, quadrants
         if len(f) <= n_max:  # the word has len(f) - 1 points
-            kids = sub.items() if sub is not None else [(c, None) for c in NEXT_LETTERS[last]]
-            stack.extend((text + c, c, below, _grow(node, c)) for c, below in reversed(kids))
+            for c, below in _CHILDREN[last] if sub is None else reversed(sub.items()):
+                push((text + c, c, below, _grow(node, c)))
 
 
 def check_node(w, image: tuple, indecomposable: bool) -> CentredPerm:

@@ -15,6 +15,7 @@ the same.
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -142,37 +143,43 @@ def _factor_counts(prefix: PinWord, cycle: str, mode: str) -> dict[int, tuple[in
         node = trie
         for c in str(w):
             node = node.setdefault(c, {})
-    # per length: the factor texts, their images, and the indecomposable
-    # images in all (index 0) and lying in quadrant q alone (index q)
-    seen = {n: ([], set(), [set() for _ in range(5)]) for n in range(1, window + 1)}
+    # per length: the factor texts, and each image's carried flag and one
+    # quadrant (None when its points lie in more than one), hashed once
+    seen = {n: ([], {}) for n in range(1, window + 1)}
     for numeral, sub in trie.items():
         for text, img, indec, quadrants in trie_images(PinWord(int(numeral)), window, sub):
-            texts, images, indecs = seen[len(text)]
+            texts, images = seen[len(text)]
             texts.append(text)
-            images.add(img)
-            quadrant = next(iter(quadrants)) if len(quadrants) == 1 else None
-            if indec:
-                indecs[0].add(img)
-                indecs[quadrant or 0].add(img)  # in no one quadrant: index 0 again
+            carried = indec, next(iter(quadrants)) if len(quadrants) == 1 else None
+            if images.setdefault(img, carried) != carried:
+                raise CrossCheckMismatch(
+                    f"{text} carries {carried} for an image that another factor carries "
+                    f"as {images[img]}"
+                )
             if len(text) == window:
                 fresh = check_node(text, img, indec)
-                if quadrant != one_quadrant(fresh):
+                if carried[1] != one_quadrant(fresh):
                     raise CrossCheckMismatch(
-                        f"carried quadrant {quadrant} of {text} differs from its image {fresh}"
+                        f"carried quadrant {carried[1]} of {text} differs from its image {fresh}"
                     )
-    for n, (texts, images, indecs) in seen.items():
+    table = {}
+    for n, (texts, images) in seen.items():
+        tally = Counter(images.values())
+        by_quadrant = [tally[True, q] for q in (1, 2, 3, 4)]
+        indecs = tally[True, None] + sum(by_quadrant)
         dec_words = sum(1 for v in texts if classify.is_decomposable_word(v))
         over = classify.overcount_series({n: texts})[n]
-        if len(texts) - dec_words - over != len(indecs[0]):
+        if len(texts) - dec_words - over != indecs:
             raise CrossCheckMismatch(
                 f"table route gives {len(texts) - dec_words - over} indecomposables "
-                f"at n={n} for {spec} ({mode}), direct route gives {len(indecs[0])}"
+                f"at n={n} for {spec} ({mode}), direct route gives {indecs}"
             )
         if len(texts) - over != len(images):
             raise CrossCheckMismatch(
                 f"collision overcount {over} inconsistent with image dedup at n={n}"
             )
-    return {n: tuple(map(len, indecs)) for n, (_, _, indecs) in seen.items()}
+        table[n] = (indecs, *by_quadrant)
+    return table
 
 
 def _stabilized_gf(spec: PinSpec, counts: dict[int, int]) -> RatGF:

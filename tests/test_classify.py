@@ -318,6 +318,20 @@ class TestTrieWalk:
         with pytest.raises(CrossCheckMismatch):
             classify._walk(PinWord(1, "u"), 6)
 
+    def test_checked_nodes(self, monkeypatch):
+        """The walk checks the first deepest leaf, then the first word
+        flagged decomposable."""
+        checked = []
+        check = classify.check_node
+
+        def record(text, img, indecomposable):
+            checked.append(text)
+            return check(text, img, indecomposable)
+
+        monkeypatch.setattr(classify, "check_node", record)
+        classify._walk(PinWord(1, "u"), 6)
+        assert checked == ["1ululu", "1uld"]
+
     def test_carried_flag_checked_from_scratch(self, monkeypatch):
         """An inverted ⊞-indecomposability flag must fail the check built
         from scratch."""

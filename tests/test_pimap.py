@@ -16,6 +16,7 @@ from pinclasses.cperm import (
     centred_pattern,
     from_oneline,
     is_box_indecomposable,
+    quadrant_of,
 )
 from pinclasses.errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
 from pinclasses.pimap import (
@@ -130,11 +131,20 @@ class TestCarriedIntervals:
     node; the other tests see only whether the set is empty."""
 
     def test_every_word_to_ten(self):
+        """At every node the intervals, and against `pi_map` and
+        `diagram_points` built from scratch the image pair, the last
+        point's position and the quadrant set."""
         stack = [(str(n), pimap._seed(n)) for n in QUADRANT_SIGNS]
         seen = 0
         while stack:
             text, node = stack.pop()
             check_intervals(text, node)
+            f, k, last, _, quadrants = node
+            img = pi_map(text)
+            assert (f, k) == (img.filled, img.origin_index), text
+            pts = diagram_points(text)
+            assert last == pts[-1][0] - min(x for x, _ in pts) + 1, text
+            assert quadrants == {quadrant_of(pt, pts[0]) for pt in pts[1:]}, text
             seen += 1
             if len(text) < 10:
                 stack.extend((text + c, pimap._grow(node, c)) for c in NEXT_LETTERS[text[1:][-1:]])
@@ -243,6 +253,17 @@ class TestPiMap:
                 words.extend(reversed(w.extensions()))
         assert [text for text, *_ in nodes] == expected
 
+    def test_walk_order(self):
+        """Depth first in LETTERS order without a trie; with one, in the
+        order its letters were inserted."""
+        texts = [text for text, *_ in trie_images(PinWord(1), 4)]
+        assert texts == (
+            "1 1u 1ul 1ulu 1uld 1ur 1uru 1urd 1d 1dl 1dlu 1dld 1dr 1dru 1drd "
+            "1l 1lu 1lul 1lur 1ld 1ldl 1ldr 1r 1ru 1rul 1rur 1rd 1rdl 1rdr"
+        ).split()
+        trie = trie_of(["rd", "ru", "lur", "lul", "ld"])
+        texts = [text for text, *_ in trie_images(PinWord(1), 4, trie)]
+        assert texts == "1 1r 1rd 1ru 1l 1lu 1lur 1lul 1ld".split()
 
     @given(pin_words(max_letters=23))
     @settings(max_examples=100)

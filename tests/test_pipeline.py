@@ -202,6 +202,24 @@ class TestFactorImages:
         finally:
             _factor_counts.cache_clear()
 
+    def test_colliding_factors_carry_the_same_values(self, monkeypatch):
+        """1r and 1u share an image, so a wrong quadrant set on 1u alone, a
+        word shorter than the checked longest factors, must still fail."""
+        walk = pimap.trie_images
+
+        def corrupted(*args):
+            for text, img, indecomposable, quadrants in walk(*args):
+                yield text, img, indecomposable, quadrants | ({1, 2} if text == "1u" else set())
+
+        monkeypatch.setattr(pipeline, "trie_images", corrupted)
+        spec = parse_pin_spec("1(ru)*")
+        _factor_counts.cache_clear()
+        try:
+            with pytest.raises(CrossCheckMismatch, match="another factor"):
+                _factor_counts(spec.prefix, spec.cycle, "all")
+        finally:
+            _factor_counts.cache_clear()
+
 
 class TestGSequence:
     def test_no_amendment_for_single_quadrant(self):
