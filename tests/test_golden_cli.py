@@ -4,6 +4,11 @@ Each case's expected stdout is stored in ``tests/golden/<case>.out``.  The
 files record the output of the code before the single-home refactor of the
 quadrant rule, coercion helpers, mode dispatch and value types; any change
 to them is a change of the CLI's output and must be deliberate.
+
+Each dump case writes the census members with ``--dump-perms`` and compares
+that file byte for byte with ``tests/golden/<case>.perms``.  The dump files
+record the member sets of the census before the composition census dropped
+the pieces that shorter pieces already generate.
 """
 
 from pathlib import Path
@@ -55,6 +60,11 @@ CASES = {
     "closure_of_below_two_json": ["closure-of", "--perms", "1[2]", "--format", "json"],
 }
 
+DUMPS = {
+    "oracle_composition_dump": ["oracle", "1(ldru)*", "--n", "5", "--method", "composition"],
+    "oracle_representation_dump": ["oracle", "--n", "4", "--method", "representation"],
+}
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_stdout(case, capsys):
@@ -62,3 +72,13 @@ def test_golden_stdout(case, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(DUMPS))
+def test_golden_dump(case, tmp_path, capsys):
+    path = tmp_path / f"{case}.perms"
+    code = main([*DUMPS[case], "--dump-perms", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith(f"permutations written to {path}\n")
+    assert path.read_bytes() == (GOLDEN / f"{case}.perms").read_bytes()
