@@ -17,7 +17,9 @@ The censuses keep each level as a dict from one-line tuple to a bitmask of
 origin indices (bit i for origin index i): `box_sum_level` and
 `_patterns.walk_patterns` build levels in that form, `level_size` counts a
 level's members and `in_level` tests one, and `expand_level` alone turns a
-level into CentredPerms, when a caller asks for the members.
+level into CentredPerms, when a caller asks for the members.  `check_split`
+checks from scratch that a piece the level kernel generates is a ⊞-sum of
+two shorter members.
 
 The exported functions that take centred permutations also accept them as
 bracket text, through `as_perm`.  `is_box_indecomposable` and
@@ -296,15 +298,21 @@ def box_sum_level(levels, parts, n: int) -> dict[tuple[int, ...], int]:
 
     ``levels`` and the result are levels of origin masks (see the module
     docstring); ``parts`` holds CentredPerms.  For one p every left has
-    length n - p, so each piece's head and tail (its
-    entries before and after the origin) take the same shift once, and each
-    left tuple's block takes one offset per distinct piece origin value.  A
-    sum is the tuple ``head + block + tail`` and carries the left's whole
-    mask, shifted by the head's length, so the inner loop runs over distinct
-    left tuples, not over their origins.  For each p the sum of the first
-    left (at its lowest origin) and the first piece is checked against
-    `box_sum` from scratch."""
+    length n - p, so each piece's head and tail (its entries before and
+    after the origin) take the same shift once, and each left tuple's block
+    takes one offset per distinct piece origin value (at offset 0 the left
+    tuples are the blocks).  A sum is the tuple ``head + block + tail`` (an
+    empty head or tail copies nothing) and carries the left's whole mask,
+    shifted by the head's length, so the inner loop runs over distinct left
+    tuples, not over their origins.  A new sum costs one dict lookup
+    (``setdefault``); a sum already found with other origins is ORed into.
+    For each p the sum of the first left (at its lowest origin) and the
+    first piece is checked against `box_sum` from scratch.
+
+    `oracle._compose_census` passes only the pieces that shorter pieces do
+    not generate, and never pieces of length n itself."""
     found: dict[tuple[int, ...], int] = {}
+    setdefault = found.setdefault
     firsts = []
     for p, pieces in parts.items():
         lefts = levels[n - p] if p <= n else None
@@ -320,18 +328,24 @@ def box_sum_level(levels, parts, n: int) -> dict[tuple[int, ...], int]:
             cuts.setdefault(vo - 1, []).append((head, tail, ko - 1))
         first = None
         for offset, ends in cuts.items():
-            blocks = [
-                (tuple([v + offset for v in filled]), mask)
-                for filled, mask in lefts.items()
-            ]
+            if offset:
+                blocks = [
+                    (tuple([v + offset for v in filled]), mask)
+                    for filled, mask in lefts.items()
+                ]
+            else:
+                blocks = lefts.items()
             if first is None:
                 head, tail, before = ends[0]
-                block, mask = blocks[0]
+                block, mask = next(iter(blocks))
                 first = (head + block + tail, before + _lowest_bit(mask))
             for head, tail, before in ends:
                 for block, mask in blocks:
                     filled = head + block + tail
-                    found[filled] = found.get(filled, 0) | mask << before
+                    mask <<= before
+                    old = setdefault(filled, mask)
+                    if old != mask:
+                        found[filled] = old | mask
         left, mask = next(iter(lefts.items()))
         firsts.append((CentredPerm(left, _lowest_bit(mask)), next(iter(pieces)), first))
     for left, piece, first in firsts:
@@ -342,6 +356,35 @@ def box_sum_level(levels, parts, n: int) -> dict[tuple[int, ...], int]:
                 f"index {first[1]}, not {expected}"
             )
     return found
+
+
+def check_split(piece: CentredPerm, levels) -> None:
+    """Check from scratch, without `box_sum_level`, that a piece the level
+    kernel reports as generated is a sum of shorter members.
+
+    Some proper ∘-interval of the piece must split it: its block L
+    (`_interval_pattern`) and the piece with that block contracted, Q
+    (`_contract`), are both members of ``levels``, and ``box_sum(L, Q)``
+    is the piece.  If the piece is ``left ⊞ K`` with both in ``levels``,
+    the block of ``left`` is such an interval, so a true report always
+    passes; otherwise this raises CrossCheckMismatch."""
+    whole = (1, len(piece.filled))
+    for a, b in _centred_intervals(piece):
+        if (a, b) == whole:
+            break
+        inner, outer = _interval_pattern(piece, a, b), _contract(piece, a, b)
+        if in_level(levels[inner.length], inner) and in_level(levels[outer.length], outer):
+            whole_sum = box_sum(inner, outer)
+            if whole_sum != piece:
+                raise CrossCheckMismatch(
+                    f"{piece} splits at positions {a}..{b} into {inner} and "
+                    f"{outer}, whose box sum is {whole_sum}"
+                )
+            return
+    raise CrossCheckMismatch(
+        f"the level kernel reports {piece} as a sum of shorter members, "
+        "but no ∘-interval splits it into two"
+    )
 
 
 def _lowest_bit(mask: int) -> int:
@@ -355,7 +398,7 @@ def in_level(level, p: CentredPerm) -> bool:
 
 def level_size(level) -> int:
     """The number of members of a level of origin masks."""
-    return sum(mask.bit_count() for mask in level.values())
+    return sum(map(int.bit_count, level.values()))
 
 
 def expand_level(level) -> frozenset[CentredPerm]:

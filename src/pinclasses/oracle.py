@@ -11,6 +11,13 @@ stopping rule.  The composition route applies to recurrent specs.  Each
 census checks its depth in one place, `_check_depth`: a negative depth is
 out of range, and a depth above the census's guard is too large; the memory
 guard then bounds what a census may retain.
+
+The composition censuses (composition, representation and finite closure)
+build each length from the pieces of shorter lengths that they keep, and
+drop every piece that those already generate.  This is exact because ⊞ is
+associative with the empty permutation as its identity: a sum with a
+dropped piece is a sum with shorter kept pieces.  The argument needs no
+theorem about pin classes, so the census stays independent of the pipeline.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .cperm import (
     adjacency_condition,
     as_generators,
     box_sum_level,
+    check_split,
     expand_level,
     in_level,
     level_size,
@@ -51,19 +59,21 @@ class ClassCensus:
 
     ``levels`` maps each length to a dict from one-line tuple to the bitmask
     of its origin indices, the form `cperm.box_sum_level` and
-    `_patterns.walk_patterns` return; the counts are its popcounts.  The
-    members are built on first read of `perms` (or `members`), through
-    `cperm.expand_level`."""
+    `_patterns.walk_patterns` return; the counts are its popcounts, passed
+    in by a census that has counted them already.  The members are built on
+    first read of `perms` (or `members`), through `cperm.expand_level`."""
 
     __slots__ = ("description", "method", "n_max", "counts", "_levels", "_perms")
 
-    def __init__(self, description: str, method: str, n_max: int, levels):
+    def __init__(self, description: str, method: str, n_max: int, levels, counts=None):
         self.description = description
         self.method = method
         self.n_max = n_max
         self._levels = {n: levels.get(n, {}) for n in range(n_max + 1)}
         self._perms = None
-        self.counts = [level_size(self._levels[n]) for n in range(n_max + 1)]
+        if counts is None:
+            counts = [level_size(self._levels[n]) for n in range(n_max + 1)]
+        self.counts = counts
 
     @property
     def perms(self) -> dict[int, frozenset[CentredPerm]]:
@@ -107,7 +117,8 @@ def enumerate_class_subset(spec, n_max: int) -> ClassCensus:
     _check_depth(n_max, _SUBSET_GUARD, "subset")
     table = _patterns.walk_patterns(spec, n_max)
     description = f"subset census of {spec}"
-    _guard(sum(map(level_size, table.values())), description)
+    counts = [level_size(table[n]) for n in range(n_max + 1)]
+    _guard(sum(counts), description)
     symbols = min(spec.prefix_length + 2 * spec.cycle_length, _REFERENCE_SYMBOLS)
     pts = diagram_points(spec.initial_word(symbols))
     reference = _patterns.subset_patterns(pts, pts[0], min(n_max, _REFERENCE_DEPTH))
@@ -118,18 +129,38 @@ def enumerate_class_subset(spec, n_max: int) -> ClassCensus:
                 f"the state walk of {spec} misses {min(missing, key=str)}, a pattern "
                 f"of the diagram of its first {symbols} symbols"
             )
-    return ClassCensus(f"{description} (exact state walk)", "subset", n_max, table)
+    return ClassCensus(f"{description} (exact state walk)", "subset", n_max, table, counts)
 
 
 def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCensus:
-    """All ⊞-compositions with total length <= n_max of the given pieces."""
+    """All ⊞-compositions with total length <= n_max of the given pieces.
+
+    Each length n is built from the kept pieces of the lengths below n
+    (`box_sum_level`); a piece of ``parts[n]`` that this level already holds
+    is dropped, and the others are kept and join the level.  Dropping loses
+    nothing: ⊞ is associative with identity EMPTY, so if Q = L ⊞ K then
+    left ⊞ Q = (left ⊞ L) ⊞ K, a sum formed from K.  The first dropped
+    piece of each length is checked from scratch by `cperm.check_split`."""
     levels = {0: {EMPTY.filled: 1 << EMPTY.origin_index}}
-    total = 1
+    counts = [1]
+    kept: dict[int, list[CentredPerm]] = {}
     for n in range(1, n_max + 1):
-        levels[n] = box_sum_level(levels, parts, n)
-        total += level_size(levels[n])
-        _guard(total, description)
-    return ClassCensus(description, method, n_max, levels)
+        level = box_sum_level(levels, kept, n)
+        kept[n] = []
+        dropped = None
+        for piece in parts.get(n, ()):
+            if not in_level(level, piece):
+                kept[n].append(piece)
+            elif dropped is None:
+                dropped = piece
+        if dropped is not None:
+            check_split(dropped, levels)
+        for piece in kept[n]:
+            level[piece.filled] = level.get(piece.filled, 0) | 1 << piece.origin_index
+        levels[n] = level
+        counts.append(level_size(level))
+        _guard(sum(counts), description)
+    return ClassCensus(description, method, n_max, levels, counts)
 
 
 def enumerate_class_composition(spec, n_max: int) -> ClassCensus:

@@ -1,10 +1,13 @@
 """Brute-force census oracles, independent of the generating-function route."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinclasses import _patterns, cperm, oracle
+from pinclasses import _patterns, cperm, oracle, pipeline
+from pinclasses.classify import all_pin_words
 from pinclasses.errors import (
     CensusTooLarge,
     CrossCheckMismatch,
@@ -30,10 +33,11 @@ from pinclasses.cperm import (
     centred_pattern,
     expand_level,
     from_oneline,
+    is_box_indecomposable,
 )
 from pinclasses.pinword import as_spec
 
-from strategies import pin_specs, recurrent_specs
+from strategies import centred_perms, pin_specs, recurrent_specs
 
 # Exhaustively computed class sizes, frozen here as the reference the
 # generating-function pipeline is checked against in test_acceptance.
@@ -201,9 +205,39 @@ def _pairwise_fold(parts, n_max):
     return levels
 
 
+def _spy_compose(monkeypatch):
+    """Record the parts and depth of every `_compose_census` call."""
+    seen = []
+    compose = oracle._compose_census
+
+    def spy(parts, n_max, description, method):
+        seen.append((parts, n_max))
+        return compose(parts, n_max, description, method)
+
+    monkeypatch.setattr(oracle, "_compose_census", spy)
+    return seen
+
+
+def _kept_pieces(monkeypatch, route, *args):
+    """The pieces the composition census keeps at each length below its
+    depth: the parts of lengths below n that build length n are the kept
+    ones, so the last level's call shows them all."""
+    calls = []
+    kernel = oracle.box_sum_level
+
+    def spy(levels, parts, n):
+        calls.append({p: set(pieces) for p, pieces in parts.items()})
+        return kernel(levels, parts, n)
+
+    monkeypatch.setattr(oracle, "box_sum_level", spy)
+    route(*args)
+    return calls[-1]
+
+
 class TestComposeCensusKernel:
-    """Every composition route builds its levels with cperm.box_sum_level;
-    its members must be those of the pairwise box_sum fold."""
+    """Every composition route builds its levels with cperm.box_sum_level
+    from the pieces that shorter pieces do not generate; its members must be
+    those of the pairwise box_sum fold of all the pieces."""
 
     @pytest.mark.parametrize(
         "route, args",
@@ -214,21 +248,43 @@ class TestComposeCensusKernel:
         ],
     )
     def test_members_equal_the_pairwise_fold(self, monkeypatch, route, args):
-        seen = []
-        compose = oracle._compose_census
-
-        def spy(parts, n_max, description, method):
-            seen.append((parts, n_max))
-            return compose(parts, n_max, description, method)
-
-        monkeypatch.setattr(oracle, "_compose_census", spy)
+        seen = _spy_compose(monkeypatch)
         census = route(*args)
         [(parts, n_max)] = seen
         reference = _pairwise_fold(parts, n_max)
         for n in range(n_max + 1):
             assert census.perms[n] == reference[n], n
 
+    @settings(max_examples=25, deadline=None)
+    @given(recurrent_specs(), st.integers(min_value=1, max_value=6))
+    def test_pruned_census_equals_the_fold_on_random_specs(self, spec, n_max):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = _spy_compose(monkeypatch)
+            census = enumerate_class_composition(spec, n_max)
+        [(parts, _)] = seen
+        reference = _pairwise_fold(parts, n_max)
+        assert census.perms == reference, spec
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(centred_perms(max_n=4), min_size=1, max_size=3).filter(
+            lambda gens: any(g.length for g in gens)
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_pruned_census_equals_the_fold_on_random_generators(self, gens, n_max):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = _spy_compose(monkeypatch)
+            census = enumerate_closure_composition(gens, n_max)
+        [(parts, _)] = seen
+        reference = _pairwise_fold(parts, n_max)
+        assert census.perms == reference, gens
+
     def test_one_box_sum_check_per_level_and_piece_length(self, monkeypatch):
+        """The kernel checks one sum per (n, p) with 1 <= p < n: a piece of
+        length n joins its level by a membership test, not as EMPTY ⊞ piece.
+        Each length from 2 on drops a piece, and the split check of the
+        first one adds one box_sum of two shorter members."""
         calls = []
         real = cperm.box_sum
 
@@ -238,9 +294,60 @@ class TestComposeCensusKernel:
 
         monkeypatch.setattr(cperm, "box_sum", counted)
         enumerate_pin_permutations(4)
-        assert sorted(calls) == sorted(
-            (n - p, p) for n in range(1, 5) for p in range(1, n + 1)
-        )
+        kernel = Counter((n - p, p) for n in range(1, 5) for p in range(1, n))
+        splits = Counter(calls) - kernel
+        assert Counter(calls) - splits == kernel
+        assert sorted(a + b for a, b in splits.elements()) == [2, 3, 4]
+        assert all(a >= 1 and b >= 1 for a, b in splits)
+
+    def test_ungenerated_piece_fails_the_split_check(self, monkeypatch):
+        """A kernel that reports the indecomposable piece [1]32 as generated
+        at length 2 makes the census drop it; the split check finds no
+        ∘-interval that splits it and raises."""
+        kernel = oracle.box_sum_level
+        piece = from_oneline("[1]32")
+
+        def faulty(levels, parts, n):
+            level = kernel(levels, parts, n)
+            if n == 2:
+                level[piece.filled] = level.get(piece.filled, 0) | 1 << piece.origin_index
+            return level
+
+        monkeypatch.setattr(oracle, "box_sum_level", faulty)
+        with pytest.raises(CrossCheckMismatch, match=r"\[1\]32"):
+            enumerate_closure_composition(["[1]32"], 3)
+
+
+class TestCensusMeetsPipeline:
+    """The pieces a composition census keeps are the ⊞-indecomposable ones:
+    their number per length is the pipeline's g_n, which the census itself
+    never reads."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(recurrent_specs(cycle_lengths=(2, 4, 6)))
+    def test_kept_pieces_count_the_indecomposable_factor_images(self, spec):
+        depth = 7
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            kept = _kept_pieces(monkeypatch, enumerate_class_composition, spec, depth + 1)
+        _, g = pipeline.indecomposable_counts(spec)
+        assert [len(kept[n]) for n in range(1, depth + 1)] == [
+            g.coefficient(n) for n in range(1, depth + 1)
+        ], spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["1(ru)*", "2(urul)*", "1(uldlur)*", "1(ldru)*", "3(rululd)*", "1(ldrdldru)*"],
+    )
+    def test_kept_pieces_on_named_specs(self, monkeypatch, spec):
+        kept = _kept_pieces(monkeypatch, enumerate_class_composition, spec, 8)
+        _, g = pipeline.indecomposable_counts(spec)
+        assert [len(kept[n]) for n in range(1, 8)] == [g.coefficient(n) for n in range(1, 8)]
+
+    def test_representation_keeps_the_indecomposable_pin_images(self, monkeypatch):
+        kept = _kept_pieces(monkeypatch, enumerate_pin_permutations, 6)
+        for n in range(1, 6):
+            images = {pi_map(w) for w in all_pin_words(n)}
+            assert kept[n] == {p for p in images if is_box_indecomposable(p)}, n
 
 
 class TestGuards:
