@@ -397,6 +397,20 @@ class TestCompleteClass:
         for w in all_pin_words(n):
             assert pipeline._word_quadrants(w) == set(all_point_quadrants(w).values()), w
 
+    def test_confined_word_count_matches_the_point_route(self):
+        """h(z) counts, at each length, the pin words all of whose points lie
+        in the quadrant set; the reference reads every point's quadrant from
+        the word's diagram, for every non-empty set, connected or not."""
+        occupied = {
+            n: [frozenset(all_point_quadrants(w).values()) for w in all_pin_words(n)]
+            for n in range(1, 11)
+        }
+        for mask in range(1, 16):
+            quadrants = frozenset(q for q in (1, 2, 3, 4) if mask >> (q - 1) & 1)
+            expect = [sum(qs <= quadrants for qs in occupied[n]) for n in range(1, 11)]
+            h = pipeline._confined_word_count_gf(quadrants)
+            assert h.coeffs(10) == [0, *expect], sorted(quadrants)
+
     def test_sequence_has_unrestricted_denominator(self):
         # The complete-class G legitimately has a denominator that is not a
         # power of 1 - z; construction must still pass the coefficient bounds.
