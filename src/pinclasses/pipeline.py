@@ -60,8 +60,8 @@ from .series import (
 
 _BOUND_WINDOW = 30
 # The factor walk's cost grows about as the cube of a spec's length.  On a
-# 2-core x86-64 host with CPython 3.11, closure_gf and growth_rate of a
-# random 1(c)* take 0.2 s at |c| = 64, 1.3 s at 128 and 9.8 s at 252.
+# shared 2-core Intel Xeon with CPython 3.11.7, closure_gf and growth_rate of
+# a random 1(c)* take about 0.15 s at |c| = 64, 0.7 s at 128 and 5 s at 252.
 MAX_SPEC_LENGTH = 256
 
 
@@ -182,18 +182,23 @@ def _factor_counts(prefix: PinWord, cycle: str, mode: str) -> dict[int, tuple[in
     return table
 
 
-def _stabilized_gf(spec: PinSpec, counts: dict[int, int]) -> RatGF:
+def _stabilized_gfs(spec: PinSpec, table: dict[int, tuple[int, ...]]) -> list[RatGF]:
+    """The generating functions (g, g1, .., g4) of the columns of a
+    `_factor_counts` table, each eventually constant: whole rows must agree
+    over one cycle of lengths from prefix_length + 2·cycle_length + 2 on."""
     stable_at = spec.prefix_length + 2 * spec.cycle_length + 2
     check = range(stable_at, stable_at + spec.cycle_length + 1)
-    if any(counts[n] != counts[stable_at] for n in check):
+    if any(table[n] != table[stable_at] for n in check):
         raise StabilizationFailure(
             f"factor image counts for {spec} not constant over lengths "
             f"{stable_at}..{stable_at + spec.cycle_length}: "
-            f"{[counts[n] for n in check]}"
+            f"{[table[n] for n in check]}"
         )
-    return from_eventually_constant(
-        [counts[n] for n in range(1, stable_at)], counts[stable_at], stable_at
-    )
+    columns = zip(*(table[n] for n in range(1, stable_at)))
+    return [
+        from_eventually_constant(column, constant, stable_at)
+        for column, constant in zip(columns, table[stable_at])
+    ]
 
 
 def indecomposable_counts(spec, mode: str = "all") -> tuple[dict[int, int], RatGF]:
@@ -201,17 +206,7 @@ def indecomposable_counts(spec, mode: str = "all") -> tuple[dict[int, int], RatG
     explicit counts plus their generating function g(z)."""
     spec = as_spec(spec)
     table = _factor_counts(spec.prefix, spec.cycle, mode)
-    counts = {n: row[0] for n, row in table.items()}
-    return counts, _stabilized_gf(spec, counts)
-
-
-def quadrant_indecomposable_counts(spec, q: int, mode: str = "all") -> RatGF:
-    """g_q(z): indecomposable factor images lying entirely in quadrant q."""
-    spec = as_spec(spec)
-    if q not in (1, 2, 3, 4):
-        raise ParameterOutOfRange(f"quadrant must be 1..4, got {q}")
-    table = _factor_counts(spec.prefix, spec.cycle, mode)
-    return _stabilized_gf(spec, {n: row[q] for n, row in table.items()})
+    return {n: row[0] for n, row in table.items()}, _stabilized_gfs(spec, table)[0]
 
 
 def amended_G(spec, mode: str = "all") -> GSequence:
@@ -222,9 +217,7 @@ def amended_G(spec, mode: str = "all") -> GSequence:
     range.  That structural fact is asserted here.
     """
     spec = as_spec(spec)
-    _, g = indecomposable_counts(spec, mode)
-    g1, g2, g3, g4 = (quadrant_indecomposable_counts(spec, q, mode) for q in (1, 2, 3, 4))
-    gs = GSequence(g, g1, g2, g3, g4)
+    gs = GSequence(*_stabilized_gfs(spec, _factor_counts(spec.prefix, spec.cycle, mode)))
     if not _is_power_of_one_minus_z(gs.G.den):
         raise BoundViolation(f"G denominator {gs.G.den.quoted()} is not a power of (1 - z)")
     return gs
@@ -250,17 +243,17 @@ def _mode_sequence(spec, mode: str) -> GSequence:
 
 def class_gf(spec) -> RatGF:
     """Exact generating function of the pin class of a recurrent spec."""
-    return seq(_mode_sequence(spec, "class").G)
+    return _mode_sequence(spec, "class").f
 
 
 def closure_gf(spec) -> RatGF:
     """Generating function of the ⊞-closure of the pin class."""
-    return seq(_mode_sequence(spec, "closure").G)
+    return _mode_sequence(spec, "closure").f
 
 
 def interior_gf(spec) -> RatGF:
     """Generating function of the ⊞-interior (closure of recurrent factors)."""
-    return seq(_mode_sequence(spec, "interior").G)
+    return _mode_sequence(spec, "interior").f
 
 
 def finite_closure_sequence(generators) -> GSequence:
@@ -269,23 +262,19 @@ def finite_closure_sequence(generators) -> GSequence:
     for gen in as_generators(generators):
         closure |= subpatterns(gen)
     indecs = [p for p in closure if p.length >= 1 and is_box_indecomposable(p)]
-    max_len = max((p.length for p in indecs), default=0)
-
-    def poly_of(pred) -> RatGF:
-        cs = [0] * (max_len + 1)
-        for p in indecs:
-            if pred(p):
-                cs[p.length] += 1
-        return RatGF(Poly(cs))
-
-    g = poly_of(lambda p: True)
-    g1, g2, g3, g4 = (poly_of(lambda p, q=q: one_quadrant(p) == q) for q in (1, 2, 3, 4))
-    return GSequence(g, g1, g2, g3, g4)
+    # per length: g, then g1..g4 for the indecomposables in one quadrant
+    counts = [[0] * (max((p.length for p in indecs), default=0) + 1) for _ in range(5)]
+    for p in indecs:
+        counts[0][p.length] += 1
+        q = one_quadrant(p)
+        if q is not None:
+            counts[q][p.length] += 1
+    return GSequence(*(RatGF(Poly(cs)) for cs in counts))
 
 
 def finite_closure_gf(generators) -> RatGF:
     """Generating function of the ⊞-closure of finitely many generators."""
-    return seq(finite_closure_sequence(generators).G)
+    return finite_closure_sequence(generators).f
 
 
 @lru_cache(maxsize=1)
@@ -316,50 +305,34 @@ def _second_point_table() -> dict[tuple[int, str], int]:
     }
 
 
-def _poly_det(m: list[list[Poly]]) -> Poly:
-    if len(m) == 1:
-        return m[0][0]
-    out = Poly.zero()
-    for j in range(len(m)):
-        if m[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _poly_det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
 def _confined_word_count_gf(quadrants: frozenset[int]) -> RatGF:
     """h(z): pin words of each length all of whose points lie in the given
-    quadrants, via a transfer matrix over last letters."""
+    quadrants, via a transfer matrix over last letters.
+
+    The words of length 1 count |quadrants|·z.  For a letter b, x_b(z)
+    counts the longer words ending in b; they solve (I - zM)x = z²v, where
+    M[b][a] = 1 when b may follow a and places its point in the set, and v_b
+    counts the two-point words ending in b.  Fraction-free Gauss-Jordan
+    elimination over Poly solves it with no pivoting: the matrix is I at
+    z = 0 and each step keeps it so, so every pivot has constant term 1.
+    """
     pair = _pair_quadrant_table()
     second = _second_point_table()
-    n_letters = len(LETTERS)
-    m = [[0] * n_letters for _ in range(n_letters)]
-    for j, a in enumerate(LETTERS):
-        for i, b in enumerate(LETTERS):
-            if not same_axis(a, b) and pair[(a, b)] in quadrants:
-                m[i][j] = 1
-    v2 = [
-        sum(1 for q in quadrants if second[(q, a)] in quadrants) for a in LETTERS
-    ]
-    a_mat = [
+    rows = [
         [
-            Poly([1, -m[i][j]]) if i == j else Poly([0, -m[i][j]])
-            for j in range(n_letters)
+            Poly([int(a == b), -int(not same_axis(a, b) and pair[(a, b)] in quadrants)])
+            for a in LETTERS
         ]
-        for i in range(n_letters)
+        + [Poly([0, 0, sum(1 for q in quadrants if second[(q, b)] in quadrants)])]
+        for b in LETTERS
     ]
-    det = _poly_det(a_mat)
-    total = Poly.zero()
-    for col in range(n_letters):
-        replaced = [
-            [Poly([v2[i]]) if j == col else a_mat[i][j] for j in range(n_letters)]
-            for i in range(n_letters)
-        ]
-        total = total + _poly_det(replaced)
-    head = Poly([0, len(quadrants)])
-    return RatGF(head * det + total.shift(2), det)
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k and not row[k].is_zero():
+                rows[i] = [pivot * x - row[k] * y for x, y in zip(row, pivot_row)]
+    head = RatGF(Poly([0, len(quadrants)]))
+    return sum((RatGF(row[-1], row[k]) for k, row in enumerate(rows)), head)
 
 
 _TAIL_WINDOW = 16
@@ -451,7 +424,7 @@ def complete_class_sequence(quadrants=(1, 2, 3, 4)) -> GSequence:
 
 def complete_class_gf(quadrants=(1, 2, 3, 4)) -> RatGF:
     """Generating function of the complete pin class, optionally confined."""
-    return seq(complete_class_sequence(quadrants).G)
+    return complete_class_sequence(quadrants).f
 
 
 # Bisection cost grows about as the cube of the digits of 1/tol, since step m
@@ -681,7 +654,7 @@ def describe(spec, mode: str = "class", digits: int = 10) -> dict:
     spec = as_spec(spec)
     _check_digits(digits)
     gs = _mode_sequence(spec, mode)
-    f = seq(gs.G)
+    f = gs.f
     growth = growth_rate(f, digits=digits)
     return {
         "spec": str(spec),

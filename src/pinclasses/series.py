@@ -29,10 +29,10 @@ from .errors import (
 # `Poly.parse` bounds its input so that `growth --poly` always ends in
 # seconds and every parsed coefficient prints: exponents are at most
 # MAX_PARSE_DEGREE (through `growth_rate`, a dense polynomial with random
-# one-digit coefficients takes about 0.5 s at degree 128 and 6 s at degree
-# 256 on a 2-core x86-64 with CPython 3.11), and each coefficient's numerator
-# and denominator have at most MAX_PARSE_DIGITS digits, CPython's default
-# limit for int-text conversion.
+# one-digit coefficients takes about 0.3 s at degree 128 and 4 s at degree
+# 256 on a shared 2-core Intel Xeon with CPython 3.11.7), and each
+# coefficient's numerator and denominator have at most MAX_PARSE_DIGITS
+# digits, CPython's default limit for int-text conversion.
 MAX_PARSE_DEGREE = 128
 MAX_PARSE_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_PARSE_DIGITS
@@ -282,7 +282,9 @@ class Poly:
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
-        """Parse text like ``1 - 2z - z^3`` or ``1-2*z+ (1/2)z^2``.
+        """Parse text like ``1 - 2z - z^3``, ``1-2*z+ (1/2)z^2`` or
+        ``1 + (-1/2)z``: a parenthesised coefficient may carry its own sign,
+        so the text of every Poly reads back.
 
         An exponent above MAX_PARSE_DEGREE raises ParameterOutOfRange before
         any coefficient list is built; a coefficient whose numerator or
@@ -291,8 +293,8 @@ class Poly:
         s = text.replace(" ", "").replace("**", "^").lower()
         if not s:
             raise MalformedSyntax("empty polynomial")
-        # split into signed terms
-        chunks = re.findall(r"[+-]?[^+-]+", s)
+        # split into signed terms; a sign inside parentheses splits nothing
+        chunks = re.findall(r"[+-]?(?:\([^()]*\)|[^+-])+", s)
         if "".join(chunks) != s:
             raise MalformedSyntax(f"cannot tokenize polynomial: {text!r}")
         acc: dict[int, int | Fraction] = {}

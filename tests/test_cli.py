@@ -111,7 +111,7 @@ class TestGf:
     def test_spec_over_the_length_cap_fails_fast(self, capsys, command, mode):
         """One symbol over MAX_SPEC_LENGTH exits 3 with one line, before the
         recurrence test or any factor enumeration: the factor walk grows as
-        the cube of the spec's length, about 10 s at 256 symbols."""
+        the cube of the spec's length, about 5 s at 256 symbols."""
         from pinclasses.pipeline import MAX_SPEC_LENGTH
 
         rng = random.Random(7)

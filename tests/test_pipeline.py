@@ -36,7 +36,7 @@ from pinclasses.pipeline import (
     GSequence,
     _factor_counts,
     _significant,
-    _stabilized_gf,
+    _stabilized_gfs,
     amended_G,
     class_gf,
     closure_gf,
@@ -49,7 +49,6 @@ from pinclasses.pipeline import (
     indecomposable_counts,
     interior_gf,
     interior_positivity,
-    quadrant_indecomposable_counts,
     truncation_convergence,
 )
 from pinclasses.series import Poly, RatGF, seq
@@ -91,10 +90,9 @@ class TestIndecomposableCounts:
         # Quadrant GFs count only indecomposables confined to one quadrant, so
         # coefficient-wise they never exceed the overall count.
         for spec in list(FROZEN_CLASS_GFS) + ["1(ul)*", "3rurdlurur(dl)*"]:
-            _, total = indecomposable_counts(spec)
-            parts = [quadrant_indecomposable_counts(spec, q) for q in (1, 2, 3, 4)]
+            gs = amended_G(spec)
             for n in range(1, 15):
-                assert sum(f.coefficient(n) for f in parts) <= total.coefficient(n)
+                assert sum(f.coefficient(n) for f in gs.g_quadrants) <= gs.g.coefficient(n)
 
     def test_quadrant_counts_match_brute_confinement(self):
         from pinclasses.cperm import is_box_indecomposable, one_quadrant
@@ -104,6 +102,7 @@ class TestIndecomposableCounts:
         for text in ["1(uldlur)*", "3rurdlurur(dl)*"]:
             spec = parse_pin_spec(text)
             horizon = spec.prefix_length + 3 * spec.cycle_length + 2
+            parts = amended_G(spec).g_quadrants
             for n in range(1, horizon + 1):
                 images = {pi_map(w) for w in enumerate_pin_factors(spec, n, "all")}
                 confined = [
@@ -112,16 +111,14 @@ class TestIndecomposableCounts:
                     if is_box_indecomposable(p) and one_quadrant(p)
                 ]
                 for q in (1, 2, 3, 4):
-                    got = quadrant_indecomposable_counts(spec, q).coefficient(n)
+                    got = parts[q - 1].coefficient(n)
                     assert got == confined.count(q), (text, n, q)
 
     def test_quadrant_values(self):
-        assert [
-            str(quadrant_indecomposable_counts("1(ldru)*", q)) for q in (1, 2, 3, 4)
-        ] == ["z", "z", "z", "z"]
-        assert [
-            str(quadrant_indecomposable_counts("1(uldlur)*", q)) for q in (1, 2, 3, 4)
-        ] == ["z + z^2", "z", "z + z^2", "0"]
+        assert [str(q) for q in amended_G("1(ldru)*").g_quadrants] == ["z", "z", "z", "z"]
+        assert [str(q) for q in amended_G("1(uldlur)*").g_quadrants] == [
+            "z + z^2", "z", "z + z^2", "0",
+        ]
 
 
 def reference_counts(spec, n, mode):
@@ -574,8 +571,6 @@ class TestGrowthRate:
 
     def test_parameters_out_of_range_are_typed(self):
         with pytest.raises(ParameterOutOfRange):
-            quadrant_indecomposable_counts("1(ru)*", 5)
-        with pytest.raises(ParameterOutOfRange):
             truncation_convergence("1(ul)*", 0)
 
     def test_repeated_root_handled_by_square_free_part(self):
@@ -775,10 +770,9 @@ class TestSpecLengthCap:
             interior_gf,
             amended_G,
             indecomposable_counts,
-            lambda spec: quadrant_indecomposable_counts(spec, 1),
             lambda spec: describe(spec, "closure"),
         ],
-        ids=["class", "closure", "interior", "amended_G", "g", "g1", "describe"],
+        ids=["class", "closure", "interior", "amended_G", "g", "describe"],
     )
     def test_one_symbol_over_the_cap_is_refused_first(self, monkeypatch, call):
         spec = parse_pin_spec(spec_of_size(pipeline.MAX_SPEC_LENGTH + 1))
@@ -807,21 +801,34 @@ class TestSpecLengthCap:
 
 
 class TestStabilizationGuard:
+    """Whole rows (g_n, g1_n, .., g4_n) of a factor-count table must agree
+    over one cycle of lengths from prefix_length + 2·cycle_length + 2 on."""
+
+    SPEC = parse_pin_spec("1(ul)*")
+
+    def table(self):
+        window = self.SPEC.prefix_length + 3 * self.SPEC.cycle_length + 2
+        return {n: (2, 1, 0, 1, 0) for n in range(1, window + 1)}
+
     def test_unstable_counts_rejected(self):
-        spec = parse_pin_spec("1(ul)*")
-        window = spec.prefix_length + 3 * spec.cycle_length + 2
-        counts = {n: 2 for n in range(1, window + 1)}
-        counts[spec.prefix_length + 2 * spec.cycle_length + 3] = 99
+        table = self.table()
+        table[self.SPEC.prefix_length + 2 * self.SPEC.cycle_length + 3] = (99, 1, 0, 1, 0)
         with pytest.raises(StabilizationFailure):
-            _stabilized_gf(spec, counts)
+            _stabilized_gfs(self.SPEC, table)
+
+    def test_one_unstable_quadrant_column_rejected(self):
+        table = self.table()
+        table[self.SPEC.prefix_length + 2 * self.SPEC.cycle_length + 3] = (2, 1, 0, 1, 1)
+        with pytest.raises(StabilizationFailure, match=r"\(2, 1, 0, 1, 1\)"):
+            _stabilized_gfs(self.SPEC, table)
 
     def test_stable_counts_accepted(self):
-        spec = parse_pin_spec("1(ul)*")
-        window = spec.prefix_length + 3 * spec.cycle_length + 2
-        counts = {n: 2 for n in range(1, window + 1)}
-        counts[1] = 1
-        f = _stabilized_gf(spec, counts)
-        assert f == gf("z + z^2", "1 - z")
+        table = self.table()
+        table[1] = (1, 1, 0, 0, 0)
+        g, g1, g2, g3, g4 = _stabilized_gfs(self.SPEC, table)
+        assert g == gf("z + z^2", "1 - z")
+        assert g1 == gf("z", "1 - z") and g3 == gf("z^2", "1 - z")
+        assert g2 == g4 == RatGF.zero()
 
 
 class TestTruncationConvergence:

@@ -41,14 +41,23 @@ class TestPoly:
         assert Poly.zero().degree == -1
 
     def test_parse_round_trip(self):
-        for text in ["1 - 2z - z^3", "z", "1", "3z + z^2 - 7z^5", "-z^2 + 4"]:
+        texts = ["1 - 2z - z^3", "z", "1", "3z + z^2 - 7z^5", "-z^2 + 4", "1 + (-1/2)z + 3z^2"]
+        for text in texts:
             p = Poly.parse(text)
             assert Poly.parse(str(p)) == p
+
+    @given(st.lists(st.fractions(-100, 100, max_denominator=50), max_size=6))
+    @settings(max_examples=100)
+    def test_parse_round_trip_with_fractions(self, coeffs):
+        p = Poly(coeffs)
+        assert Poly.parse(str(p)) == p
 
     def test_parse_known(self):
         assert Poly.parse("1-2z-z^3") == Poly([1, -2, 0, -1])
         assert Poly.parse("z") == Poly([0, 1])
         assert Poly.parse("2z^2") == Poly([0, 0, 2])
+        assert Poly.parse("(-1/2)z") == Poly([0, Fraction(-1, 2)])
+        assert Poly.parse("1 - (-1/2)z^2") == Poly([1, 0, Fraction(1, 2)])
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(MalformedSyntax):
