@@ -25,6 +25,50 @@ from pinclasses.pinword import PinWord, parse_pin_word
 from strategies import pin_words
 
 
+def closed_form_decomposables(n):
+    """The decomposable table as length conditions, one representative per
+    family; the eight symmetries give the rest."""
+    reps = []
+    if n >= 2 and n % 2 == 0:
+        reps.append("1l" + "dl" * ((n - 2) // 2))
+    if n >= 3 and n % 2 == 1:
+        reps.append("1" + "ld" * ((n - 1) // 2))
+    if n >= 4 and n % 2 == 0:
+        reps.append("1" + "ur" * ((n - 4) // 2) + "uld")
+    if n >= 5 and n % 2 == 1:
+        reps.append("1" + "ru" * ((n - 3) // 2) + "ld")
+    return frozenset(s.word(rep) for rep in reps for s in SYMMETRIES)
+
+
+def closed_form_collision_groups(n):
+    """The collision table as length conditions, one representative group
+    per family; the eight symmetries give the rest."""
+    reps = []
+    if n == 2:
+        reps.append(("1u", "1r"))
+    elif n == 3:
+        reps.append(("1ul", "2ru"))
+    elif n == 4:
+        reps.append(("1ldr", "2dru", "3rul", "4uld"))
+    elif n == 5:
+        reps.append(("1uldl", "3luru"))
+        reps.append(("1ldlu", "2dlur"))
+    elif n >= 6 and n % 2 == 0:
+        a, b = (n - 2) // 2, (n - 4) // 2
+        reps.append(("1" + "ld" * a + "r", "2" + "dl" * b + "dru"))
+    elif n >= 7:
+        k = (n - 3) // 2
+        reps.append(("1" + "ld" * k + "lu", "2" + "dl" * k + "ur"))
+    return frozenset(frozenset(map(s.word, rep)) for rep in reps for s in SYMMETRIES)
+
+
+def test_tables_match_closed_forms():
+    """Both tables equal their closed forms in the length, to n = 40."""
+    for n in range(41):
+        assert decomposable_words(n) == closed_form_decomposables(n), n
+        assert collision_groups_at(n) == closed_form_collision_groups(n), n
+
+
 class TestWordEnumeration:
     def test_counts(self):
         assert len(all_pin_words(1)) == 4
