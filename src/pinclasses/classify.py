@@ -1,7 +1,13 @@
-"""Closed-form classification of ⊞-decomposable and colliding pin words.
+"""Classification of ⊞-decomposable and colliding pin words, as family data.
 
-Both tables are stored as one representative pattern per family; the other
-members are generated by the eight symmetries of the square acting on words.
+Both tables are families of words that grow by a letter pair put in after
+the numeral, and their images under the eight symmetries of the square.
+Every count over them repeats with period 2 from `PERIODIC_FROM`, the
+longest family's first length plus 4, past every single-member family: a
+symmetry commutes with pair insertion, and from its third member on a family
+keeps one numeral, first letter and set of adjacent letter pairs, which fix
+its quadrants (`pipeline._word_quadrants`) and tell distinct images apart.
+
 Words here are valid by construction, so the tables and the verifier hold
 word texts (``"1ldr"``); `PinWord` validates only input from outside, and
 this module builds one only in `all_pin_words`.  The lookups accept a
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cperm import QUADRANT_SIGNS, CentredPerm, centred_pattern, quadrant_of
+from .cperm import QUADRANT_SIGNS, quadrant_of
 from .errors import CensusTooLarge, ParameterOutOfRange
 from .pimap import check_node, trie_images
 from .pinword import NEXT_LETTERS, PinWord
@@ -57,11 +63,6 @@ class Symmetry:
         `apply_xy` does."""
         return str(w).translate(self._table)
 
-    def perm(self, p: CentredPerm) -> CentredPerm:
-        pts = [self.apply_xy(i, v) for i, v in p.points()]
-        origin = self.apply_xy(*p.origin_point())
-        return centred_pattern(pts, origin)
-
     def __repr__(self) -> str:
         return f"Symmetry({self.name})"
 
@@ -78,19 +79,35 @@ SYMMETRIES = (
 )
 
 
+_DECOMPOSABLE_FAMILIES = ((("1l", "ld"),), (("1ld", "ld"),), (("1uld", "ur"),), (("1ruld", "ru"),))
+_COLLISION_FAMILIES = (
+    (("1u", ""), ("1r", "")),
+    (("1ul", ""), ("2ru", "")),
+    (("1ldr", ""), ("2dru", ""), ("3rul", ""), ("4uld", "")),
+    (("1uldl", ""), ("3luru", "")),
+    (("1ldlu", ""), ("2dlur", "")),
+    (("1ldldr", "ld"), ("2dldru", "dl")),
+    (("1ldldlu", "ld"), ("2dldlur", "dl")),
+)
+PERIODIC_FROM = 4 + max(len(f[0][0]) for f in _DECOMPOSABLE_FAMILIES + _COLLISION_FAMILIES)
+
+
+def _groups(families, n: int):
+    """The groups of length n of a table of families, under each symmetry.
+    A word family (text, pair) holds text[0] + pair*k + text[1:] for k >= 0,
+    or text alone if the pair is empty; a table family is a tuple of word
+    families, whose members of one length form one group."""
+    for family in families:
+        k, odd = divmod(n - len(family[0][0]), 2)
+        if k >= 0 and not odd and (k == 0 or family[0][1]):
+            group = [text[0] + pair * k + text[1:] for text, pair in family]
+            yield from (frozenset(map(s.word, group)) for s in SYMMETRIES)
+
+
 @lru_cache(maxsize=None)
 def decomposable_words(n: int) -> frozenset[str]:
-    """All ⊞-decomposable pin word texts of length n, from the closed-form table."""
-    reps = []
-    if n >= 2 and n % 2 == 0:
-        reps.append("1l" + "dl" * ((n - 2) // 2))
-    if n >= 3 and n % 2 == 1:
-        reps.append("1" + "ld" * ((n - 1) // 2))
-    if n >= 4 and n % 2 == 0:
-        reps.append("1" + "ur" * ((n - 4) // 2) + "uld")
-    if n >= 5 and n % 2 == 1:
-        reps.append("1" + "ru" * ((n - 3) // 2) + "ld")
-    return frozenset(s.word(rep) for rep in reps for s in SYMMETRIES)
+    """All ⊞-decomposable pin word texts of length n, from the family table."""
+    return frozenset().union(*_groups(_DECOMPOSABLE_FAMILIES, n))
 
 
 def is_decomposable_word(w) -> bool:
@@ -102,23 +119,7 @@ def is_decomposable_word(w) -> bool:
 @lru_cache(maxsize=None)
 def collision_groups_at(n: int) -> frozenset[frozenset[str]]:
     """All collision groups (size >= 2) among pin word texts of length n."""
-    reps: list[tuple[str, ...]] = []
-    if n == 2:
-        reps.append(("1u", "1r"))
-    elif n == 3:
-        reps.append(("1ul", "2ru"))
-    elif n == 4:
-        reps.append(("1ldr", "2dru", "3rul", "4uld"))
-    elif n == 5:
-        reps.append(("1uldl", "3luru"))
-        reps.append(("1ldlu", "2dlur"))
-    elif n >= 6 and n % 2 == 0:
-        a, b = (n - 2) // 2, (n - 4) // 2
-        reps.append(("1" + "ld" * a + "r", "2" + "dl" * b + "dru"))
-    elif n >= 7:
-        k = (n - 3) // 2
-        reps.append(("1" + "ld" * k + "lu", "2" + "dl" * k + "ur"))
-    return frozenset(frozenset(map(s.word, rep)) for rep in reps for s in SYMMETRIES)
+    return frozenset(_groups(_COLLISION_FAMILIES, n))
 
 
 def collision_group(w) -> frozenset[str]:

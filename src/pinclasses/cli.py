@@ -16,6 +16,7 @@ from decimal import Decimal
 from . import classify, oracle, pipeline
 from .errors import (
     CrossCheckMismatch,
+    EmptyInput,
     MalformedSyntax,
     NoRootInRange,
     ParameterOutOfRange,
@@ -45,9 +46,9 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def cmd_perm(args) -> int:
-    words = list(args.word)
+    words = args.word or [line.strip() for line in sys.stdin if line.strip()]
     if not words:
-        words = [line.strip() for line in sys.stdin if line.strip()]
+        raise EmptyInput("perm needs pin words, as arguments or on stdin")
     results = [(w, pi_map(w)) for w in words]
     if args.format == "json":
         out = [{"word": w, "perm": p.one_line()} for w, p in results]
@@ -109,16 +110,13 @@ def cmd_growth(args) -> int:
 def cmd_verify_tables(args) -> int:
     reports = classify.verify_tables(args.n_max, jobs=args.jobs)
     payload = {"reports": [r.to_json() for r in reports]}
-    lines = []
-    bad = []
-    for r in reports:
-        lines.append(
-            f"n={r.length:2d}  decomposable={len(r.decomposable_words):3d}  "
-            f"collision_groups={len(r.collision_groups):3d}  "
-            f"match={'yes' if r.table_match else 'NO'}"
-        )
-        if not r.table_match:
-            bad.extend(r.discrepancies)
+    lines = [
+        f"n={r.length:2d}  decomposable={len(r.decomposable_words):3d}  "
+        f"collision_groups={len(r.collision_groups):3d}  "
+        f"match={'yes' if r.table_match else 'NO'}"
+        for r in reports
+    ]
+    bad = [msg for r in reports for msg in r.discrepancies]
     _emit(args, payload, lines)
     if bad:
         for msg in bad:
@@ -141,6 +139,8 @@ def cmd_oracle(args) -> int:
         raise MalformedSyntax("this oracle method needs a spec")
     if args.method == "representation" and args.spec:
         raise MalformedSyntax("the representation oracle takes no spec")
+    if args.n < 1:  # a depth-0 census has only the empty permutation to compare
+        raise ParameterOutOfRange(f"oracle depth --n must be at least 1, got {args.n}")
     with _open_output(args.dump_perms) if args.dump_perms else nullcontext() as dump:
         _run_oracle(args, dump)
     return 0
@@ -348,8 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or _build_parser()  # built on first use, not at import
+    args = _parser.parse_args(argv)
     try:
         return args.func(args) or 0
     except PinclassesError as exc:

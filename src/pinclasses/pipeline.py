@@ -335,8 +335,8 @@ def _confined_word_count_gf(quadrants: frozenset[int]) -> RatGF:
     return sum((RatGF(row[-1], row[k]) for k, row in enumerate(rows)), head)
 
 
+# The confined counts' period is checked up to here, classify.verify_tables's guard.
 _TAIL_WINDOW = 16
-_TAIL_FROM = 9
 
 
 def _word_quadrants(w) -> set[int]:
@@ -355,18 +355,17 @@ def _word_quadrants(w) -> set[int]:
 
 def _confined_correction_gfs(quadrants: frozenset[int]) -> tuple[RatGF, RatGF]:
     """(decomposable-word GF, collision-overcount GF) restricted to words
-    confined to the given quadrants; both tails are periodic with period 2,
-    which is asserted on the overlap window."""
+    confined to the given quadrants.  classify proves that both counts repeat
+    with period 2 from classify.PERIODIC_FROM, so each GF is its counts below
+    that length and the two-term block that starts there.  The counts on to
+    _TAIL_WINDOW check the period; the shorter ones are exact."""
 
     def confined(w: str) -> bool:
         return _word_quadrants(w) <= quadrants
 
-    dec = {n: 0 for n in range(1, _TAIL_WINDOW + 1)}
-    over = {n: 0 for n in range(1, _TAIL_WINDOW + 1)}
+    dec, over = [0] * (_TAIL_WINDOW + 1), [0] * (_TAIL_WINDOW + 1)
     for n in range(1, _TAIL_WINDOW + 1):
-        for w in classify.decomposable_words(n):
-            if confined(w):
-                dec[n] += 1
+        dec[n] = sum(map(confined, classify.decomposable_words(n)))
         for group in classify.collision_groups_at(n):
             flags = {confined(w) for w in group}
             if len(flags) != 1:
@@ -375,20 +374,17 @@ def _confined_correction_gfs(quadrants: frozenset[int]) -> tuple[RatGF, RatGF]:
                 )
             if flags.pop():
                 over[n] += len(group) - 1
-    for series_counts, label in ((dec, "decomposable"), (over, "overcount")):
-        for n in range(_TAIL_FROM, _TAIL_WINDOW - 1):
-            if series_counts[n] != series_counts[n + 2]:
-                raise CrossCheckMismatch(
-                    f"{label} tail not 2-periodic at n={n} for quadrants {sorted(quadrants)}"
-                )
-    def encode(counts: dict[int, int]) -> RatGF:
-        return from_eventually_periodic(
-            [counts[n] for n in range(1, _TAIL_FROM)],
-            [counts[_TAIL_FROM], counts[_TAIL_FROM + 1]],
-            _TAIL_FROM,
-        )
-
-    return encode(dec), encode(over)
+    start = classify.PERIODIC_FROM
+    for counts, label in ((dec, "decomposable"), (over, "overcount")):
+        if counts[start:-2] != counts[start + 2 :]:
+            raise CrossCheckMismatch(
+                f"{label} counts not 2-periodic on {start}..{_TAIL_WINDOW} "
+                f"for quadrants {sorted(quadrants)}: {counts[start:]}"
+            )
+    return tuple(
+        from_eventually_periodic(counts[1:start], counts[start : start + 2], start)
+        for counts in (dec, over)
+    )
 
 
 _OSCILLATION_GF_NUM = Poly([0, 1, 0, 1])  # z + z^3: one-quadrant counts 1,1,2,2,...
@@ -632,12 +628,8 @@ def truncation_convergence(spec, t_max: int) -> list[GrowthResult]:
     out = []
     for t in range(1, t_max + 1):
         rec = enumerate_pin_factors(spec, t, "recurrent")
-        chosen = None
-        for n in range(1, spec.prefix_length + 3):
-            trunc = left_truncate(spec, n)
-            if enumerate_pin_factors(trunc, t, "all") <= rec:
-                chosen = trunc
-                break
+        truncations = (left_truncate(spec, n) for n in range(1, spec.prefix_length + 3))
+        chosen = next((c for c in truncations if enumerate_pin_factors(c, t, "all") <= rec), None)
         if chosen is None:
             raise CrossCheckMismatch(
                 f"no valid truncation point for {spec} at t={t}; "

@@ -157,16 +157,16 @@ def test_criterion_3_classification_tables():
     from pinclasses.classify import verify_tables
 
     start = time.perf_counter()
-    reports = verify_tables(14)
+    reports = verify_tables(16)
     elapsed = time.perf_counter() - start
 
-    assert [r.length for r in reports] == list(range(1, 15))
+    assert [r.length for r in reports] == list(range(1, 17))
     assert all(r.table_match for r in reports)
     assert all(r.discrepancies == [] for r in reports)
 
     dec_counts = {r.length: len(r.decomposable_words) for r in reports}
     assert dec_counts[1] == 0 and dec_counts[2] == 8 and dec_counts[3] == 8
-    assert all(dec_counts[n] == 16 for n in range(4, 15))
+    assert all(dec_counts[n] == 16 for n in range(4, 17))
 
     group_sizes = {
         r.length: sorted(len(g) for g in r.collision_groups) for r in reports
@@ -175,9 +175,9 @@ def test_criterion_3_classification_tables():
     assert group_sizes[3] == [2] * 8
     assert group_sizes[4] == [4] * 2
     assert group_sizes[5] == [2] * 12
-    assert all(group_sizes[n] == [2] * 8 for n in range(6, 15))
+    assert all(group_sizes[n] == [2] * 8 for n in range(6, 17))
 
-    assert elapsed < 60.0, f"verify_tables(14) took {elapsed:.1f}s"
+    assert elapsed < 60.0, f"verify_tables(16) took {elapsed:.1f}s"
 
 
 def test_criterion_4_oracle_equivalence(timed_censuses):

@@ -18,9 +18,9 @@ from pinclasses.classify import (
     overcount_series,
     verify_tables,
 )
-from pinclasses.cperm import QUADRANT_SIGNS, is_box_indecomposable
+from pinclasses.cperm import QUADRANT_SIGNS, centred_pattern, is_box_indecomposable
 from pinclasses.errors import CensusTooLarge, CrossCheckMismatch, ParameterOutOfRange
-from pinclasses.pimap import pi_map
+from pinclasses.pimap import all_point_quadrants, pi_map
 from pinclasses.pinword import PinWord, parse_pin_word
 from strategies import pin_words
 
@@ -67,6 +67,59 @@ def test_tables_match_closed_forms():
     for n in range(41):
         assert decomposable_words(n) == closed_form_decomposables(n), n
         assert collision_groups_at(n) == closed_form_collision_groups(n), n
+
+
+def family_images(families):
+    """Each table family with a letter pair, under each symmetry: a function
+    from k to the group of its members with k pairs put in, as texts."""
+    for family in families:
+        if family[0][1]:
+            for s in SYMMETRIES:
+                yield lambda k, family=family, s=s: tuple(
+                    s.word(text[0] + pair * k + text[1:]) for text, pair in family
+                )
+
+
+def signature(text):
+    """The numeral, the first letter and the set of adjacent letter pairs."""
+    return text[0], text[1], frozenset(zip(text[1:], text[2:]))
+
+
+class TestFamilyData:
+    TABLES = (classify._DECOMPOSABLE_FAMILIES, classify._COLLISION_FAMILIES)
+
+    def test_periodic_from(self):
+        """The period starts 4 past the longest family's first length, so
+        past every single-member family: 11, from the 7-letter collisions."""
+        assert classify.PERIODIC_FROM == 11
+        for table in self.TABLES:
+            for family in table:
+                assert len({len(text) for text, _ in family}) == 1
+                assert len(family[0][0]) + 4 <= classify.PERIODIC_FROM
+
+    def test_members_keep_their_quadrants_on_the_point_route(self):
+        """The period's premise, read from each diagram: every word of every
+        family image has one quadrant set over its members k = 2..8."""
+        for table in self.TABLES:
+            for members in family_images(table):
+                for position in range(len(members(0))):
+                    quadrant_sets = {
+                        frozenset(all_point_quadrants(members(k)[position]).values())
+                        for k in range(2, 9)
+                    }
+                    assert len(quadrant_sets) == 1, members(2)
+
+    def test_distinct_images_keep_distinct_signatures(self):
+        """From the third member on, each family image keeps one signature
+        per word, and distinct images of one length parity have distinct
+        signatures, so their members never coincide."""
+        for table in self.TABLES:
+            seen = {}
+            for members in family_images(table):
+                signatures = {frozenset(map(signature, members(k))) for k in range(2, 9)}
+                assert len(signatures) == 1, members(2)
+                key = (len(members(0)[0]) % 2, signatures.pop())
+                assert seen.setdefault(key, frozenset(members(2))) == frozenset(members(2))
 
 
 class TestWordEnumeration:
@@ -195,8 +248,12 @@ class TestSymmetries:
     @given(pin_words(max_letters=6))
     @settings(max_examples=80)
     def test_word_action_commutes_with_images(self, w):
+        """A symmetry's word action matches its matrix acting on the points
+        of the word's image."""
+        p = pi_map(w)
         for s in SYMMETRIES:
-            assert pi_map(s.word(w)) == s.perm(pi_map(w))
+            pts = [s.apply_xy(i, v) for i, v in p.points()]
+            assert pi_map(s.word(w)) == centred_pattern(pts, s.apply_xy(*p.origin_point()))
 
     def test_collision_groups_closed_under_symmetry(self):
         for n in (2, 3, 4):

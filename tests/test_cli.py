@@ -70,6 +70,18 @@ class TestPerm:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_no_words_and_empty_stdin(self, capsys, monkeypatch, fmt):
+        """No words at all is a parse error in either format, not an empty
+        success."""
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n  \n"))
+        code, out, err = run(capsys, "perm", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: perm needs pin words, as arguments or on stdin\n"
+
 
 class TestGf:
     def test_text_lines(self, capsys):
@@ -427,6 +439,30 @@ class TestOracle:
         assert "depth" in err
         assert "match" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["1(ru)*", "--method", "subset"],
+            ["1(ru)*", "--method", "composition"],
+            ["--method", "representation"],
+        ],
+    )
+    def test_depth_zero_refused_before_any_census(self, capsys, monkeypatch, argv):
+        """A depth-0 census compares only the empty permutation, 1 = 1, so
+        the CLI refuses it rather than print a vacuous match."""
+        from pinclasses import oracle
+
+        def no_census(*args, **kwargs):
+            raise AssertionError("a census ran")
+
+        for name in ("enumerate_class_subset", "enumerate_class_composition",
+                     "enumerate_pin_permutations"):
+            monkeypatch.setattr(oracle, name, no_census)
+        code, out, err = run(capsys, "oracle", *argv, "--n", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "error: oracle depth --n must be at least 1, got 0\n"
+
     def test_guard_exit(self, capsys):
         code, _, err = run(capsys, "oracle", "1(ru)*", "--n", "11", "--method", "subset")
         assert code == 3
@@ -567,6 +603,30 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_parser_built_once_and_reused(self, capsys, monkeypatch):
+        """main builds its parser on the first call, not at import, and
+        parses every later call with it; each call still gets fresh
+        arguments."""
+        from pinclasses import cli
+
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        assert run(capsys, "perm", "1ul", "1") == (0, "1ul\t3[1]42\n1\t[1]2\n", "")
+        assert run(capsys, "perm", "--format", "json", "2lurdld")[0] == 0
+        assert run(capsys, "perm", "1ul") == (0, "3[1]42\n", "")
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(pinclasses.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import pinclasses.cli as c; print(c._parser)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.stdout.strip() == "None", proc.stderr
 
 
 class TestImport:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinclasses import pimap, pipeline
+from pinclasses import classify, pimap, pipeline
 from pinclasses.cperm import QUADRANT_POINT, is_box_indecomposable, one_quadrant
 from pinclasses.errors import (
     BoundViolation,
@@ -407,6 +407,18 @@ class TestCompleteClass:
             expect = [sum(qs <= quadrants for qs in occupied[n]) for n in range(1, 11)]
             h = pipeline._confined_word_count_gf(quadrants)
             assert h.coeffs(10) == [0, *expect], sorted(quadrants)
+
+    @pytest.mark.parametrize("table", ["decomposable_words", "collision_groups_at"])
+    @pytest.mark.parametrize("n", range(classify.PERIODIC_FROM, pipeline._TAIL_WINDOW + 1))
+    def test_perturbed_tail_count_fails_the_period_check(self, monkeypatch, table, n):
+        """A table that loses one member at a length the period check reads
+        must fail it, for the full quadrant set, where every word counts."""
+        lookup = getattr(classify, table)
+        monkeypatch.setattr(
+            classify, table, lambda m: frozenset(list(lookup(m))[1:]) if m == n else lookup(m)
+        )
+        with pytest.raises(CrossCheckMismatch, match="not 2-periodic"):
+            pipeline._confined_correction_gfs(frozenset({1, 2, 3, 4}))
 
     def test_sequence_has_unrestricted_denominator(self):
         # The complete-class G legitimately has a denominator that is not a
