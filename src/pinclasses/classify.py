@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cperm import QUADRANT_SIGNS, quadrant_of
+from .cperm import QUADRANT_SIGNS, CentredPerm, centred_pattern, quadrant_of
 from .errors import CensusTooLarge, ParameterOutOfRange
 from .pimap import check_node, trie_images
 from .pinword import NEXT_LETTERS, PinWord
@@ -63,6 +63,11 @@ class Symmetry:
         `apply_xy` does."""
         return str(w).translate(self._table)
 
+    def perm(self, p: CentredPerm) -> CentredPerm:
+        pts = [self.apply_xy(i, v) for i, v in p.points()]
+        origin = self.apply_xy(*p.origin_point())
+        return centred_pattern(pts, origin)
+
     def __repr__(self) -> str:
         return f"Symmetry({self.name})"
 
@@ -93,21 +98,21 @@ PERIODIC_FROM = 4 + max(len(f[0][0]) for f in _DECOMPOSABLE_FAMILIES + _COLLISIO
 
 
 def _groups(families, n: int):
-    """The groups of length n of a table of families, under each symmetry.
+    """The groups of length n of a table of families, before the symmetries.
     A word family (text, pair) holds text[0] + pair*k + text[1:] for k >= 0,
     or text alone if the pair is empty; a table family is a tuple of word
     families, whose members of one length form one group."""
     for family in families:
         k, odd = divmod(n - len(family[0][0]), 2)
         if k >= 0 and not odd and (k == 0 or family[0][1]):
-            group = [text[0] + pair * k + text[1:] for text, pair in family]
-            yield from (frozenset(map(s.word, group)) for s in SYMMETRIES)
+            yield [text[0] + pair * k + text[1:] for text, pair in family]
 
 
 @lru_cache(maxsize=None)
 def decomposable_words(n: int) -> frozenset[str]:
     """All ⊞-decomposable pin word texts of length n, from the family table."""
-    return frozenset().union(*_groups(_DECOMPOSABLE_FAMILIES, n))
+    groups = _groups(_DECOMPOSABLE_FAMILIES, n)
+    return frozenset(s.word(w) for group in groups for w in group for s in SYMMETRIES)
 
 
 def is_decomposable_word(w) -> bool:
@@ -119,7 +124,8 @@ def is_decomposable_word(w) -> bool:
 @lru_cache(maxsize=None)
 def collision_groups_at(n: int) -> frozenset[frozenset[str]]:
     """All collision groups (size >= 2) among pin word texts of length n."""
-    return frozenset(_groups(_COLLISION_FAMILIES, n))
+    groups = _groups(_COLLISION_FAMILIES, n)
+    return frozenset(frozenset(map(s.word, group)) for group in groups for s in SYMMETRIES)
 
 
 def collision_group(w) -> frozenset[str]:
@@ -181,7 +187,7 @@ class ClassificationReport:
 # Words of this length root the trie walk and partition it for ``jobs``.
 _ROOT_LENGTH = 2
 # The walk holds every word's image up to n_max, 2^(n+2) words of length n;
-# 16 is the longest length pipeline._TAIL_WINDOW reads from the tables.
+# pipeline._TAIL_WINDOW reads the tables up to this length.
 _VERIFY_GUARD = 16
 # An image key's last byte, the origin index, by index: one concatenation
 # instead of a tuple of the whole image.

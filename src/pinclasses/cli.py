@@ -110,13 +110,16 @@ def cmd_growth(args) -> int:
 def cmd_verify_tables(args) -> int:
     reports = classify.verify_tables(args.n_max, jobs=args.jobs)
     payload = {"reports": [r.to_json() for r in reports]}
-    lines = [
-        f"n={r.length:2d}  decomposable={len(r.decomposable_words):3d}  "
-        f"collision_groups={len(r.collision_groups):3d}  "
-        f"match={'yes' if r.table_match else 'NO'}"
-        for r in reports
-    ]
-    bad = [msg for r in reports for msg in r.discrepancies]
+    lines = []
+    bad = []
+    for r in reports:
+        lines.append(
+            f"n={r.length:2d}  decomposable={len(r.decomposable_words):3d}  "
+            f"collision_groups={len(r.collision_groups):3d}  "
+            f"match={'yes' if r.table_match else 'NO'}"
+        )
+        if not r.table_match:
+            bad.extend(r.discrepancies)
     _emit(args, payload, lines)
     if bad:
         for msg in bad:
@@ -348,13 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    _parser = _parser or _build_parser()  # built on first use, not at import
-    args = _parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
     except PinclassesError as exc:

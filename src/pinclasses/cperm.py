@@ -517,7 +517,12 @@ def box_decompose(p: CentredPerm) -> list[CentredPerm]:
     cur = as_perm(p)
     while cur.length > 0:
         ranges = minimal_centred_intervals(cur)
-        a, b = min(ranges, key=lambda r: one_quadrant(_interval_pattern(cur, *r)))
+        if len(ranges) == 1:
+            a, b = ranges[0]
+        else:
+            pats = [(_interval_pattern(cur, a, b), (a, b)) for a, b in ranges]
+            pats.sort(key=lambda t: one_quadrant(t[0]))
+            a, b = pats[0][1]
         if (a, b) == (1, len(cur.filled)):
             out.append(cur)
             break

@@ -335,8 +335,8 @@ def _confined_word_count_gf(quadrants: frozenset[int]) -> RatGF:
     return sum((RatGF(row[-1], row[k]) for k, row in enumerate(rows)), head)
 
 
-# The confined counts' period is checked up to here, classify.verify_tables's guard.
-_TAIL_WINDOW = 16
+# The confined counts' period is checked up to the longest verified length.
+_TAIL_WINDOW = classify._VERIFY_GUARD
 
 
 def _word_quadrants(w) -> set[int]:
@@ -628,8 +628,12 @@ def truncation_convergence(spec, t_max: int) -> list[GrowthResult]:
     out = []
     for t in range(1, t_max + 1):
         rec = enumerate_pin_factors(spec, t, "recurrent")
-        truncations = (left_truncate(spec, n) for n in range(1, spec.prefix_length + 3))
-        chosen = next((c for c in truncations if enumerate_pin_factors(c, t, "all") <= rec), None)
+        chosen = None
+        for n in range(1, spec.prefix_length + 3):
+            trunc = left_truncate(spec, n)
+            if enumerate_pin_factors(trunc, t, "all") <= rec:
+                chosen = trunc
+                break
         if chosen is None:
             raise CrossCheckMismatch(
                 f"no valid truncation point for {spec} at t={t}; "

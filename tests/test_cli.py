@@ -604,30 +604,6 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
 
-    def test_parser_built_once_and_reused(self, capsys, monkeypatch):
-        """main builds its parser on the first call, not at import, and
-        parses every later call with it; each call still gets fresh
-        arguments."""
-        from pinclasses import cli
-
-        builds = []
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
-        assert run(capsys, "perm", "1ul", "1") == (0, "1ul\t3[1]42\n1\t[1]2\n", "")
-        assert run(capsys, "perm", "--format", "json", "2lurdld")[0] == 0
-        assert run(capsys, "perm", "1ul") == (0, "3[1]42\n", "")
-        assert len(builds) == 1
-
-    def test_import_builds_no_parser(self):
-        src = str(Path(pinclasses.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import pinclasses.cli as c; print(c._parser)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.stdout.strip() == "None", proc.stderr
-
 
 class TestImport:
     def test_cli_import_loads_no_numpy(self):
