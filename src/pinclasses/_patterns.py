@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cperm import QUADRANT_SIGNS, centred_pattern
+from .cperm import QUADRANT_SIGNS, centred_pattern, shift_table
 
 BACKEND = "walk"
 
@@ -84,12 +84,18 @@ def _steps(spec) -> list:
 def walk_patterns(spec, n_max: int) -> dict[int, dict]:
     """The patterns of spec's pin class with at most n_max non-origin
     points, by length: every node of the state walk visited once.  Each
-    length maps a one-line tuple to the bitmask of its origin indices, as
-    `cperm.box_sum_level` does; `cperm.expand_level` builds the members."""
+    length maps a one-line key (`bytes`) to the bitmask of its origin
+    indices, as `cperm.box_sum_level` does; `cperm.expand_level` builds the
+    members.  A node carries its pattern's key: the new point's y rank
+    lifts the values at or above it with one `bytes.translate`, and its
+    value goes in at its x rank by slicing."""
     steps = _steps(spec)
     last_t = len(steps) - 1
     after = list(range(1, last_t + 1)) + [spec.prefix_length + 2]
-    start = (1, (1,), 1, True)
+    # ranks run 1..m + 1 for the m <= n_max values of a pattern that grows
+    lifts = [shift_table(r, 1) for r in range(n_max + 2)]
+    values = [bytes((r,)) for r in range(n_max + 2)]
+    start = (1, b"\x01", 1, True)
     seen = {start}
     stack = [start]
     top = set()
@@ -106,9 +112,9 @@ def walk_patterns(spec, n_max: int) -> dict[int, dict]:
         (hx, x_in, x_out), (hy, y_in, y_out) = steps[t]
         rx = hx * m + (x_in if last else x_out)
         ry = hy * m + (y_in if last else y_out)
-        vals = [v + 1 if v >= ry else v for v in filled]
-        vals.insert(rx - 1, ry)
-        pattern = (tuple(vals), origin + 1 if rx <= origin else origin)
+        lifted = filled.translate(lifts[ry])
+        key = lifted[: rx - 1] + values[ry] + lifted[rx - 1 :]
+        pattern = (key, origin + 1 if rx <= origin else origin)
         if m == n_max:
             top.add(pattern)
             continue

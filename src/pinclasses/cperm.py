@@ -13,8 +13,11 @@ only the two builders whose results are permutations by construction:
 Its contract: ``filled`` is a tuple of Python ints that is a permutation of
 1..m, and 1 <= ``origin_index`` <= m.
 
-The censuses keep each level as a dict from one-line tuple to a bitmask of
-origin indices (bit i for origin index i): `box_sum_level` and
+The censuses keep each level as a dict from one-line key to a bitmask of
+origin indices (bit i for origin index i).  The key is the one-line tuple
+as `bytes`, one byte per value, so a census of length n holds n + 1 <= 255
+values; its hash is cached, and `bytes.translate` with a `shift_table`
+shifts all its values at C speed.  `box_sum_level` and
 `_patterns.walk_patterns` build levels in that form, `level_size` counts a
 level's members and `in_level` tests one, and `expand_level` alone turns a
 level into CentredPerms, when a caller asks for the members.  `check_split`
@@ -292,26 +295,33 @@ def box_sum(inner: CentredPerm, outer: CentredPerm) -> CentredPerm:
     return CentredPerm._trusted(tuple(filled), ko - 1 + inner.origin_index)
 
 
-def box_sum_level(levels, parts, n: int) -> dict[tuple[int, ...], int]:
+def shift_table(low: int, by: int) -> bytes:
+    """The `bytes.translate` table that adds ``by`` to every value >= ``low``
+    and keeps the values below it; values that would pass 255 map to 0."""
+    return bytes(range(low)) + bytes(range(low + by, 256)) + bytes(by)
+
+
+def box_sum_level(levels, parts, n: int) -> dict[bytes, int]:
     """Every ``box_sum(left, piece)`` with ``left`` in ``levels[n - p]`` and
     ``piece`` in ``parts[p]``, over the piece lengths 1 <= p <= n.
 
     ``levels`` and the result are levels of origin masks (see the module
     docstring); ``parts`` holds CentredPerms.  For one p every left has
     length n - p, so each piece's head and tail (its entries before and
-    after the origin) take the same shift once, and each left tuple's block
-    takes one offset per distinct piece origin value (at offset 0 the left
-    tuples are the blocks).  A sum is the tuple ``head + block + tail`` (an
-    empty head or tail copies nothing) and carries the left's whole mask,
-    shifted by the head's length, so the inner loop runs over distinct left
-    tuples, not over their origins.  A new sum costs one dict lookup
-    (``setdefault``); a sum already found with other origins is ORed into.
-    For each p the sum of the first left (at its lowest origin) and the
-    first piece is checked against `box_sum` from scratch.
+    after the origin) take the same shift once, and each left key's block
+    takes one offset per distinct piece origin value, as one
+    `bytes.translate` (at offset 0 the left keys are the blocks).  A sum is
+    the key ``head + block + tail`` (an empty head or tail copies nothing)
+    and carries the left's whole mask, shifted by the head's length, so the
+    inner loop runs over distinct left keys, not over their origins.  A new
+    sum costs one dict lookup (``setdefault``); a sum already found with
+    other origins is ORed into.  For each p the sum of the first left (at
+    its lowest origin) and the first piece is checked against `box_sum`
+    from scratch.
 
     `oracle._compose_census` passes only the pieces that shorter pieces do
     not generate, and never pieces of length n itself."""
-    found: dict[tuple[int, ...], int] = {}
+    found: dict[bytes, int] = {}
     setdefault = found.setdefault
     firsts = []
     for p, pieces in parts.items():
@@ -323,16 +333,14 @@ def box_sum_level(levels, parts, n: int) -> dict[tuple[int, ...], int]:
         for piece in pieces:
             f, ko = piece.filled, piece.origin_index
             vo = f[ko - 1]
-            head = tuple([v if v < vo else v + shift for v in f[: ko - 1]])
-            tail = tuple([v if v < vo else v + shift for v in f[ko:]])
+            head = bytes([v if v < vo else v + shift for v in f[: ko - 1]])
+            tail = bytes([v if v < vo else v + shift for v in f[ko:]])
             cuts.setdefault(vo - 1, []).append((head, tail, ko - 1))
         first = None
         for offset, ends in cuts.items():
             if offset:
-                blocks = [
-                    (tuple([v + offset for v in filled]), mask)
-                    for filled, mask in lefts.items()
-                ]
+                table = shift_table(0, offset)
+                blocks = [(key.translate(table), mask) for key, mask in lefts.items()]
             else:
                 blocks = lefts.items()
             if first is None:
@@ -341,19 +349,20 @@ def box_sum_level(levels, parts, n: int) -> dict[tuple[int, ...], int]:
                 first = (head + block + tail, before + _lowest_bit(mask))
             for head, tail, before in ends:
                 for block, mask in blocks:
-                    filled = head + block + tail
+                    key = head + block + tail
                     mask <<= before
-                    old = setdefault(filled, mask)
+                    old = setdefault(key, mask)
                     if old != mask:
-                        found[filled] = old | mask
+                        found[key] = old | mask
         left, mask = next(iter(lefts.items()))
         firsts.append((CentredPerm(left, _lowest_bit(mask)), next(iter(pieces)), first))
     for left, piece, first in firsts:
         expected = box_sum(left, piece)
-        if (expected.filled, expected.origin_index) != first or not in_level(found, expected):
+        want = (bytes(expected.filled), expected.origin_index)
+        if want != first or not in_level(found, expected):
             raise CrossCheckMismatch(
-                f"the level kernel gives {left} ⊞ {piece} as {first[0]} with origin "
-                f"index {first[1]}, not {expected}"
+                f"the level kernel gives {left} ⊞ {piece} as {list(first[0])} with "
+                f"origin index {first[1]}, not {expected}"
             )
     return found
 
@@ -393,7 +402,7 @@ def _lowest_bit(mask: int) -> int:
 
 def in_level(level, p: CentredPerm) -> bool:
     """Is p a member of a level of origin masks?"""
-    return bool(level.get(p.filled, 0) >> p.origin_index & 1)
+    return bool(level.get(bytes(p.filled), 0) >> p.origin_index & 1)
 
 
 def level_size(level) -> int:
@@ -402,15 +411,16 @@ def level_size(level) -> int:
 
 
 def expand_level(level) -> frozenset[CentredPerm]:
-    """The CentredPerms of a level that maps each one-line tuple to a bitmask
+    """The CentredPerms of a level that maps each one-line key to a bitmask
     of its origin indices, as `box_sum_level` and `_patterns.walk_patterns`
-    return it: one member per set bit."""
-    return frozenset(
-        CentredPerm._trusted(filled, i)
-        for filled, mask in level.items()
-        for i in range(1, mask.bit_length())
-        if mask >> i & 1
-    )
+    return it: one member per set bit, all of one key sharing one tuple."""
+    members = []
+    for key, mask in level.items():
+        filled = tuple(key)
+        members += [
+            CentredPerm._trusted(filled, i) for i in range(1, mask.bit_length()) if mask >> i & 1
+        ]
+    return frozenset(members)
 
 
 def _interval_pattern(p: CentredPerm, a: int, b: int) -> CentredPerm:

@@ -50,6 +50,9 @@ MEMORY_GUARD = 10**7
 _SUBSET_GUARD = 10
 _COMPOSITION_GUARD = 10
 _REPRESENTATION_GUARD = 8
+# The levels hold one-line values 1..n + 1 in bytes (`cperm`), so no census
+# may go deeper than 254; only the finite closure has no smaller guard.
+_CLOSURE_GUARD = 254
 _REFERENCE_SYMBOLS = 12
 _REFERENCE_DEPTH = 3
 
@@ -57,8 +60,8 @@ _REFERENCE_DEPTH = 3
 class ClassCensus:
     """Counts (and retained members) of a centred class, per length.
 
-    ``levels`` maps each length to a dict from one-line tuple to the bitmask
-    of its origin indices, the form `cperm.box_sum_level` and
+    ``levels`` maps each length to a dict from one-line key (`bytes`) to the
+    bitmask of its origin indices, the form `cperm.box_sum_level` and
     `_patterns.walk_patterns` return; the counts are its popcounts, passed
     in by a census that has counted them already.  The members are built on
     first read of `perms` (or `members`), through `cperm.expand_level`."""
@@ -91,10 +94,10 @@ class ClassCensus:
         return f"ClassCensus({self.description!r}, counts={self.counts})"
 
 
-def _check_depth(n_max: int, guard: int | None, kind: str) -> None:
+def _check_depth(n_max: int, guard: int, kind: str) -> None:
     if n_max < 0:
         raise ParameterOutOfRange(f"census depth must be non-negative, got {n_max}")
-    if guard is not None and n_max > guard:
+    if n_max > guard:
         raise CensusTooLarge(f"{kind} census depth {n_max} exceeds the guard {guard}")
 
 
@@ -137,11 +140,12 @@ def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCe
 
     Each length n is built from the kept pieces of the lengths below n
     (`box_sum_level`); a piece of ``parts[n]`` that this level already holds
-    is dropped, and the others are kept and join the level.  Dropping loses
-    nothing: ⊞ is associative with identity EMPTY, so if Q = L ⊞ K then
-    left ⊞ Q = (left ⊞ L) ⊞ K, a sum formed from K.  The first dropped
+    is dropped, and the others are kept and join the level (the pieces of
+    one length are distinct, so one that joins drops no other).  Dropping
+    loses nothing: ⊞ is associative with identity EMPTY, so if Q = L ⊞ K
+    then left ⊞ Q = (left ⊞ L) ⊞ K, a sum formed from K.  The first dropped
     piece of each length is checked from scratch by `cperm.check_split`."""
-    levels = {0: {EMPTY.filled: 1 << EMPTY.origin_index}}
+    levels = {0: {bytes(EMPTY.filled): 1 << EMPTY.origin_index}}
     counts = [1]
     kept: dict[int, list[CentredPerm]] = {}
     for n in range(1, n_max + 1):
@@ -149,14 +153,15 @@ def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCe
         kept[n] = []
         dropped = None
         for piece in parts.get(n, ()):
-            if not in_level(level, piece):
+            key, bit = bytes(piece.filled), 1 << piece.origin_index
+            mask = level.get(key, 0)
+            if not mask & bit:
                 kept[n].append(piece)
+                level[key] = mask | bit
             elif dropped is None:
                 dropped = piece
         if dropped is not None:
             check_split(dropped, levels)
-        for piece in kept[n]:
-            level[piece.filled] = level.get(piece.filled, 0) | 1 << piece.origin_index
         levels[n] = level
         counts.append(level_size(level))
         _guard(sum(counts), description)
@@ -194,7 +199,7 @@ def enumerate_pin_permutations(n_max: int) -> ClassCensus:
 
 def enumerate_closure_composition(generators, n_max: int) -> ClassCensus:
     """Census of the ⊞-closure of finitely many centred permutations."""
-    _check_depth(n_max, None, "finite-closure")
+    _check_depth(n_max, _CLOSURE_GUARD, "finite-closure")
     gens = as_generators(generators)
     pieces: set[CentredPerm] = set()
     for gen in gens:

@@ -378,7 +378,7 @@ class TestOracle:
         assert "[1]" in lines
 
     def test_counts_build_no_members(self, capsys, tmp_path, monkeypatch):
-        """The census keeps one-line tuples with origin masks; only a dump of
+        """The census keeps one-line keys with origin masks; only a dump of
         the members builds them, and the dump's bytes are those of the
         per-member census (SHA-256 of its 2796 lines, one per member)."""
         from pinclasses import cperm, oracle

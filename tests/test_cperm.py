@@ -47,6 +47,7 @@ from pinclasses.errors import (
     ParameterOutOfRange,
 )
 from strategies import centred_perms
+from tuple_levels import encode
 
 
 class TestParsingAndBasics:
@@ -465,12 +466,12 @@ class TestTrustedConstruction:
 
 
 def _masks(perms):
-    """A set of CentredPerms as a census level: one-line tuple -> bitmask of
+    """A set of CentredPerms as a census level: one-line key -> bitmask of
     origin indices."""
     level = {}
     for p in perms:
         level[p.filled] = level.get(p.filled, 0) | 1 << p.origin_index
-    return level
+    return encode(level)
 
 
 def _pairwise(levels, parts, n):
@@ -487,8 +488,8 @@ def _pairwise(levels, parts, n):
 def _level_inputs(draw):
     """A level n, lefts of every length below it and pieces of mixed
     lengths (some longer than n).  Each left comes with copies of its
-    entries under other origins, so that different pairs give one entry
-    tuple with several origin indices."""
+    entries under other origins, so that different pairs give one key with
+    several origin indices."""
     n = draw(st.integers(min_value=1, max_value=6))
     levels = {k: set() for k in range(n)}
     for left in draw(st.lists(centred_perms(max_n=n - 1), max_size=5)):
@@ -516,16 +517,16 @@ class TestBoxSumLevel:
         expected = _pairwise(levels, parts, n)
         assert type(level) is dict
         assert level == _masks(expected)
-        assert all(type(v) is int for filled in level for v in filled)
+        assert all(type(key) is bytes for key in level)
         assert expand_level(level) == expected
 
     def test_one_entry_tuple_with_two_origins(self):
         levels = {0: frozenset({EMPTY}), 1: frozenset(from_oneline(t) for t in ("[1]2", "1[2]"))}
         parts = {1: {from_oneline("[1]2")}, 2: {from_oneline("[1]23")}}
         masks = _mask_levels(levels)
-        assert masks[1] == {(1, 2): 0b110}
+        assert masks[1] == encode({(1, 2): 0b110})
         level = box_sum_level(masks, parts, 2)
-        assert level == {(1, 2, 3): 0b110}
+        assert level == encode({(1, 2, 3): 0b110})
         assert expand_level(level) == {from_oneline(t) for t in ("[1]23", "1[2]3")}
         assert expand_level(level) == _pairwise(levels, parts, 2)
 

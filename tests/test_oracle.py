@@ -36,8 +36,11 @@ from pinclasses.cperm import (
     is_box_indecomposable,
 )
 from pinclasses.pinword import as_spec
+from pinclasses.series import coeffs
 
+import tuple_levels
 from strategies import centred_perms, pin_specs, recurrent_specs
+from tuple_levels import encode
 
 # Exhaustively computed class sizes, frozen here as the reference the
 # generating-function pipeline is checked against in test_acceptance.
@@ -310,7 +313,8 @@ class TestComposeCensusKernel:
         def faulty(levels, parts, n):
             level = kernel(levels, parts, n)
             if n == 2:
-                level[piece.filled] = level.get(piece.filled, 0) | 1 << piece.origin_index
+                [(key, bit)] = encode({piece.filled: 1 << piece.origin_index}).items()
+                level[key] = level.get(key, 0) | bit
             return level
 
         monkeypatch.setattr(oracle, "box_sum_level", faulty)
@@ -377,6 +381,36 @@ class TestGuards:
                 call()
             assert str(info.value) == message
 
+    def test_closure_depth_past_a_byte_is_refused_first(self, monkeypatch):
+        """A level holds the n + 1 one-line values of length n in bytes, so
+        the finite closure refuses depth 255 before it reads a generator;
+        depth 254 runs, with the value 255 at the top."""
+
+        def unread(generators):
+            raise AssertionError("the generators were read")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "as_generators", unread)
+            with pytest.raises(CensusTooLarge) as info:
+                enumerate_closure_composition(["1[2]"], 255)
+        assert str(info.value) == "finite-closure census depth 255 exceeds the guard 254"
+        # points in the opposite quadrants 3 and 1 commute: n + 1 members
+        census = enumerate_closure_composition(["1[2]", "[1]2"], 254)
+        assert census.counts == list(range(1, 256))
+        assert {p.one_line() for p in census.members(254)} == {
+            ",".join([*map(str, range(1, k)), f"[{k}]", *map(str, range(k + 1, 256))])
+            for k in range(1, 256)
+        }
+
+    def test_every_guard_keeps_the_values_in_a_byte(self):
+        guards = [
+            oracle._SUBSET_GUARD,
+            oracle._COMPOSITION_GUARD,
+            oracle._REPRESENTATION_GUARD,
+            oracle._CLOSURE_GUARD,
+        ]
+        assert max(guards) <= 254
+
     def test_negative_depths(self):
         with pytest.raises(ParameterOutOfRange):
             enumerate_class_subset("1(ru)*", -1)
@@ -396,7 +430,7 @@ class TestGuards:
         ],
     )
     def test_memory_guard_counts_centred_members(self, monkeypatch, route, args):
-        """The levels hold one entry per one-line tuple, but the guard counts
+        """The levels hold one entry per one-line key, but the guard counts
         the centred permutations: a guard between the two totals still stops
         the census, and one equal to the member total does not."""
         census = route(*args)
@@ -543,9 +577,96 @@ class TestSubsetKernels:
         assert _patterns.BACKEND == "walk"
 
 
+class TestTupleKeyedReference:
+    """The levels keyed by bytes decode to those of the tuple-keyed walk and
+    kernel in `tests/tuple_levels.py`, level by level, masks included."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=3), st.integers(0, 6))
+    def test_walk_equals_the_tuple_walk(self, spec, depth):
+        """At depth 7, and at a lower depth whose top level ends the walk
+        sooner."""
+        for d in (depth, 7):
+            walk = _patterns.walk_patterns(spec, d)
+            reference = tuple_levels.walk_patterns(spec, d)
+            assert walk == {k: encode(level) for k, level in reference.items()}, (spec, d)
+
+    @staticmethod
+    def _checked_kernel(monkeypatch):
+        """Every level the census builds is compared with the tuple kernel
+        on the same inputs; returns the lengths compared."""
+        kernel = oracle.box_sum_level
+        compared = []
+
+        def spy(levels, parts, n):
+            level = kernel(levels, parts, n)
+            assert level == encode(tuple_levels.box_sum_level(levels, parts, n)), n
+            compared.append(n)
+            return level
+
+        monkeypatch.setattr(oracle, "box_sum_level", spy)
+        return compared
+
+    @pytest.mark.parametrize(
+        "route, args",
+        [
+            (enumerate_pin_permutations, (7,)),
+            (enumerate_class_composition, ("1(ldru)*", 7)),
+            (enumerate_class_composition, ("2(urul)*", 7)),
+            (enumerate_closure_composition, (["241[3]5", "[1]32"], 7)),
+        ],
+    )
+    def test_kernel_equals_the_tuple_kernel(self, monkeypatch, route, args):
+        compared = self._checked_kernel(monkeypatch)
+        route(*args)
+        assert compared == list(range(1, 8))
+
+    @settings(max_examples=10, deadline=None)
+    @given(recurrent_specs(cycle_lengths=(2, 4, 6)))
+    def test_kernel_equals_the_tuple_kernel_on_random_specs(self, spec):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            compared = self._checked_kernel(monkeypatch)
+            enumerate_class_composition(spec, 7)
+        assert compared == list(range(1, 8)), spec
+
+    @pytest.mark.parametrize(
+        "route, args, low, by",
+        [
+            # the walk lifts the values at or above the new point's rank
+            *[
+                (enumerate_class_subset, (spec, 6), low, by)
+                for spec in ("1(ldru)*", "2(urul)*")
+                for low, by in [(0, 1), (0, -1), (1, 0), (-1, 0)]
+            ],
+            # the kernel's offsets shift every value: only the amount can miss
+            (enumerate_class_composition, ("1(ldru)*", 6), 0, 1),
+            (enumerate_class_composition, ("1(ldru)*", 6), 0, -1),
+            (enumerate_pin_permutations, (6,), 0, 1),
+            (enumerate_pin_permutations, (6,), 0, -1),
+        ],
+    )
+    def test_off_by_one_shift_table_is_caught(self, monkeypatch, route, args, low, by):
+        """A shift table off by one in its threshold or its amount ends in
+        CrossCheckMismatch, or in counts that differ from the GF's."""
+        gf = pipeline.class_gf(args[0]) if len(args) == 2 else pipeline.complete_class_gf()
+        real = cperm.shift_table
+
+        def faulty(threshold, amount):
+            return real(max(threshold + low, 0), amount + by)
+
+        monkeypatch.setattr(cperm, "shift_table", faulty)
+        monkeypatch.setattr(_patterns, "shift_table", faulty)
+        try:
+            counts = route(*args).counts
+        except CrossCheckMismatch:
+            return
+        assert counts != [int(c) for c in coeffs(gf, 6)]
+
+
 class TestClassCensusObject:
     def test_length_zero_always_counted(self):
-        census = ClassCensus("test", "subset", 2, {0: {pi_map("1").filled: 0b10}, 1: {}, 2: {}})
+        level = encode({pi_map("1").filled: 0b10})
+        census = ClassCensus("test", "subset", 2, {0: level, 1: {}, 2: {}})
         assert census.counts[0] == 1
         assert census.perms == {0: {pi_map("1")}, 1: frozenset(), 2: frozenset()}
 
