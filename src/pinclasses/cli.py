@@ -84,12 +84,15 @@ def cmd_growth(args) -> int:
     if args.poly is not None:
         if args.spec is not None:
             raise MalformedSyntax("growth takes a spec or --poly, not both")
+        if args.mode is not None:
+            raise MalformedSyntax("--mode applies to a spec, not to --poly")
         target = Poly.parse(args.poly)
         context = {"polynomial": args.poly}
     elif args.spec is not None:
+        mode = args.mode or "closure"
         # looked up on the module at call time, so rebinding it takes effect
-        target = getattr(pipeline, f"{args.mode}_gf")(args.spec)
-        context = {"spec": args.spec, "mode": args.mode, "f": target.to_json()}
+        target = getattr(pipeline, f"{mode}_gf")(args.spec)
+        context = {"spec": args.spec, "mode": mode, "f": target.to_json()}
     else:
         raise MalformedSyntax("growth needs a spec or --poly")
     result = pipeline.growth_rate(target, tol=tol, digits=args.digits)
@@ -144,22 +147,26 @@ def cmd_oracle(args) -> int:
         raise MalformedSyntax("the representation oracle takes no spec")
     if args.n < 1:  # a depth-0 census has only the empty permutation to compare
         raise ParameterOutOfRange(f"oracle depth --n must be at least 1, got {args.n}")
+    spec = None
+    if args.spec:  # the cap gf and growth apply, before any census or recurrence test
+        spec = parse_pin_spec(args.spec)
+        pipeline._check_spec_size(spec)
     with _open_output(args.dump_perms) if args.dump_perms else nullcontext() as dump:
-        _run_oracle(args, dump)
+        _run_oracle(args, spec, dump)
     return 0
 
 
-def _run_oracle(args, dump) -> None:
+def _run_oracle(args, spec, dump) -> None:
     if args.method == "representation":
         census = oracle.enumerate_pin_permutations(args.n)
         reference = pipeline.complete_class_gf()
         ref_label = "complete-class generating function"
     elif args.method == "composition":
-        census = oracle.enumerate_class_composition(args.spec, args.n)
+        census = oracle.enumerate_class_composition(spec, args.n)
         reference = pipeline.class_gf(args.spec)
         ref_label = "class generating function"
     else:
-        census = oracle.enumerate_class_subset(args.spec, args.n)
+        census = oracle.enumerate_class_subset(spec, args.n)
         reference = pipeline.class_gf(args.spec) if is_recurrent(args.spec) else None
         ref_label = "class generating function (recurrent spec)"
     payload = census.to_json()
@@ -296,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--poly", help=f'polynomial of degree at most {MAX_PARSE_DEGREE}, e.g. "1-2z-z^3"'
     )
-    p.add_argument("--mode", choices=("class", "closure", "interior"), default="closure")
+    # for a spec only, where it defaults to closure
+    p.add_argument("--mode", choices=("class", "closure", "interior"))
     p.add_argument("--tol", default="1e-12", help="root isolation tolerance")
     _add_format(p)
     _add_digits(p)

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._value import Value
 from .errors import (
     CrossCheckMismatch,
     EmptyInput,
@@ -62,8 +62,7 @@ def quadrant_of(point, origin) -> int:
     return 2 if point[1] > origin[1] else 3
 
 
-@dataclass(frozen=True, slots=True)
-class CentredPerm:
+class CentredPerm(Value):
     """Immutable centred permutation.
 
     ``filled`` is the one-line tuple over {1..n+1}; ``origin_index`` is the
@@ -77,24 +76,23 @@ class CentredPerm:
     its contract and its two callers.
     """
 
-    filled: tuple[int, ...]
-    origin_index: int
+    __slots__ = ("filled", "origin_index")
 
-    def __post_init__(self):
+    def __init__(self, filled: tuple[int, ...], origin_index: int):
         try:
-            filled = tuple(map(operator.index, self.filled))
-            origin = operator.index(self.origin_index)
+            entries = tuple(map(operator.index, filled))
+            origin = operator.index(origin_index)
         except TypeError:
             raise NotAPermutation(
                 f"entries and origin index must be integers, got "
-                f"{self.filled!r} with origin {self.origin_index!r}"
+                f"{filled!r} with origin {origin_index!r}"
             ) from None
-        m = len(filled)
-        if m == 0 or sorted(filled) != list(range(1, m + 1)):
-            raise NotAPermutation(f"{filled!r} is not a permutation of 1..{m}")
+        m = len(entries)
+        if m == 0 or sorted(entries) != list(range(1, m + 1)):
+            raise NotAPermutation(f"{entries!r} is not a permutation of 1..{m}")
         if not 1 <= origin <= m:
             raise NotAPermutation(f"origin index {origin} outside 1..{m}")
-        object.__setattr__(self, "filled", filled)
+        object.__setattr__(self, "filled", entries)
         object.__setattr__(self, "origin_index", origin)
 
     @classmethod

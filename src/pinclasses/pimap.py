@@ -37,8 +37,7 @@ share no placement code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .cperm import (
     QUADRANT_POINT,
     QUADRANT_SIGNS,
@@ -213,17 +212,18 @@ def check_node(w, image: tuple, indecomposable: bool) -> CentredPerm:
     return fresh
 
 
-@dataclass(frozen=True, slots=True)
-class PinDiagram:
+class PinDiagram(Value, args=("word",)):
     """A realized pin word: placement-ordered points plus the derived permutation."""
 
-    word: PinWord
-    points: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("word", "points")
 
-    def __post_init__(self):
-        word = as_word(self.word)
+    def __init__(self, word: PinWord):
+        word = as_word(word)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "points", tuple(diagram_points(word)))
+
+    def __repr__(self) -> str:
+        return f"PinDiagram(word={self.word!r})"
 
     @property
     def perm(self) -> CentredPerm:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ._value import Value
 from .errors import (
     AlignmentViolation,
     EmptyInput,
@@ -45,23 +45,21 @@ NEXT_LETTERS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class PinWord:
+class PinWord(Value):
     """Immutable finite pin word: numeral plus alternating letters."""
 
-    numeral: int
-    letters: str = ""
+    __slots__ = ("numeral", "letters")
 
-    def __post_init__(self):
+    def __init__(self, numeral: int, letters: str = ""):
         try:
-            numeral = operator.index(self.numeral)
+            numeral = operator.index(numeral)
         except TypeError:
             raise MalformedSyntax(
-                f"initial numeral must be an integer, got {self.numeral!r}"
+                f"initial numeral must be an integer, got {numeral!r}"
             ) from None
         if numeral not in (1, 2, 3, 4):
             raise MalformedSyntax(f"initial numeral must be 1-4, got {numeral}")
-        letters = str(self.letters)
+        letters = str(letters)
         bad = set(letters) - set(LETTERS)
         if bad:
             raise MalformedSyntax(f"invalid letters {sorted(bad)!r}")
@@ -119,8 +117,7 @@ def parse_pin_word(text: str) -> PinWord:
     return PinWord(int(m.group(1)), m.group(2))
 
 
-@dataclass(frozen=True, slots=True)
-class PinSpec:
+class PinSpec(Value, args=("prefix", "cycle"), compare=("_canon",)):
     """Eventually periodic pin sequence: finite prefix + repeating cycle.
 
     ``prefix`` is a PinWord or its text (at least the numeral); ``cycle``
@@ -131,13 +128,11 @@ class PinSpec:
     ``1(ur)*`` stay distinct.
     """
 
-    prefix: PinWord = field(compare=False)
-    cycle: str = field(compare=False)
-    _canon: tuple = field(init=False, repr=False)
+    __slots__ = ("prefix", "cycle", "_canon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", as_word(self.prefix))
-        cycle = str(self.cycle)
+    def __init__(self, prefix: PinWord, cycle: str):
+        prefix = as_word(prefix)
+        cycle = str(cycle)
         if not cycle:
             raise MalformedSyntax("cycle must be non-empty")
         bad = set(cycle) - set(LETTERS)
@@ -151,22 +146,23 @@ class PinSpec:
             raise NonAlternatingCycle(
                 f"cycle {cycle!r} fails alternation at the wrap-around"
             )
-        junction = self.prefix.letters[-1:]
+        junction = prefix.letters[-1:]
         if junction and same_axis(junction, cycle[0]):
             raise NonAlternatingCycle(
                 f"prefix ending {junction!r} fails alternation into cycle {cycle!r}"
             )
+        object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
         # normal form: minimal period, then prefix letters pulled into the cycle
         for d in range(1, len(cycle) + 1):
             if len(cycle) % d == 0 and cycle == cycle[:d] * (len(cycle) // d):
                 cyc = cycle[:d]
                 break
-        pre = self.prefix.letters
+        pre = prefix.letters
         while pre and pre[-1] == cyc[-1]:
             pre = pre[:-1]
             cyc = cyc[-1] + cyc[:-1]
-        object.__setattr__(self, "_canon", (self.prefix.numeral, pre, cyc))
+        object.__setattr__(self, "_canon", (prefix.numeral, pre, cyc))
 
     @property
     def prefix_length(self) -> int:

@@ -174,6 +174,12 @@ class TestGrowth:
         code, _, err = run(capsys, "growth", "--poly", "1 - 2q")
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["class", "closure", "interior"])
+    def test_poly_rejects_a_mode(self, capsys, mode):
+        code, out, err = run(capsys, "growth", "--poly", "1-2z-z^3", "--mode", mode)
+        assert code == 2 and not out
+        assert "--mode" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("poly", ["1/0", "1-(1/0)z"])
     def test_zero_denominator_poly(self, capsys, poly):
         """A zero denominator is malformed input: exit 2 with one message."""
@@ -342,6 +348,21 @@ class TestVerifyTables:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("method", ["subset", "composition"])
+    def test_spec_over_the_length_cap_fails_fast(self, capsys, method):
+        """A spec eight times MAX_SPEC_LENGTH exits 3 with one line, before
+        the census or the recurrence test, which take seconds on it."""
+        from pinclasses.pipeline import MAX_SPEC_LENGTH
+
+        rng = random.Random(7)
+        letters = [rng.choice("ud") + rng.choice("lr") for _ in range(4 * MAX_SPEC_LENGTH)]
+        spec = "1(" + "".join(letters) + ")*"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", spec, "--n", "2", "--method", method)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert f"at most {MAX_SPEC_LENGTH}" in err and err.count("\n") == 1
+
     def test_composition_match(self, capsys):
         code, out, _ = run(capsys, "oracle", "1(ru)*", "--n", "5", "--method", "composition")
         assert code == 0
@@ -608,12 +629,18 @@ class TestTopLevel:
 class TestImport:
     def test_cli_import_loads_no_numpy(self):
         """The package has no runtime dependencies: a fresh interpreter that
-        imports the CLI has not imported numpy."""
+        imports the CLI has not imported numpy.  Nor has it imported
+        `dataclasses` or `inspect`, which alone cost about 11 ms of every
+        command's start-up.  Modules the interpreter loaded before the
+        import (a site hook's, say) do not count."""
         src = str(Path(pinclasses.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, pinclasses.cli; print('numpy' in sys.modules)"
+        code = (
+            "import sys; bare = set(sys.modules); import pinclasses.cli; "
+            "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"

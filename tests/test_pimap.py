@@ -463,13 +463,29 @@ class TestValueTypes:
         lambda: PinDiagram("2lurdld"),
     ]
     NAMES = ["PinWord", "PinSpec", "CentredPerm", "PinDiagram"]
+    # The fields each type's equality and hash read.
+    COMPARED = [("numeral", "letters"), ("_canon",), ("filled", "origin_index"), ("word",)]
 
     @pytest.mark.parametrize("make", VALUES, ids=NAMES)
     def test_immutable(self, make):
         value = make()
-        field = next(iter(type(value).__dataclass_fields__))
+        field = type(value).__slots__[0]
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+    @pytest.mark.parametrize("make, compared", zip(VALUES, COMPARED), ids=NAMES)
+    def test_hash_is_the_hash_of_the_compared_fields(self, make, compared):
+        value = make()
+        assert hash(value) == hash(tuple(getattr(value, name) for name in compared))
+
+    def test_specs_equal_as_infinite_words(self):
+        spec = parse_pin_spec("1r(ur)*")
+        assert spec == parse_pin_spec("1(ru)*")
+        assert hash(spec) == hash(parse_pin_spec("1(ru)*"))
+        assert spec != parse_pin_spec("1(ur)*")
+        assert PinWord(2, "lurdld") != PinDiagram("2lurdld")
 
     @pytest.mark.parametrize("make", VALUES, ids=NAMES)
     def test_pickle_round_trip(self, make):
