@@ -189,8 +189,8 @@ _ROOT_LENGTH = 2
 # The walk holds every word's image up to n_max, 2^(n+2) words of length n;
 # pipeline._TAIL_WINDOW reads the tables up to this length.
 _VERIFY_GUARD = 16
-# An image key's last byte, the origin index, by index: one concatenation
-# instead of a tuple of the whole image.
+# An image key's last byte, the origin index, by index: the walk's one-byte
+# image plus this byte is the key, in one concatenation.
 _INDEX_BYTE = [bytes((i,)) for i in range(_VERIFY_GUARD + 2)]
 
 
@@ -204,7 +204,7 @@ def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
     for text, img, indecomposable, _ in trie_images(root, n_max):
         n = len(text)
         images, decs = tables[n]
-        key = bytes(img[0]) + _INDEX_BYTE[img[1]]  # bytes((*filled, origin index))
+        key = img[0] + _INDEX_BYTE[img[1]]  # bytes((*filled, origin index))
         images[key] = images.get(key, ()) + (text,)
         if not indecomposable:
             decs.append(text)

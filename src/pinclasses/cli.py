@@ -1,14 +1,16 @@
 """Command-line surface: batch conversion, verification, and rendering.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violated, 4 numeric
-failure, 5 verification mismatch.  Every numeric result is printed with both
-its exact rational interval and a decimal rendering.
+Exit codes: 0 success, 1 stdout closed early by its reader, 2 parse error,
+3 precondition violated, 4 numeric failure, 5 verification mismatch.  Every
+numeric result is printed with both its exact rational interval and a
+decimal rendering.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from decimal import Decimal
@@ -362,10 +364,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args) or 0
+        code = args.func(args) or 0
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except PinclassesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # stdout's reader closed it early (``| head``): point stdout at
+        # devnull, so the exit flush of what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,26 +13,33 @@ read once at the end.  `pi_map` standardizes the points by sorting: the
 point route, which `PinDiagram` draws.
 
 Growing diagrams take the image route instead: `_grow` applies the same
-rule to a word's image, one insertion per point.  It carries the image's
-proper ∘-intervals (so its ⊞-indecomposability) and its quadrant set from
-the parent, in one pass over the parent's intervals: each one the new
-point P = (p, v) does not split is kept, shifted past P, and each one P
-extends is joined with P.  The bare origin is tried after the pass, and
-P's quadrant is read against the child's origin.  So the intervals through
-P come from the parent's in O(#intervals), by the extension rule: they are
-the blocks B = (a, b, lo, hi) with a <= p <= b + 1 and lo <= v <= hi + 1,
-each joined with P into (a, b + 1, lo, hi + 1), for B a parent interval
-or the bare origin.  Proof: in the child, B's positions are a..b with
-those at or past p moved up one, so with p they fill a run exactly when
-a <= p <= b + 1, and that run is a..b + 1; values likewise.  Conversely, a
-proper child interval through P, less P and re-standardised, is a block
-of the parent around the origin that is not the whole parent, so a parent
-interval or the bare origin.  `trie_images` grows every word of the
-pin-word trie, or of a nested-dict trie it is given, at one step per word,
-and yields each image as its raw (filled, origin index) pair, which its
-callers, the verify-tables walk and a spec's factor counts, only hash;
-`check_node` checks a walked word against the point route.  The two routes
-share no placement code.
+rule to a word's image, one insertion per point.  The image is its one-line
+values as `bytes`: one byte a value in a walk no deeper than
+_NARROW_DEPTH = 254 (a word of n points has n + 1 <= 255 values), two
+big-endian bytes a value beyond, for every word of that walk.  A step is
+slices and concatenations, plus one `bytes.translate` or one add of a
+repunit when the values move up one; the node carries the origin value
+and whether the last point is on top, so no value is decoded.  The step
+carries the image's proper ∘-intervals (so its ⊞-indecomposability) and
+its quadrant set from the parent, in one pass over the parent's intervals:
+each one the new point P = (p, v) does not split is kept, shifted past P,
+and each one P extends is joined with P.  The bare origin is tried after
+the pass, and P's quadrant is read against the child's origin.  So the
+intervals through P come from the parent's in O(#intervals), by the
+extension rule: they are the blocks B = (a, b, lo, hi) with
+a <= p <= b + 1 and lo <= v <= hi + 1, each joined with P into
+(a, b + 1, lo, hi + 1), for B a parent interval or the bare origin.
+Proof: in the child, B's positions are a..b with those at or past p moved
+up one, so with p they fill a run exactly when a <= p <= b + 1, and that
+run is a..b + 1; values likewise.  Conversely, a proper child interval
+through P, less P and re-standardised, is a block of the parent around the
+origin that is not the whole parent, so a parent interval or the bare
+origin.  `trie_images` grows every word of the pin-word trie, or of a
+nested-dict trie it is given, at one step per word, and yields each image
+as its (one-line bytes, origin index) pair, which its callers, the
+verify-tables walk and a spec's factor counts, only hash; `check_node`
+checks a walked word against the point route, encoded at the walk's width.
+The two routes share no placement code.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .cperm import (
     centred_pattern,
     is_box_indecomposable,
     quadrant_of,
+    shift_table,
 )
 from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
 from .pinword import NEXT_LETTERS, PinWord, as_word
@@ -91,25 +99,66 @@ def diagram_points(w) -> list[tuple[int, int]]:
     return list(zip(_axis(sx, w.letters, "r", "l"), _axis(sy, w.letters, "u", "d")))
 
 
-def _seed(numeral: int):
-    """The node of a bare numeral: its one-point image, whose point is the
-    entry beside the origin, no proper ∘-interval, one quadrant."""
+# The deepest walk whose images fit one byte a value: a word of n points
+# has n + 1 values.
+_NARROW_DEPTH = 254
+# One-byte images: each value as a one-byte string, and the tables that add
+# one to every value and to every value above 1.
+_BYTE = [bytes((v,)) for v in range(256)]
+_PLUS_ONE = shift_table(0, 1)
+_ABOVE_ONE = shift_table(2, 1)
+
+
+def _repunits(n_max: int) -> list[int]:
+    """[r_0, .., r_n_max]: r_m has m two-byte lanes that each hold 1, so
+    adding it to an m-value two-byte image adds one to every value."""
+    out = [0]
+    for _ in range(n_max):
+        out.append(out[-1] << 16 | 1)
+    return out
+
+
+def _encode(values, width: int) -> bytes:
+    """One-line values as ``width`` big-endian bytes each."""
+    return b"".join(v.to_bytes(width, "big") for v in values)
+
+
+def _decode(image: bytes, width: int) -> list[int]:
+    """The one-line values of an image of ``width`` bytes a value."""
+    return [int.from_bytes(image[i : i + width], "big") for i in range(0, len(image), width)]
+
+
+def _seed(numeral: int, n_max: int):
+    """The node of a bare numeral in a walk to depth n_max: its one-point
+    image, whose point is the entry beside the origin, no proper
+    ∘-interval, one quadrant.  The walk's width is set here: one byte a
+    value to depth _NARROW_DEPTH, else two, with the repunits that shift
+    them."""
     p = QUADRANT_POINT[numeral]
-    return p.filled, p.origin_index, 3 - p.origin_index, (), frozenset((numeral,))
+    f, k = p.filled, p.origin_index
+    last = 3 - k
+    wide = _repunits(n_max) if n_max > _NARROW_DEPTH else None
+    image = _encode(f, 1 if wide is None else 2)
+    return image, k, f[k - 1], last, f[last - 1] == 2, (), frozenset((numeral,)), wide
 
 
 def _grow(node, letter: str):
     """The image-level placement step: the node of a word's image after
     one more point for ``letter``.
 
-    A node is (filled, origin index, position of the last point, proper
-    non-trivial ∘-intervals as (a, b, lo, hi) for positions a..b and
-    values lo..hi, quadrant set).  The last point is extreme on the axis
-    the letter does not move along, so the new point P = (p, v) takes the
+    A node is (image, origin index, origin value, position of the last
+    point, is the last point on top?, proper non-trivial ∘-intervals as
+    (a, b, lo, hi) for positions a..b and values lo..hi, quadrant set,
+    repunits).  The image is the one-line values as `bytes`, one a value,
+    or two big-endian ones when the node carries the repunits of a walk
+    deeper than _NARROW_DEPTH.  The last point is extreme on the axis the
+    letter does not move along, so the new point P = (p, v) takes the
     extreme value (u/d) or position (r/l), and its other coordinate goes
-    just inside the last point's: one insertion into a list copy of the
-    image, whose values above the new one are shifted by one as it is
-    copied.
+    just inside the last point's: for r/l, just below a last point on top,
+    which moves up one, or just above one at the bottom, which stays at 1
+    while the values above it move up one.  So a step is slicing and
+    concatenation plus, when values move, one `bytes.translate` (one byte)
+    or one add of a repunit (two bytes); no value is decoded.
 
     The child's intervals are the parent's that P does not split, shifted
     past P, and, for each block B = (a, b, lo, hi) that is a parent
@@ -121,49 +170,75 @@ def _grow(node, letter: str):
 
     One pass over the parent's intervals keeps each unsplit one and joins
     each one P extends.  The bare origin is tried after the pass, at the
-    parent's index k and value vo, which is the child's origin value less
-    one if that is above v.  P's quadrant is read inline, against the
-    child's origin."""
-    f, k, last, intervals, quadrants = node
-    m = len(f)
-    if letter in "ud":
-        p = last if last == m else last + 1
-        if letter == "u":
-            v = m + 1
-            g = list(f)
+    parent's index k and value vo.  P's quadrant is read inline, against
+    the child's origin."""
+    f, k, vo, last, top, intervals, quadrants, wide = node
+    if wide is None:
+        m = len(f)
+        if letter in "ud":
+            p = last if last == m else last + 1
+            if letter == "u":
+                v = m + 1
+            else:
+                v = 1
+                f = f.translate(_PLUS_ONE)
+            g = f[: p - 1] + _BYTE[v] + f[p - 1 :]
         else:
-            v = 1
-            g = [x + 1 for x in f]
+            if top:
+                v = m
+                g = f.replace(_BYTE[m], _BYTE[m + 1])  # m is the last point's value
+            else:
+                v = 2
+                g = f.translate(_ABOVE_ONE)
+            if letter == "r":
+                p = m + 1
+                g += _BYTE[v]
+            else:
+                p = 1
+                g = _BYTE[v] + g
     else:
-        p = m + 1 if letter == "r" else 1
-        if f[last - 1] == m:  # the last point is on top: the new one goes just below
-            v = m
-            g = list(f)
-            g[last - 1] = m + 1
-        else:  # the last point is at the bottom: the new one goes just above
-            v = 2
-            g = [x + 1 for x in f]
-            g[last - 1] = 1
-    g.insert(p - 1, v)
-    g = tuple(g)
+        m = len(f) >> 1
+        if letter in "ud":
+            p = last if last == m else last + 1
+            if letter == "u":
+                v = m + 1
+            else:
+                v = 1
+                f = (int.from_bytes(f, "big") + wide[m]).to_bytes(2 * m, "big")
+            i = 2 * p - 2
+            g = f[:i] + v.to_bytes(2, "big") + f[i:]
+        else:
+            i = 2 * last - 2
+            if top:
+                v = m
+                g = f[:i] + (m + 1).to_bytes(2, "big") + f[i + 2 :]
+            else:
+                v = 2
+                f = (int.from_bytes(f, "big") + wide[m]).to_bytes(2 * m, "big")
+                g = f[:i] + b"\0\1" + f[i + 2 :]
+            if letter == "r":
+                p = m + 1
+                g += v.to_bytes(2, "big")
+            else:
+                p = 1
+                g = v.to_bytes(2, "big") + g
     found = []
     for a, b, lo, hi in intervals:
         if not (a < p <= b or lo < v <= hi):
             found.append((a + (a >= p), b + (b >= p), lo + (lo >= v), hi + (hi >= v)))
         if a <= p <= b + 1 and lo <= v <= hi + 1:
             found.append((a, b + 1, lo, hi + 1))
+    if k <= p <= k + 1 and vo <= v <= vo + 1:
+        found.append((k, k + 1, vo, vo + 1))
     j = k + (k >= p)  # the child's origin index
-    vo = g[j - 1]
-    if vo > v:  # P is below the origin
-        vo -= 1
+    if vo >= v:  # P is below the origin
+        vo += 1
         q = 4 if p > j else 3
     else:
         q = 1 if p > j else 2
-    if k <= p <= k + 1 and vo <= v <= vo + 1:
-        found.append((k, k + 1, vo, vo + 1))
     if q not in quadrants:
         quadrants = quadrants | {q}
-    return g, j, p, found, quadrants
+    return g, j, vo, p, letter == "u", found, quadrants, wide
 
 
 # The (letter, None) children of a word by its last letter, in reverse
@@ -172,10 +247,12 @@ _CHILDREN = {last: tuple((c, None) for c in reversed(cs)) for last, cs in NEXT_L
 
 
 def trie_images(root, n_max: int, trie=None):
-    """Yield (word text, image as its (filled, origin index) pair,
+    """Yield (word text, image as its (one-line bytes, origin index) pair,
     ⊞-indecomposable?, quadrant set) for root and every extension of it up
-    to length n_max, depth first.  Each word's node is its parent's plus
-    one `_grow` step, so a word costs one placement and one pass over its
+    to length n_max, depth first.  The bytes hold one byte a value when
+    neither n_max nor the root's length passes _NARROW_DEPTH, else two
+    big-endian bytes a value, for every word of the walk.  Each word's node is its parent's plus one
+    `_grow` step, so a word costs one placement and one pass over its
     parent's ∘-intervals.  ``trie``, if given, is a nested dict from each
     letter that may follow the root to its own such dict, and the walk
     keeps to the words it spells, in the trie's insertion order; without
@@ -184,27 +261,34 @@ def trie_images(root, n_max: int, trie=None):
     `_CHILDREN` or the reversed trie items; `_grow` is looked up at each
     step."""
     root = as_word(root)
-    node = _seed(root.numeral)
+    node = _seed(root.numeral, max(n_max, root.length))  # the longest word walked
     for letter in root.letters:
         node = _grow(node, letter)
+    limit = n_max if node[-1] is None else 2 * n_max  # in bytes: n_max values
     stack = [(str(root), root.letters[-1:], trie, node)]
     pop, push = stack.pop, stack.append
     while stack:
         text, last, sub, node = pop()
-        f, k, _, intervals, quadrants = node
+        f, k, _, _, _, intervals, quadrants, _ = node
         yield text, (f, k), not intervals, quadrants
-        if len(f) <= n_max:  # the word has len(f) - 1 points
+        if len(f) <= limit:  # the word has fewer than n_max points
             for c, below in _CHILDREN[last] if sub is None else reversed(sub.items()):
                 push((text + c, c, below, _grow(node, c)))
 
 
 def check_node(w, image: tuple, indecomposable: bool) -> CentredPerm:
     """Check a `trie_images` node of the word w (or its text) against the
-    routes built from scratch: its image pair against `pi_map`, its flag
-    against `is_box_indecomposable`.  Returns the image built from scratch."""
+    routes built from scratch: its image pair against `pi_map`'s, encoded
+    at the image's width, its flag against `is_box_indecomposable`.
+    Returns the image built from scratch."""
     fresh = pi_map(w)
-    if image != (fresh.filled, fresh.origin_index):
-        raise CrossCheckMismatch(f"walked image {image} of {w} differs from its pi-map {fresh}")
+    f, k = image
+    width = 2 if len(f) == 2 * len(fresh.filled) else 1
+    if f != _encode(fresh.filled, width) or k != fresh.origin_index:
+        raise CrossCheckMismatch(
+            f"walked image {_decode(f, width)} with origin index {k} of {w} "
+            f"differs from its pi-map {fresh}"
+        )
     if indecomposable != is_box_indecomposable(fresh):
         raise CrossCheckMismatch(
             f"carried ⊞-indecomposability {indecomposable} of {w} differs from its image {fresh}"

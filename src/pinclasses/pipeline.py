@@ -59,9 +59,12 @@ from .series import (
 )
 
 _BOUND_WINDOW = 30
-# The factor walk's cost grows about as the cube of a spec's length.  On a
-# shared 2-core Intel Xeon with CPython 3.11.7, closure_gf and growth_rate of
-# a random 1(c)* take about 0.15 s at |c| = 64, 0.7 s at 128 and 5 s at 252.
+# The factor walk has about 3|c|^2 nodes, each copying an image of up to
+# 3|c| + 3 values, so its cost grows between the square and the cube of a
+# spec's length.  On a shared 2-core Intel Xeon with CPython 3.11.7,
+# closure_gf and growth_rate of a seeded 1(c)* take about 0.07 s at
+# |c| = 64, 0.35 s at 128 and 1.5 s (330 MB) at 252, where the walk is past
+# depth 254 and its images take two bytes a value.
 MAX_SPEC_LENGTH = 256
 
 

@@ -626,6 +626,49 @@ class TestTopLevel:
         assert exc.value.code == 2
 
 
+class TestClosedPipe:
+    """A reader that closes stdout early (``| head -1``) ends the command
+    with exit 1 and nothing on stderr, not a `BrokenPipeError` traceback."""
+
+    @staticmethod
+    def start(*argv, unbuffered=False, stdout=subprocess.PIPE):
+        src = str(Path(pinclasses.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "pinclasses.cli", *argv],
+            env=env,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+        )
+
+    def test_perm_reader_takes_one_line(self):
+        """5000 images are more than a pipe holds, so the command is still
+        writing when the reader has taken one line and closed the pipe."""
+        words = ["1" + "ru" * (1 + i % 8) for i in range(5000)]
+        proc = self.start("perm", *words)
+        assert proc.stdout.readline().startswith(b"1ru\t")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_gf_reader_gone_before_the_first_line(self, unbuffered):
+        """gf prints a few lines, so its reader is gone before it starts:
+        an unbuffered stdout fails at the first line, a buffered one at the
+        flush after the command."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.start("gf", "1(ru)*", unbuffered=unbuffered, stdout=write)
+        finally:
+            os.close(write)
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+
+
 class TestImport:
     def test_cli_import_loads_no_numpy(self):
         """The package has no runtime dependencies: a fresh interpreter that

@@ -1,6 +1,8 @@
 """The point-placement map from pin words to centred permutations."""
 
 import pickle
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,14 @@ from pinclasses.cperm import (
     from_oneline,
     is_box_indecomposable,
     quadrant_of,
+    shift_table,
 )
 from pinclasses.errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
 from pinclasses.pimap import (
     PinDiagram,
+    _repunits,
     all_point_quadrants,
+    check_node,
     compose_representation,
     diagram_points,
     pi_map,
@@ -29,8 +34,18 @@ from pinclasses.pimap import (
     remove_interior_point,
     trie_images,
 )
-from pinclasses.pinword import NEXT_LETTERS, PinWord, as_word, parse_pin_spec, parse_pin_word
-from strategies import pin_words
+from pinclasses.pinword import (
+    NEXT_LETTERS,
+    PinSpec,
+    PinWord,
+    as_word,
+    parse_pin_spec,
+    parse_pin_word,
+)
+from pinclasses.pipeline import _factor_counts
+from strategies import pin_specs, pin_words
+
+import tuple_walk
 
 # Frozen word -> one-line expectations, independently derivable by hand from
 # the placement rules (each letter's point goes one step beyond the bounding
@@ -83,9 +98,16 @@ def reference_points(w):
 
 
 def fresh_node(text):
-    """What `trie_images` yields for a word, built from scratch."""
+    """What `trie_images` yields for a word in a walk no deeper than 254,
+    one byte a value, built from scratch."""
     img = pi_map(text)
-    return text, (img.filled, img.origin_index), is_box_indecomposable(img), img.quadrants()
+    return text, (bytes(img.filled), img.origin_index), is_box_indecomposable(img), img.quadrants()
+
+
+def one_line(image: bytes, wide) -> tuple:
+    """The one-line values of a walked image: one byte a value, or two
+    big-endian bytes a value when the node carries repunits."""
+    return tuple(image) if wide is None else struct.unpack(f">{len(image) // 2}H", image)
 
 
 def trie_of(words) -> dict:
@@ -111,15 +133,16 @@ def reference_intervals(f, k) -> set:
 
 
 def check_intervals(text, node):
-    f, k, _, intervals, _ = node
+    image, k, _, _, _, intervals, _, wide = node
     assert len(set(intervals)) == len(intervals), text
-    assert set(intervals) == reference_intervals(f, k), text
+    assert set(intervals) == reference_intervals(one_line(image, wide), k), text
 
 
 def path_nodes(text):
     """(prefix, node) for every prefix of the word text, each node its
-    parent's plus one `_grow` step from the numeral's seed."""
-    node = pimap._seed(int(text[0]))
+    parent's plus one `_grow` step from the numeral's seed, in a walk as
+    deep as the word, so past 254 letters two bytes a value."""
+    node = pimap._seed(int(text[0]), len(text))
     yield text[0], node
     for end in range(2, len(text) + 1):
         node = pimap._grow(node, text[end - 1])
@@ -132,18 +155,21 @@ class TestCarriedIntervals:
 
     def test_every_word_to_ten(self):
         """At every node the intervals, and against `pi_map` and
-        `diagram_points` built from scratch the image pair, the last
-        point's position and the quadrant set."""
-        stack = [(str(n), pimap._seed(n)) for n in QUADRANT_SIGNS]
+        `diagram_points` built from scratch the image pair, the origin
+        value, the last point's position, whether it is on top and the
+        quadrant set."""
+        stack = [(str(n), pimap._seed(n, 10)) for n in QUADRANT_SIGNS]
         seen = 0
         while stack:
             text, node = stack.pop()
             check_intervals(text, node)
-            f, k, last, _, quadrants = node
+            image, k, vo, last, top, _, quadrants, wide = node
             img = pi_map(text)
-            assert (f, k) == (img.filled, img.origin_index), text
+            assert wide is None and (image, k) == (bytes(img.filled), img.origin_index), text
+            assert vo == img.origin_value, text
             pts = diagram_points(text)
             assert last == pts[-1][0] - min(x for x, _ in pts) + 1, text
+            assert top == (pts[-1][1] == max(y for _, y in pts)), text
             assert quadrants == {quadrant_of(pt, pts[0]) for pt in pts[1:]}, text
             seen += 1
             if len(text) < 10:
@@ -158,13 +184,20 @@ class TestCarriedIntervals:
 
     @pytest.mark.parametrize(
         "text",
-        ["1" + "ru" * 75, "3" + "ld" * 75, "4" + "ul" * 75, "3" + "ur" * 75, "1u" + "lurd" * 37],
+        [
+            "1" + "ru" * 75,
+            "3" + "ld" * 75,
+            "4" + "ul" * 75,
+            "3" + "ur" * 75,
+            "1u" + "lurd" * 37,
+            "2" + "dl" * 130,
+        ],
         ids=lambda text: f"{text[:5]}-{len(text)}",
     )
     def test_periodic_words(self, text):
         """Pin-word images have at most two proper ∘-intervals (to n = 12);
         4(ul)* and 3(ur)* keep one from length 2 on, 1(ru)* and 3(ld)* have
-        none."""
+        none.  The 261-letter word runs two bytes a value."""
         for prefix, node in path_nodes(text):
             check_intervals(prefix, node)
 
@@ -268,17 +301,127 @@ class TestPiMap:
     @given(pin_words(max_letters=23))
     @settings(max_examples=100)
     def test_walked_image_is_a_valid_perm(self, w):
-        """The walker yields raw (filled, origin index) pairs; each must be
-        exactly what validation would keep, and equal the sorting route's."""
-        *_, (_, (filled, origin), _, _) = trie_images(
+        """The walker yields (one-line bytes, origin index) pairs; each must
+        decode to exactly what validation would keep, and equal the sorting
+        route's."""
+        *_, (_, (image, origin), _, _) = trie_images(
             PinWord(w.numeral), w.length, trie_of([w.letters])
         )
-        assert type(filled) is tuple
-        assert all(type(v) is int for v in filled)
+        assert type(image) is bytes
         assert type(origin) is int
-        checked = CentredPerm(filled, origin)
-        assert (checked.filled, checked.origin_index) == (filled, origin)
+        checked = CentredPerm(tuple(image), origin)
+        assert (bytes(checked.filled), checked.origin_index) == (image, origin)
         assert checked == pi_map(w)
+
+
+def seeded_spec(cycle_length: int, prefix: str) -> PinSpec:
+    """A spec with numeral 1, the given prefix letters and a random cycle
+    of cycle_length letters that alternates the axes, seeded by its length."""
+    rng = random.Random(cycle_length)
+    axes = ("ud", "lr") if prefix[-1:] in ("l", "r") else ("lr", "ud")
+    cycle = "".join(rng.choice(axes[i % 2]) for i in range(cycle_length))
+    return PinSpec(PinWord(1, prefix), cycle)
+
+
+def beside_tuple_walk(root, n_max, trie=None):
+    """Each `trie_images` node with its (one-line tuple, origin index)
+    image pair beside the tuple walk's node."""
+    wide = None if n_max <= pimap._NARROW_DEPTH else True
+    for node, reference in zip(
+        trie_images(root, n_max, trie), tuple_walk.trie_images(root, n_max, trie), strict=True
+    ):
+        image, k = node[1]
+        yield node, (one_line(image, wide), k), reference
+
+
+class TestAgainstTupleWalk:
+    """The `bytes` walk against the tuple walk it replaced
+    (tests/tuple_walk.py), node by node: one byte a value to depth 254, two
+    beyond."""
+
+    def test_every_word_to_ten(self):
+        for root in all_pin_words(1):
+            for (text, _, flag, quadrants), pair, reference in beside_tuple_walk(root, 10):
+                assert (text, pair, flag, quadrants) == reference
+
+    @pytest.mark.parametrize(
+        "cycle_length, prefix",
+        [(82, "ruldr"), (84, ""), (88, "d"), (90, "lur")],
+        ids=lambda arg: str(arg) if isinstance(arg, int) else arg or "bare",
+    )
+    def test_long_specs_across_the_width(self, cycle_length, prefix):
+        """The factor tries of specs whose window (prefix + 3 cycles + 2)
+        is 254, one byte a value, and 255, 267 and 276, two: every node,
+        and `_factor_counts` in both modes against the tuple walk's tables."""
+        spec = seeded_spec(cycle_length, prefix)
+        window = spec.prefix_length + 3 * spec.cycle_length + 2
+        assert (window > pimap._NARROW_DEPTH) == (cycle_length > 82)
+        for numeral, sub in tuple_walk.factor_trie(spec, window, "all").items():
+            for (text, _, flag, quadrants), pair, reference in beside_tuple_walk(
+                PinWord(int(numeral)), window, sub
+            ):
+                assert (text, pair, flag, quadrants) == reference
+        for mode in ("all", "recurrent"):
+            _factor_counts.cache_clear()
+            try:
+                assert _factor_counts(spec.prefix, spec.cycle, mode) == tuple_walk.factor_tables(
+                    spec, mode
+                )
+            finally:
+                _factor_counts.cache_clear()
+
+    def test_root_longer_than_the_depth(self):
+        """The width follows the longest word walked: a 261-letter root
+        walked to depth 5 yields itself alone, two bytes a value."""
+        root = PinWord(2, "dl" * 130)
+        (node,) = trie_images(root, 5)
+        assert len(node[1][0]) == 2 * (root.length + 1)
+        check_node(*node[:3])
+
+    @given(
+        pin_specs(cycle_lengths=(2, 4, 6, 8, 10, 12)),
+        st.sampled_from(["all", "recurrent"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_factor_counts_match_the_tuple_walk(self, spec, mode):
+        assert _factor_counts(spec.prefix, spec.cycle, mode) == tuple_walk.factor_tables(
+            spec, mode
+        )
+
+    @pytest.mark.parametrize(
+        "attribute, skewed, n_max, trie",
+        [
+            ("_PLUS_ONE", lambda: shift_table(0, 2), 10, None),
+            ("_repunits", lambda: lambda n: [2 * r for r in _repunits(n)], 300, "dr" * 150),
+        ],
+        ids=["one-byte", "two-byte"],
+    )
+    def test_off_by_one_shift_fails(self, monkeypatch, attribute, skewed, n_max, trie):
+        """A shift that adds 2, not 1, to every value, on either width,
+        parts the walk from the tuple walk and fails `check_node`."""
+        monkeypatch.setattr(pimap, attribute, skewed())
+        trie = None if trie is None else trie_of([trie])
+        parted = [
+            node[:3]
+            for node, pair, reference in beside_tuple_walk(PinWord(1), n_max, trie)
+            if pair != reference[1]
+        ]
+        assert parted
+        with pytest.raises(CrossCheckMismatch, match="walked image"):
+            check_node(*parted[0])
+
+
+class TestMismatchMessages:
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_walked_image_printed_as_values(self, width):
+        """`check_node` prints a walked image as its one-line values and
+        origin index at either width, not as raw bytes."""
+        image = b"".join(v.to_bytes(width, "big") for v in (3, 1, 2))
+        with pytest.raises(CrossCheckMismatch) as err:
+            check_node("1r", (image, 2), True)
+        assert str(err.value) == (
+            "walked image [3, 1, 2] with origin index 2 of 1r differs from its pi-map [1]32"
+        )
 
 
 class TestDiagramGeometry:
