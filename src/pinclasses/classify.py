@@ -189,14 +189,11 @@ _ROOT_LENGTH = 2
 # The walk holds every word's image up to n_max, 2^(n+2) words of length n;
 # pipeline._TAIL_WINDOW reads the tables up to this length.
 _VERIFY_GUARD = 16
-# An image key's last byte, the origin index, by index: the walk's one-byte
-# image plus this byte is the key, in one concatenation.
-_INDEX_BYTE = [bytes((i,)) for i in range(_VERIFY_GUARD + 2)]
 
 
 def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
     """Worker: for root and its extensions up to length n_max, per length,
-    image key -> word texts and the decomposable word texts.  The first
+    image pair -> word texts and the decomposable word texts.  The first
     deepest leaf and the first word flagged decomposable are checked
     against the pi-map and the ⊞-indecomposability built from scratch."""
     tables = {n: ({}, []) for n in range(root.length, n_max + 1)}
@@ -204,8 +201,7 @@ def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
     for text, img, indecomposable, _ in trie_images(root, n_max):
         n = len(text)
         images, decs = tables[n]
-        key = img[0] + _INDEX_BYTE[img[1]]  # bytes((*filled, origin index))
-        images[key] = images.get(key, ()) + (text,)
+        images[img] = images.get(img, ()) + (text,)
         if not indecomposable:
             decs.append(text)
             if decomposable is None:

@@ -219,12 +219,26 @@ def as_perm(p) -> CentredPerm:
     return p if isinstance(p, CentredPerm) else from_oneline(p)
 
 
+# Each generator's downward closure visits all 2^L subsets of its L
+# non-origin points, so the time about doubles with each point.  On a shared
+# 2-core x86-64 host with CPython 3.11, `closure-of` on one random generator
+# takes 0.6-1.2 s at 16 points, 1.2 s at 17 and 2.6 s at 18.
+MAX_GENERATOR_POINTS = 16
+
+
 def as_generators(generators) -> list[CentredPerm]:
-    """The generators of a finite ⊞-closure as CentredPerms; at least one of
-    them must have a non-origin point, or the closure has nothing to count."""
+    """The generators of a finite ⊞-closure as CentredPerms, each of at
+    most MAX_GENERATOR_POINTS non-origin points; at least one of them must
+    have a non-origin point, or the closure has nothing to count."""
     gens = [as_perm(g) for g in generators]
     if not gens:
         raise ParameterOutOfRange("need at least one generator")
+    for g in gens:
+        if g.length > MAX_GENERATOR_POINTS:
+            raise ParameterOutOfRange(
+                f"a generator has at most {MAX_GENERATOR_POINTS} points besides the origin; "
+                f"{g} has {g.length}"
+            )
     if all(g.length == 0 for g in gens):
         raise EmptyPermutation("every generator is the bare origin, so its closure is empty")
     return gens

@@ -13,33 +13,32 @@ read once at the end.  `pi_map` standardizes the points by sorting: the
 point route, which `PinDiagram` draws.
 
 Growing diagrams take the image route instead: `_grow` applies the same
-rule to a word's image, one insertion per point.  The image is its one-line
-values as `bytes`: one byte a value in a walk no deeper than
-_NARROW_DEPTH = 254 (a word of n points has n + 1 <= 255 values), two
-big-endian bytes a value beyond, for every word of that walk.  A step is
-slices and concatenations, plus one `bytes.translate` or one add of a
-repunit when the values move up one; the node carries the origin value
-and whether the last point is on top, so no value is decoded.  The step
-carries the image's proper ∘-intervals (so its ⊞-indecomposability) and
-its quadrant set from the parent, in one pass over the parent's intervals:
-each one the new point P = (p, v) does not split is kept, shifted past P,
-and each one P extends is joined with P.  The bare origin is tried after
-the pass, and P's quadrant is read against the child's origin.  So the
-intervals through P come from the parent's in O(#intervals), by the
-extension rule: they are the blocks B = (a, b, lo, hi) with
-a <= p <= b + 1 and lo <= v <= hi + 1, each joined with P into
-(a, b + 1, lo, hi + 1), for B a parent interval or the bare origin.
-Proof: in the child, B's positions are a..b with those at or past p moved
-up one, so with p they fill a run exactly when a <= p <= b + 1, and that
-run is a..b + 1; values likewise.  Conversely, a proper child interval
-through P, less P and re-standardised, is a block of the parent around the
-origin that is not the whole parent, so a parent interval or the bare
-origin.  `trie_images` grows every word of the pin-word trie, or of a
-nested-dict trie it is given, at one step per word, and yields each image
-as its (one-line bytes, origin index) pair, which its callers, the
+rule to a word's image, one insertion per point.  The image is its m
+one-line values in 16-bit lanes of one int, the first value in the top
+lane, which holds every walk to depth 65534.  Every value moving up one is
+one add of a repunit, the top point moving up one is one add of a lane
+unit, and the new point goes in with a mask, a shift and two adds; the node
+carries the origin value and whether the last point is on top, so no value
+is decoded.  The step carries the image's proper ∘-intervals (so its
+⊞-indecomposability) and its quadrant set from the parent, in one pass
+over the parent's intervals: each one the new point P = (p, v) does not
+split is kept, shifted past P, and each one P extends is joined with P.
+The bare origin is tried after the pass, and P's quadrant is read against
+the child's origin.  So the intervals through P come from the parent's in
+O(#intervals), by the extension rule: they are the blocks
+B = (a, b, lo, hi) with a <= p <= b + 1 and lo <= v <= hi + 1, each joined
+with P into (a, b + 1, lo, hi + 1), for B a parent interval or the bare
+origin.  Proof: in the child, B's positions are a..b with those at or past
+p moved up one, so with p they fill a run exactly when a <= p <= b + 1, and
+that run is a..b + 1; values likewise.  Conversely, a proper child
+interval through P, less P and re-standardised, is a block of the parent
+around the origin that is not the whole parent, so a parent interval or
+the bare origin.  `trie_images` grows every word of the pin-word trie, or
+of a nested-dict trie it is given, at one step per word, and yields each
+image as its (lane int, origin index) pair, which its callers, the
 verify-tables walk and a spec's factor counts, only hash; `check_node`
-checks a walked word against the point route, encoded at the walk's width.
-The two routes share no placement code.
+checks a walked word against the point route, put in lanes.  The two
+routes share no placement code.
 """
 
 from __future__ import annotations
@@ -53,9 +52,8 @@ from .cperm import (
     centred_pattern,
     is_box_indecomposable,
     quadrant_of,
-    shift_table,
 )
-from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
+from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior, ParameterOutOfRange
 from .pinword import NEXT_LETTERS, PinWord, as_word
 
 
@@ -99,47 +97,45 @@ def diagram_points(w) -> list[tuple[int, int]]:
     return list(zip(_axis(sx, w.letters, "r", "l"), _axis(sy, w.letters, "u", "d")))
 
 
-# The deepest walk whose images fit one byte a value: a word of n points
-# has n + 1 values.
-_NARROW_DEPTH = 254
-# One-byte images: each value as a one-byte string, and the tables that add
-# one to every value and to every value above 1.
-_BYTE = [bytes((v,)) for v in range(256)]
-_PLUS_ONE = shift_table(0, 1)
-_ABOVE_ONE = shift_table(2, 1)
+# A word of n points has n + 1 values, each at most n + 1, so a 16-bit
+# lane holds every value of a walk to this depth.
+_MAX_DEPTH = 0xFFFF - 1
 
 
-def _repunits(n_max: int) -> list[int]:
-    """[r_0, .., r_n_max]: r_m has m two-byte lanes that each hold 1, so
-    adding it to an m-value two-byte image adds one to every value."""
-    out = [0]
-    for _ in range(n_max):
-        out.append(out[-1] << 16 | 1)
+def _lanes(depth: int):
+    """The lane tables of a walk to ``depth``, by lane count j = 0..depth:
+    units[j] = 2^(16j), the unit of lane j; masks[j] = units[j] - 1, which
+    keeps the low j lanes; repunits[j], 1 in each of the low j lanes, which
+    added to a j-value image adds one to every value."""
+    if depth > _MAX_DEPTH:
+        raise ParameterOutOfRange(f"the image walk reaches depth {_MAX_DEPTH}, asked for {depth}")
+    units = [1 << 16 * j for j in range(depth + 1)]
+    masks = [u - 1 for u in units]
+    return units, masks, [mask // 0xFFFF for mask in masks]
+
+
+def _encode(values) -> int:
+    """One-line values as 16-bit lanes of one int, the first value on top."""
+    out = 0
+    for v in values:
+        out = out << 16 | v
     return out
 
 
-def _encode(values, width: int) -> bytes:
-    """One-line values as ``width`` big-endian bytes each."""
-    return b"".join(v.to_bytes(width, "big") for v in values)
+def _decode(image: int) -> list[int]:
+    """The one-line values of a lane image."""
+    m = image.bit_length() + 15 >> 4
+    return [image >> 16 * i & 0xFFFF for i in reversed(range(m))]
 
 
-def _decode(image: bytes, width: int) -> list[int]:
-    """The one-line values of an image of ``width`` bytes a value."""
-    return [int.from_bytes(image[i : i + width], "big") for i in range(0, len(image), width)]
-
-
-def _seed(numeral: int, n_max: int):
-    """The node of a bare numeral in a walk to depth n_max: its one-point
+def _seed(numeral: int, depth: int):
+    """The node of a bare numeral in a walk to ``depth``: its one-point
     image, whose point is the entry beside the origin, no proper
-    ∘-interval, one quadrant.  The walk's width is set here: one byte a
-    value to depth _NARROW_DEPTH, else two, with the repunits that shift
-    them."""
+    ∘-interval, one quadrant, and the walk's lane tables."""
     p = QUADRANT_POINT[numeral]
     f, k = p.filled, p.origin_index
     last = 3 - k
-    wide = _repunits(n_max) if n_max > _NARROW_DEPTH else None
-    image = _encode(f, 1 if wide is None else 2)
-    return image, k, f[k - 1], last, f[last - 1] == 2, (), frozenset((numeral,)), wide
+    return _encode(f), k, f[k - 1], last, f[last - 1] == 2, (), frozenset((numeral,)), _lanes(depth)
 
 
 def _grow(node, letter: str):
@@ -148,17 +144,17 @@ def _grow(node, letter: str):
 
     A node is (image, origin index, origin value, position of the last
     point, is the last point on top?, proper non-trivial ∘-intervals as
-    (a, b, lo, hi) for positions a..b and values lo..hi, quadrant set,
-    repunits).  The image is the one-line values as `bytes`, one a value,
-    or two big-endian ones when the node carries the repunits of a walk
-    deeper than _NARROW_DEPTH.  The last point is extreme on the axis the
-    letter does not move along, so the new point P = (p, v) takes the
+    (a, b, lo, hi) for positions a..b and values lo..hi, quadrant set, lane
+    tables).  The image holds the m one-line values in 16-bit lanes of one
+    int, position p in lane m - p.  The last point is extreme on the axis
+    the letter does not move along, so the new point P = (p, v) takes the
     extreme value (u/d) or position (r/l), and its other coordinate goes
     just inside the last point's: for r/l, just below a last point on top,
-    which moves up one, or just above one at the bottom, which stays at 1
-    while the values above it move up one.  So a step is slicing and
-    concatenation plus, when values move, one `bytes.translate` (one byte)
-    or one add of a repunit (two bytes); no value is decoded.
+    which moves up one (one lane-unit add), or just above one at the bottom,
+    which stays at 1 while the values above it move up one (a repunit add
+    less that lane unit).  P goes in between positions p - 1 and p: the
+    lanes of positions p..m stay, those above move up one lane, and v fills
+    the lane between, so no value is decoded.
 
     The child's intervals are the parent's that P does not split, shifted
     past P, and, for each block B = (a, b, lo, hi) that is a parent
@@ -172,56 +168,27 @@ def _grow(node, letter: str):
     each one P extends.  The bare origin is tried after the pass, at the
     parent's index k and value vo.  P's quadrant is read inline, against
     the child's origin."""
-    f, k, vo, last, top, intervals, quadrants, wide = node
-    if wide is None:
-        m = len(f)
-        if letter in "ud":
-            p = last if last == m else last + 1
-            if letter == "u":
-                v = m + 1
-            else:
-                v = 1
-                f = f.translate(_PLUS_ONE)
-            g = f[: p - 1] + _BYTE[v] + f[p - 1 :]
+    f, k, vo, last, top, intervals, quadrants, lanes = node
+    units, masks, repunits = lanes
+    m = f.bit_length() + 15 >> 4
+    if letter in "ud":
+        p = last if last == m else last + 1
+        if letter == "u":
+            v = m + 1
         else:
-            if top:
-                v = m
-                g = f.replace(_BYTE[m], _BYTE[m + 1])  # m is the last point's value
-            else:
-                v = 2
-                g = f.translate(_ABOVE_ONE)
-            if letter == "r":
-                p = m + 1
-                g += _BYTE[v]
-            else:
-                p = 1
-                g = _BYTE[v] + g
+            v = 1
+            f += repunits[m]
     else:
-        m = len(f) >> 1
-        if letter in "ud":
-            p = last if last == m else last + 1
-            if letter == "u":
-                v = m + 1
-            else:
-                v = 1
-                f = (int.from_bytes(f, "big") + wide[m]).to_bytes(2 * m, "big")
-            i = 2 * p - 2
-            g = f[:i] + v.to_bytes(2, "big") + f[i:]
+        p = m + 1 if letter == "r" else 1
+        if top:
+            v = m
+            f += units[m - last]
         else:
-            i = 2 * last - 2
-            if top:
-                v = m
-                g = f[:i] + (m + 1).to_bytes(2, "big") + f[i + 2 :]
-            else:
-                v = 2
-                f = (int.from_bytes(f, "big") + wide[m]).to_bytes(2 * m, "big")
-                g = f[:i] + b"\0\1" + f[i + 2 :]
-            if letter == "r":
-                p = m + 1
-                g += v.to_bytes(2, "big")
-            else:
-                p = 1
-                g = v.to_bytes(2, "big") + g
+            v = 2
+            f += repunits[m] - units[m - last]
+    t = m + 1 - p  # the lanes of positions p..m
+    low = f & masks[t]
+    g = (f - low << 16) + v * units[t] + low
     found = []
     for a, b, lo, hi in intervals:
         if not (a < p <= b or lo < v <= hi):
@@ -238,7 +205,7 @@ def _grow(node, letter: str):
         q = 1 if p > j else 2
     if q not in quadrants:
         quadrants = quadrants | {q}
-    return g, j, vo, p, letter == "u", found, quadrants, wide
+    return g, j, vo, p, letter == "u", found, quadrants, lanes
 
 
 # The (letter, None) children of a word by its last letter, in reverse
@@ -247,12 +214,10 @@ _CHILDREN = {last: tuple((c, None) for c in reversed(cs)) for last, cs in NEXT_L
 
 
 def trie_images(root, n_max: int, trie=None):
-    """Yield (word text, image as its (one-line bytes, origin index) pair,
+    """Yield (word text, image as its (lane int, origin index) pair,
     ⊞-indecomposable?, quadrant set) for root and every extension of it up
-    to length n_max, depth first.  The bytes hold one byte a value when
-    neither n_max nor the root's length passes _NARROW_DEPTH, else two
-    big-endian bytes a value, for every word of the walk.  Each word's node is its parent's plus one
-    `_grow` step, so a word costs one placement and one pass over its
+    to length n_max, depth first.  Each word's node is its parent's plus
+    one `_grow` step, so a word costs one placement and one pass over its
     parent's ∘-intervals.  ``trie``, if given, is a nested dict from each
     letter that may follow the root to its own such dict, and the walk
     keeps to the words it spells, in the trie's insertion order; without
@@ -264,29 +229,27 @@ def trie_images(root, n_max: int, trie=None):
     node = _seed(root.numeral, max(n_max, root.length))  # the longest word walked
     for letter in root.letters:
         node = _grow(node, letter)
-    limit = n_max if node[-1] is None else 2 * n_max  # in bytes: n_max values
     stack = [(str(root), root.letters[-1:], trie, node)]
     pop, push = stack.pop, stack.append
     while stack:
         text, last, sub, node = pop()
         f, k, _, _, _, intervals, quadrants, _ = node
         yield text, (f, k), not intervals, quadrants
-        if len(f) <= limit:  # the word has fewer than n_max points
+        if len(text) < n_max:
             for c, below in _CHILDREN[last] if sub is None else reversed(sub.items()):
                 push((text + c, c, below, _grow(node, c)))
 
 
 def check_node(w, image: tuple, indecomposable: bool) -> CentredPerm:
     """Check a `trie_images` node of the word w (or its text) against the
-    routes built from scratch: its image pair against `pi_map`'s, encoded
-    at the image's width, its flag against `is_box_indecomposable`.
-    Returns the image built from scratch."""
+    routes built from scratch: its image pair against `pi_map`'s, in
+    lanes, its flag against `is_box_indecomposable`.  Returns the image
+    built from scratch."""
     fresh = pi_map(w)
     f, k = image
-    width = 2 if len(f) == 2 * len(fresh.filled) else 1
-    if f != _encode(fresh.filled, width) or k != fresh.origin_index:
+    if f != _encode(fresh.filled) or k != fresh.origin_index:
         raise CrossCheckMismatch(
-            f"walked image {_decode(f, width)} with origin index {k} of {w} "
+            f"walked image {_decode(f)} with origin index {k} of {w} "
             f"differs from its pi-map {fresh}"
         )
     if indecomposable != is_box_indecomposable(fresh):

@@ -19,6 +19,7 @@ from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from . import classify
 from .cperm import (
@@ -59,12 +60,12 @@ from .series import (
 )
 
 _BOUND_WINDOW = 30
-# The factor walk has about 3|c|^2 nodes, each copying an image of up to
-# 3|c| + 3 values, so its cost grows between the square and the cube of a
-# spec's length.  On a shared 2-core Intel Xeon with CPython 3.11.7,
-# closure_gf and growth_rate of a seeded 1(c)* take about 0.07 s at
-# |c| = 64, 0.35 s at 128 and 1.5 s (330 MB) at 252, where the walk is past
-# depth 254 and its images take two bytes a value.
+# The factor walk has about 3|c|^2 nodes, each building an image of up to
+# 3|c| + 3 values in 16-bit lanes of one int, so its cost grows between the
+# square and the cube of a spec's length.  On a shared 2-core x86-64 host
+# with CPython 3.11.7, closure_gf and growth_rate of a seeded 1(c)* take
+# about 0.12 s at |c| = 64, 0.55 s at 128 and 2.0-2.7 s (336 MB) at 252,
+# whose walk runs to depth 759.
 MAX_SPEC_LENGTH = 256
 
 
@@ -87,11 +88,13 @@ def _is_power_of_one_minus_z(den: Poly) -> bool:
 
 
 class GSequence:
-    """The amended G-sequence G = g - g1*g3 - g2*g4, with proven bounds checked.
+    """The amended G-sequence G = g - g1*g3 - g2*g4, with the bounds that
+    hold for any ⊞-closure checked.
 
     Construction validates, on the first 30 coefficients: g and each g_q are
-    non-negative integers with zero constant term; G has a_1 in {1..4} and
-    -8n <= a_n < 2^(n+2).
+    non-negative integers with zero constant term, and G has a_1 in {1..4}.
+    The pin-class bounds on the other a_n are checked only for pin classes,
+    by `amended_G` and `complete_class_sequence` (`_check_pin_class_bounds`).
     """
 
     __slots__ = ("g", "g_quadrants", "G")
@@ -108,9 +111,6 @@ class GSequence:
         a = G.coeffs(_BOUND_WINDOW)
         if a[1] not in (1, 2, 3, 4):
             raise BoundViolation(f"G linear coefficient {a[1]} outside 1..4")
-        for n in range(2, _BOUND_WINDOW + 1):
-            if not (-8 * n <= a[n] < 2 ** (n + 2)):
-                raise BoundViolation(f"G coefficient a_{n} = {a[n]} violates -8n <= a_n < 2^(n+2)")
         self.g = g
         self.g_quadrants = quads
         self.G = G
@@ -118,6 +118,16 @@ class GSequence:
     @property
     def f(self) -> RatGF:
         return seq(self.G)
+
+
+def _check_pin_class_bounds(gs: GSequence) -> GSequence:
+    """Check -8n <= a_n < 2^(n+2) on G's first 30 coefficients from n = 2,
+    bounds proven for pin classes only."""
+    a = gs.G.coeffs(_BOUND_WINDOW)
+    for n in range(2, _BOUND_WINDOW + 1):
+        if not (-8 * n <= a[n] < 2 ** (n + 2)):
+            raise BoundViolation(f"G coefficient a_{n} = {a[n]} violates -8n <= a_n < 2^(n+2)")
+    return gs
 
     def __repr__(self) -> str:
         return f"GSequence(G = {self.G})"
@@ -221,6 +231,7 @@ def amended_G(spec, mode: str = "all") -> GSequence:
     """
     spec = as_spec(spec)
     gs = GSequence(*_stabilized_gfs(spec, _factor_counts(spec.prefix, spec.cycle, mode)))
+    _check_pin_class_bounds(gs)
     if not _is_power_of_one_minus_z(gs.G.den):
         raise BoundViolation(f"G denominator {gs.G.den.quoted()} is not a power of (1 - z)")
     return gs
@@ -260,9 +271,13 @@ def interior_gf(spec) -> RatGF:
 
 
 def finite_closure_sequence(generators) -> GSequence:
-    """GSequence of the ⊞-closure of the downward closure of a finite set."""
+    """GSequence of the ⊞-closure of the downward closure of a finite set.
+
+    A generator with L non-origin points has at most C(L, n) patterns of n,
+    so g_n <= Σ_i C(L_i, n) over the generators, which is checked."""
+    gens = as_generators(generators)
     closure: set[CentredPerm] = set()
-    for gen in as_generators(generators):
+    for gen in gens:
         closure |= subpatterns(gen)
     indecs = [p for p in closure if p.length >= 1 and is_box_indecomposable(p)]
     # per length: g, then g1..g4 for the indecomposables in one quadrant
@@ -272,6 +287,10 @@ def finite_closure_sequence(generators) -> GSequence:
         q = one_quadrant(p)
         if q is not None:
             counts[q][p.length] += 1
+    for n, g_n in enumerate(counts[0]):
+        bound = sum(comb(gen.length, n) for gen in gens)
+        if g_n > bound:
+            raise BoundViolation(f"g_{n} = {g_n} exceeds Σ_i C(L_i, {n}) = {bound}")
     return GSequence(*(RatGF(Poly(cs)) for cs in counts))
 
 
@@ -418,7 +437,7 @@ def complete_class_sequence(quadrants=(1, 2, 3, 4)) -> GSequence:
     osc = RatGF(_OSCILLATION_GF_NUM, Poly([1, -1]))
     zero = RatGF.zero()
     g1, g2, g3, g4 = (osc if q in quadrants else zero for q in (1, 2, 3, 4))
-    return GSequence(g, g1, g2, g3, g4)
+    return _check_pin_class_bounds(GSequence(g, g1, g2, g3, g4))
 
 
 def complete_class_gf(quadrants=(1, 2, 3, 4)) -> RatGF:

@@ -7,9 +7,9 @@ from pinclasses.pinword import PinSpec, PinWord, is_recurrent
 
 
 @st.composite
-def pin_words(draw, max_letters=7):
+def pin_words(draw, max_letters=7, min_letters=0):
     numeral = draw(st.integers(min_value=1, max_value=4))
-    n = draw(st.integers(min_value=0, max_value=max_letters))
+    n = draw(st.integers(min_value=min_letters, max_value=max_letters))
     letters = []
     for _ in range(n):
         if letters and letters[-1] in "lr":
@@ -48,8 +48,8 @@ def recurrent_specs(cycle_lengths=(2, 4)):
 
 
 @st.composite
-def centred_perms(draw, max_n=6):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def centred_perms(draw, max_n=6, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     values = list(range(1, n + 2))
     random_state = draw(st.randoms(use_true_random=False))
     random_state.shuffle(values)

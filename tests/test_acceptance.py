@@ -209,15 +209,18 @@ def test_criterion_5_property_suites(censuses):
     assert violations == []
 
     # Coefficient bounds on the first 30 terms of every computed G-sequence
-    # are enforced at construction; building each one is the check.
+    # are enforced at construction; building each one is the check.  The
+    # pin-class bound -8n <= a_n < 2^(n+2) is not checked for finite
+    # closures, so it is asserted here for these two, which keep it.
     for spec in RECURRENT_SPECS:
         amended_G(spec)
     amended_G("1(ul)*", "all")
     amended_G("1(ul)*", "recurrent")
     complete_class_sequence()
     complete_class_sequence((1, 2))
-    finite_closure_sequence(SINGLE_POINTS)
-    finite_closure_sequence(["41[3]52"])
+    for gens in (SINGLE_POINTS, ["41[3]52"]):
+        a = finite_closure_sequence(gens).G.coeffs(30)
+        assert all(-8 * n <= a[n] < 2 ** (n + 2) for n in range(2, 31)), gens
 
     for spec in RECURRENT_SPECS + ["1(ul)*"]:
         assert interior_positivity(spec), spec

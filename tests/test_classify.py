@@ -23,6 +23,7 @@ from pinclasses.errors import CensusTooLarge, CrossCheckMismatch, ParameterOutOf
 from pinclasses.pimap import all_point_quadrants, pi_map
 from pinclasses.pinword import PinWord, parse_pin_word
 from strategies import pin_words
+from tuple_walk import lanes
 
 
 def closed_form_decomposables(n):
@@ -392,7 +393,7 @@ class TestTrieWalk:
                 for key, texts in images.items():
                     for text in texts:
                         img = pi_map(text)
-                        assert key == bytes((*img.filled, img.origin_index))
+                        assert key == (lanes(img.filled), img.origin_index)
                         assert (text in decs) == (not is_box_indecomposable(img))
                         walked.append(text)
         expected = [str(w) for n in range(1, 10) for w in all_pin_words(n)]

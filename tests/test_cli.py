@@ -15,6 +15,7 @@ import pytest
 
 import pinclasses
 from pinclasses.cli import RENDER_MAX_POINTS, main
+from pinclasses.cperm import MAX_GENERATOR_POINTS
 from pinclasses.series import MAX_PARSE_DEGREE, Poly
 
 
@@ -546,6 +547,17 @@ class TestClosureOf:
         assert code == 3
         assert out == ""
         assert "bare origin" in err
+
+    def test_generator_past_the_cap_fails_fast(self, capsys):
+        """A generator one point past MAX_GENERATOR_POINTS is refused before
+        its 2^L subsets are visited."""
+        n = MAX_GENERATOR_POINTS + 1
+        perm = ",".join(f"[{v}]" if v == 1 else str(v) for v in range(n + 1, 0, -1))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closure-of", "--perms", "41[3]52", perm)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and f"at most {MAX_GENERATOR_POINTS} points" in err
 
 
 class TestRender:

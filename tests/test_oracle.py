@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pinclasses import _patterns, cperm, oracle, pipeline
 from pinclasses.classify import all_pin_words
 from pinclasses.errors import (
+    BoundViolation,
     CensusTooLarge,
     CrossCheckMismatch,
     EmptyPermutation,
@@ -186,6 +187,40 @@ class TestClosureComposition:
             census = enumerate_closure_composition(gens, 5)
             f = finite_closure_gf(gens)
             assert census.counts == [f.coefficient(n) for n in range(6)], gens
+
+    @given(centred_perms(min_n=8, max_n=13))
+    @settings(max_examples=10, deadline=None)
+    def test_random_generators_match_pipeline_gf(self, gen):
+        """The finite closure of a random generator of 8 to 13 points, almost
+        never a pin permutation (at 8 points, at most 2^10 of the 9·9!
+        centred permutations are pin images), has the census's GF: the
+        pin-class bound on G, which it need not keep, is not checked."""
+        census = enumerate_closure_composition([gen], 6)
+        f = pipeline.finite_closure_gf([gen])
+        assert census.counts == [f.coefficient(n) for n in range(7)]
+
+    @pytest.mark.parametrize(
+        "gen, counts",
+        [
+            ("10,[15],9,5,4,13,1,3,7,12,6,2,8,11,14,16", [1, 3, 9, 31, 124, 554, 2562, 11375]),
+            ("9,4,7,15,12,16,3,13,1,2,14,11,17,10,6,[5],8", [1, 3, 10, 40, 181, 873, 4169, 19191]),
+        ],
+        ids=["a6-338", "a5-130"],
+    )
+    def test_generators_past_the_pin_class_bound(self, gen, counts):
+        """Two generators whose G breaks the pin-class bound -8n <= a_n <
+        2^(n+2) (a_6 = 338 and a_5 = 130) have the census's GF."""
+        census = enumerate_closure_composition([gen], 7)
+        f = pipeline.finite_closure_gf([gen])
+        assert census.counts == [f.coefficient(n) for n in range(8)] == counts
+
+    def test_count_over_the_subset_bound_raises(self, monkeypatch):
+        """g_n is at most the sum of C(L, n) over the generators of L
+        non-origin points: a closure given a 4-point generator's patterns
+        for a 1-point generator breaks it at n = 1."""
+        monkeypatch.setattr(pipeline, "subpatterns", lambda gen: cperm.subpatterns("41[3]52"))
+        with pytest.raises(BoundViolation, match=r"g_1 = 4 exceeds Σ_i C\(L_i, 1\) = 1"):
+            pipeline.finite_closure_sequence(["[1]2"])
 
     def test_generators_without_points_rejected(self):
         with pytest.raises(EmptyPermutation):

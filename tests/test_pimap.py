@@ -2,7 +2,6 @@
 
 import pickle
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +18,15 @@ from pinclasses.cperm import (
     from_oneline,
     is_box_indecomposable,
     quadrant_of,
-    shift_table,
 )
-from pinclasses.errors import CrossCheckMismatch, IndexOutOfRange, NotInterior
+from pinclasses.errors import (
+    CrossCheckMismatch,
+    IndexOutOfRange,
+    NotInterior,
+    ParameterOutOfRange,
+)
 from pinclasses.pimap import (
     PinDiagram,
-    _repunits,
     all_point_quadrants,
     check_node,
     compose_representation,
@@ -46,6 +48,7 @@ from pinclasses.pipeline import _factor_counts
 from strategies import pin_specs, pin_words
 
 import tuple_walk
+from tuple_walk import lanes, one_line
 
 # Frozen word -> one-line expectations, independently derivable by hand from
 # the placement rules (each letter's point goes one step beyond the bounding
@@ -98,16 +101,9 @@ def reference_points(w):
 
 
 def fresh_node(text):
-    """What `trie_images` yields for a word in a walk no deeper than 254,
-    one byte a value, built from scratch."""
+    """What `trie_images` yields for a word, built from scratch."""
     img = pi_map(text)
-    return text, (bytes(img.filled), img.origin_index), is_box_indecomposable(img), img.quadrants()
-
-
-def one_line(image: bytes, wide) -> tuple:
-    """The one-line values of a walked image: one byte a value, or two
-    big-endian bytes a value when the node carries repunits."""
-    return tuple(image) if wide is None else struct.unpack(f">{len(image) // 2}H", image)
+    return text, (lanes(img.filled), img.origin_index), is_box_indecomposable(img), img.quadrants()
 
 
 def trie_of(words) -> dict:
@@ -133,15 +129,15 @@ def reference_intervals(f, k) -> set:
 
 
 def check_intervals(text, node):
-    image, k, _, _, _, intervals, _, wide = node
+    image, k, _, _, _, intervals, _, _ = node
     assert len(set(intervals)) == len(intervals), text
-    assert set(intervals) == reference_intervals(one_line(image, wide), k), text
+    assert set(intervals) == reference_intervals(one_line(image), k), text
 
 
 def path_nodes(text):
     """(prefix, node) for every prefix of the word text, each node its
     parent's plus one `_grow` step from the numeral's seed, in a walk as
-    deep as the word, so past 254 letters two bytes a value."""
+    deep as the word."""
     node = pimap._seed(int(text[0]), len(text))
     yield text[0], node
     for end in range(2, len(text) + 1):
@@ -163,9 +159,9 @@ class TestCarriedIntervals:
         while stack:
             text, node = stack.pop()
             check_intervals(text, node)
-            image, k, vo, last, top, _, quadrants, wide = node
+            image, k, vo, last, top, _, quadrants, _ = node
             img = pi_map(text)
-            assert wide is None and (image, k) == (bytes(img.filled), img.origin_index), text
+            assert (image, k) == (lanes(img.filled), img.origin_index), text
             assert vo == img.origin_value, text
             pts = diagram_points(text)
             assert last == pts[-1][0] - min(x for x, _ in pts) + 1, text
@@ -197,7 +193,7 @@ class TestCarriedIntervals:
     def test_periodic_words(self, text):
         """Pin-word images have at most two proper ∘-intervals (to n = 12);
         4(ul)* and 3(ur)* keep one from length 2 on, 1(ru)* and 3(ld)* have
-        none.  The 261-letter word runs two bytes a value."""
+        none.  The 261-letter word walks past depth 254."""
         for prefix, node in path_nodes(text):
             check_intervals(prefix, node)
 
@@ -301,16 +297,16 @@ class TestPiMap:
     @given(pin_words(max_letters=23))
     @settings(max_examples=100)
     def test_walked_image_is_a_valid_perm(self, w):
-        """The walker yields (one-line bytes, origin index) pairs; each must
+        """The walker yields (lane int, origin index) pairs; each must
         decode to exactly what validation would keep, and equal the sorting
         route's."""
         *_, (_, (image, origin), _, _) = trie_images(
             PinWord(w.numeral), w.length, trie_of([w.letters])
         )
-        assert type(image) is bytes
+        assert type(image) is int
         assert type(origin) is int
-        checked = CentredPerm(tuple(image), origin)
-        assert (bytes(checked.filled), checked.origin_index) == (image, origin)
+        checked = CentredPerm(one_line(image), origin)
+        assert (lanes(checked.filled), checked.origin_index) == (image, origin)
         assert checked == pi_map(w)
 
 
@@ -326,18 +322,16 @@ def seeded_spec(cycle_length: int, prefix: str) -> PinSpec:
 def beside_tuple_walk(root, n_max, trie=None):
     """Each `trie_images` node with its (one-line tuple, origin index)
     image pair beside the tuple walk's node."""
-    wide = None if n_max <= pimap._NARROW_DEPTH else True
     for node, reference in zip(
         trie_images(root, n_max, trie), tuple_walk.trie_images(root, n_max, trie), strict=True
     ):
         image, k = node[1]
-        yield node, (one_line(image, wide), k), reference
+        yield node, (one_line(image), k), reference
 
 
 class TestAgainstTupleWalk:
-    """The `bytes` walk against the tuple walk it replaced
-    (tests/tuple_walk.py), node by node: one byte a value to depth 254, two
-    beyond."""
+    """The lane walk against the tuple walk it replaced
+    (tests/tuple_walk.py), node by node, short of depth 254 and past it."""
 
     def test_every_word_to_ten(self):
         for root in all_pin_words(1):
@@ -351,11 +345,12 @@ class TestAgainstTupleWalk:
     )
     def test_long_specs_across_the_width(self, cycle_length, prefix):
         """The factor tries of specs whose window (prefix + 3 cycles + 2)
-        is 254, one byte a value, and 255, 267 and 276, two: every node,
-        and `_factor_counts` in both modes against the tuple walk's tables."""
+        is 254, 255, 268 and 276, so whose images hold 255 to 277 values:
+        every node, and `_factor_counts` in both modes against the tuple
+        walk's tables."""
         spec = seeded_spec(cycle_length, prefix)
         window = spec.prefix_length + 3 * spec.cycle_length + 2
-        assert (window > pimap._NARROW_DEPTH) == (cycle_length > 82)
+        assert window == {82: 254, 84: 255, 88: 268, 90: 276}[cycle_length]
         for numeral, sub in tuple_walk.factor_trie(spec, window, "all").items():
             for (text, _, flag, quadrants), pair, reference in beside_tuple_walk(
                 PinWord(int(numeral)), window, sub
@@ -370,13 +365,29 @@ class TestAgainstTupleWalk:
             finally:
                 _factor_counts.cache_clear()
 
+    @given(pin_words(max_letters=300, min_letters=255))
+    @settings(max_examples=20, deadline=None)
+    def test_long_words(self, w):
+        """Every prefix of a word of 255 to 300 letters, node by node."""
+        trie = trie_of([w.letters])
+        for (text, _, flag, quadrants), pair, reference in beside_tuple_walk(
+            PinWord(w.numeral), w.length, trie
+        ):
+            assert (text, pair, flag, quadrants) == reference
+
     def test_root_longer_than_the_depth(self):
-        """The width follows the longest word walked: a 261-letter root
-        walked to depth 5 yields itself alone, two bytes a value."""
+        """The lane tables follow the longest word walked: a 261-letter
+        root walked to depth 5 yields itself alone."""
         root = PinWord(2, "dl" * 130)
         (node,) = trie_images(root, 5)
-        assert len(node[1][0]) == 2 * (root.length + 1)
+        assert len(one_line(node[1][0])) == root.length + 1
         check_node(*node[:3])
+
+    def test_depth_past_the_lanes_refused(self):
+        """A 16-bit lane holds the values of a walk to depth 65534; a
+        deeper walk is refused before any table is built."""
+        with pytest.raises(ParameterOutOfRange, match="65534"):
+            next(trie_images(PinWord(1), 65535))
 
     @given(
         pin_specs(cycle_lengths=(2, 4, 6, 8, 10, 12)),
@@ -388,37 +399,37 @@ class TestAgainstTupleWalk:
             spec, mode
         )
 
-    @pytest.mark.parametrize(
-        "attribute, skewed, n_max, trie",
-        [
-            ("_PLUS_ONE", lambda: shift_table(0, 2), 10, None),
-            ("_repunits", lambda: lambda n: [2 * r for r in _repunits(n)], 300, "dr" * 150),
-        ],
-        ids=["one-byte", "two-byte"],
-    )
-    def test_off_by_one_shift_fails(self, monkeypatch, attribute, skewed, n_max, trie):
-        """A shift that adds 2, not 1, to every value, on either width,
-        parts the walk from the tuple walk and fails `check_node`."""
-        monkeypatch.setattr(pimap, attribute, skewed())
-        trie = None if trie is None else trie_of([trie])
-        parted = [
-            node[:3]
-            for node, pair, reference in beside_tuple_walk(PinWord(1), n_max, trie)
-            if pair != reference[1]
-        ]
-        assert parted
+    @pytest.mark.parametrize("start", [1, 255])
+    @pytest.mark.parametrize("table", ["units", "repunits"])
+    def test_off_by_one_shift_fails(self, monkeypatch, table, start):
+        """Lane units one lane too high, or repunits one lane short, from
+        lane count ``start`` on, part the walk of 1(dl)^150 from the tuple
+        walk by depth 12, or past depth 254 when only the lane counts past
+        254 are skewed; the first parted node fails `check_node`."""
+        real = pimap._lanes
+
+        def skewed(depth):
+            units, masks, repunits = real(depth)
+            if table == "units":
+                units = [u << 16 if j >= start else u for j, u in enumerate(units)]
+            else:
+                repunits = [r >> 16 if j >= start else r for j, r in enumerate(repunits)]
+            return units, masks, repunits
+
+        monkeypatch.setattr(pimap, "_lanes", skewed)
+        walk = beside_tuple_walk(PinWord(1), 301, trie_of(["dl" * 150]))
+        node = next(node for node, pair, reference in walk if pair != reference[1])
+        assert len(node[0]) <= 12 if start == 1 else len(node[0]) > 254
         with pytest.raises(CrossCheckMismatch, match="walked image"):
-            check_node(*parted[0])
+            check_node(*node[:3])
 
 
 class TestMismatchMessages:
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_walked_image_printed_as_values(self, width):
+    def test_walked_image_printed_as_values(self):
         """`check_node` prints a walked image as its one-line values and
-        origin index at either width, not as raw bytes."""
-        image = b"".join(v.to_bytes(width, "big") for v in (3, 1, 2))
+        origin index, not as its lane int."""
         with pytest.raises(CrossCheckMismatch) as err:
-            check_node("1r", (image, 2), True)
+            check_node("1r", (lanes((3, 1, 2)), 2), True)
         assert str(err.value) == (
             "walked image [3, 1, 2] with origin index 2 of 1r differs from its pi-map [1]32"
         )

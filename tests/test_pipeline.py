@@ -254,10 +254,19 @@ class TestGSequence:
         with pytest.raises(BoundViolation):
             GSequence(gf("z^2", "1"), zero, zero, zero, zero)
 
-    def test_rejects_oversized_coefficient(self):
+    def test_rejects_oversized_coefficient(self, monkeypatch):
+        """The pin-class bound -8n <= a_n < 2^(n+2) is checked by
+        `amended_G` and `complete_class_sequence`, not by GSequence, which
+        finite closures of any generators make too: a_2 = 1024 and
+        a_2 = -17 are each refused by both."""
         zero = gf("0", "1")
-        with pytest.raises(BoundViolation):
-            GSequence(gf("2z + 1024z^2", "1"), zero, zero, zero, zero)
+        for g, g3, a_2 in [("2z + 1024z^2", "0", 1024), ("2z", "17z", -17)]:
+            outside = GSequence(gf(g, "1"), gf("z", "1"), zero, gf(g3, "1"), zero)
+            assert outside.G.coefficient(2) == a_2
+            monkeypatch.setattr(pipeline, "GSequence", lambda *gfs: outside)
+            for build in (lambda: amended_G("1(ru)*"), complete_class_sequence):
+                with pytest.raises(BoundViolation, match=f"a_2 = {a_2} violates"):
+                    build()
 
 
 class TestClassGFs:

@@ -1,21 +1,33 @@
-"""The tuple image walk, kept as the reference for the `bytes` one in
+"""The tuple image walk, kept as the reference for the lane one in
 `pinclasses.pimap`.
 
 A node is (filled, origin index, position of the last point, proper
 non-trivial ∘-intervals as (a, b, lo, hi), quadrant set), with ``filled``
-the one-line tuple.  `_seed` and `_grow` are the ones the package ran
-before its walk carried images as `bytes`: each step copies the tuple into
-a list, shifts every value by one where values move, inserts the new point
-and rebuilds the tuple.  `trie_images` walks them as `pimap.trie_images`
+the one-line tuple.  In `_grow` each step copies the tuple into a list,
+shifts every value by one where values move, inserts the new point and
+rebuilds the tuple.  `trie_images` walks them as `pimap.trie_images`
 does and yields (text, (filled, origin index), flag, quadrant set);
 `factor_tables` counts a spec's factor images as
-`pipeline._factor_counts` does, with none of its checks.
+`pipeline._factor_counts` does, with none of its checks.  `lanes` and
+`one_line` convert between a one-line tuple and the package's lane image.
 """
 
+import struct
 from collections import Counter
 
 from pinclasses.cperm import QUADRANT_POINT
 from pinclasses.pinword import NEXT_LETTERS, PinSpec, PinWord, as_word, enumerate_pin_factors
+
+
+def lanes(values) -> int:
+    """One-line values as 16-bit lanes of one int, the first on top."""
+    return int.from_bytes(struct.pack(f">{len(values)}H", *values), "big")
+
+
+def one_line(image: int) -> tuple:
+    """The one-line values of a lane image."""
+    m = -(-image.bit_length() // 16)
+    return struct.unpack(f">{m}H", image.to_bytes(2 * m, "big"))
 
 
 def _seed(numeral: int):
