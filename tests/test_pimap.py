@@ -425,13 +425,16 @@ class TestAgainstTupleWalk:
 
 
 class TestMismatchMessages:
-    def test_walked_image_printed_as_values(self):
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_walked_image_printed_as_values(self, width):
         """`check_node` prints a walked image as its one-line values and
-        origin index, not as its lane int."""
+        origin index, not as its lane int, whether its top value fills one
+        byte of its 16-bit lane or both."""
+        top = 3 << 8 * (width - 1)
         with pytest.raises(CrossCheckMismatch) as err:
-            check_node("1r", (lanes((3, 1, 2)), 2), True)
+            check_node("1r", (lanes((top, 1, 2)), 2), True)
         assert str(err.value) == (
-            "walked image [3, 1, 2] with origin index 2 of 1r differs from its pi-map [1]32"
+            f"walked image [{top}, 1, 2] with origin index 2 of 1r differs from its pi-map [1]32"
         )
 
 
