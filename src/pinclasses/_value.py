@@ -1,9 +1,9 @@
 """`Value`, the one base of the package's immutable value types.
 
-`CentredPerm`, `PinWord`, `PinSpec` and `PinDiagram` are plain classes with
-``__slots__`` on this base.  Each keeps its own validating ``__init__``,
-which sets its fields through ``object.__setattr__``.  The base gives them
-the rest of the contract:
+The six value types, `CentredPerm`, `PinWord`, `PinSpec`, `PinDiagram`,
+`Poly` and `RatGF`, are plain classes with ``__slots__`` on this base.  Each
+keeps its own validating ``__init__``, which sets its fields through
+``object.__setattr__``.  The base gives them the rest of the contract:
 
 - no field can be set or deleted afterwards (`AttributeError`);
 - two values are equal when they are of the same class and agree on the

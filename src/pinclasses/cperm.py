@@ -224,12 +224,17 @@ def as_perm(p) -> CentredPerm:
 # 2-core x86-64 host with CPython 3.11, `closure-of` on one random generator
 # takes 0.6-1.2 s at 16 points, 1.2 s at 17 and 2.6 s at 18.
 MAX_GENERATOR_POINTS = 16
+# The time grows with the sum of 2^L over the generators: on the same host,
+# `closure-of` takes 0.7-0.9 s on one random 16-point generator, 1.2-1.3 s
+# on two and 2.5-3.0 s on four, the most this bound lets through.
+MAX_CLOSURE_SUBSETS = 4 << MAX_GENERATOR_POINTS
 
 
 def as_generators(generators) -> list[CentredPerm]:
     """The generators of a finite ⊞-closure as CentredPerms, each of at
-    most MAX_GENERATOR_POINTS non-origin points; at least one of them must
-    have a non-origin point, or the closure has nothing to count."""
+    most MAX_GENERATOR_POINTS non-origin points, with at most
+    MAX_CLOSURE_SUBSETS subsets of those points in all; at least one of them
+    must have a non-origin point, or the closure has nothing to count."""
     gens = [as_perm(g) for g in generators]
     if not gens:
         raise ParameterOutOfRange("need at least one generator")
@@ -239,6 +244,12 @@ def as_generators(generators) -> list[CentredPerm]:
                 f"a generator has at most {MAX_GENERATOR_POINTS} points besides the origin; "
                 f"{g} has {g.length}"
             )
+    subsets = sum(1 << g.length for g in gens)
+    if subsets > MAX_CLOSURE_SUBSETS:
+        raise ParameterOutOfRange(
+            f"the generators have at most {MAX_CLOSURE_SUBSETS} subsets of their points "
+            f"besides the origin in all (the sum of 2^L); these have {subsets}"
+        )
     if all(g.length == 0 for g in gens):
         raise EmptyPermutation("every generator is the bare origin, so its closure is empty")
     return gens

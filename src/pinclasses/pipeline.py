@@ -119,6 +119,9 @@ class GSequence:
     def f(self) -> RatGF:
         return seq(self.G)
 
+    def __repr__(self) -> str:
+        return f"GSequence(G = {self.G})"
+
 
 def _check_pin_class_bounds(gs: GSequence) -> GSequence:
     """Check -8n <= a_n < 2^(n+2) on G's first 30 coefficients from n = 2,
@@ -128,9 +131,6 @@ def _check_pin_class_bounds(gs: GSequence) -> GSequence:
         if not (-8 * n <= a[n] < 2 ** (n + 2)):
             raise BoundViolation(f"G coefficient a_{n} = {a[n]} violates -8n <= a_n < 2^(n+2)")
     return gs
-
-    def __repr__(self) -> str:
-        return f"GSequence(G = {self.G})"
 
 
 @lru_cache(maxsize=128)

@@ -6,9 +6,10 @@ no floating point anywhere in this module, and every true division goes
 through one exact helper, `_div`.  Greatest common divisors run as a
 primitive pseudo-remainder sequence over the integers.  A ``RatGF`` is a
 reduced fraction of two polynomials whose denominator has constant term 1,
-so power-series coefficient extraction is always well defined.  One builder, `from_eventually_periodic`, turns an
-eventually periodic counting sequence into its generating function; an
-eventually constant one is the case of a one-term period.
+so power-series coefficient extraction is always well defined.  Both are
+immutable values on `_value.Value`.  One builder, `from_eventually_periodic`,
+turns an eventually periodic counting sequence into its generating function;
+an eventually constant one is the case of a one-term period.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._value import Value
 from .errors import (
     DivisionByZero,
     MalformedSyntax,
@@ -57,7 +59,7 @@ def _div(a, b):
     return _number(Fraction(a, b))
 
 
-class Poly:
+class Poly(Value):
     """Polynomial in one variable z over the rationals.
 
     >>> Poly([Fraction(2, 1), Fraction(1, 2)])
@@ -72,7 +74,7 @@ class Poly:
         cs = [c if type(c) is int else _number(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -94,14 +96,6 @@ class Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -359,7 +353,7 @@ def _as_poly(x) -> Poly:
     return Poly([x]) if isinstance(x, (int, Fraction)) else Poly(x)
 
 
-class RatGF:
+class RatGF(Value):
     """Rational generating function num/den in lowest terms, den(0) = 1."""
 
     __slots__ = ("num", "den")
@@ -375,8 +369,8 @@ class RatGF:
         c0 = den[0]
         if c0 == 0:
             raise PoleAtZero(f"denominator {den.quoted()} vanishes at z = 0")
-        self.num = num.over(c0)
-        self.den = den.over(c0)
+        object.__setattr__(self, "num", num.over(c0))
+        object.__setattr__(self, "den", den.over(c0))
 
     @classmethod
     def zero(cls) -> "RatGF":
@@ -391,14 +385,6 @@ class RatGF:
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatGF):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __add__(self, other: "RatGF") -> "RatGF":
         return RatGF(self.num * other.den + other.num * self.den, self.den * other.den)

@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 import pinclasses
+from pinclasses import oracle, pipeline
 from pinclasses.cli import RENDER_MAX_POINTS, main
-from pinclasses.cperm import MAX_GENERATOR_POINTS
+from pinclasses.cperm import MAX_CLOSURE_SUBSETS, MAX_GENERATOR_POINTS, as_generators
 from pinclasses.series import MAX_PARSE_DEGREE, Poly
 
 
@@ -558,6 +559,28 @@ class TestClosureOf:
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and f"at most {MAX_GENERATOR_POINTS} points" in err
+
+    def test_generators_past_the_total_cap_fail_fast(self, capsys, monkeypatch):
+        """Generators at the point cap whose 2^L sum to MAX_CLOSURE_SUBSETS
+        pass; one bare origin more is one subset past the total cap, refused
+        before any generator's subsets are visited."""
+        n = MAX_GENERATOR_POINTS
+        perm = ",".join(f"[{v}]" if v == 1 else str(v) for v in range(n + 1, 0, -1))
+        at_cap = [perm] * (MAX_CLOSURE_SUBSETS >> n)
+        assert sum(1 << g.length for g in as_generators(at_cap)) == MAX_CLOSURE_SUBSETS
+
+        def unreached(gen):
+            raise AssertionError("a generator's subpatterns were formed")
+
+        for module in (pipeline, oracle):
+            monkeypatch.setattr(module, "subpatterns", unreached)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closure-of", "--perms", *at_cap, "[1]")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert f"at most {MAX_CLOSURE_SUBSETS} subsets" in err
+        assert f"these have {MAX_CLOSURE_SUBSETS + 1}" in err
 
 
 class TestRender:

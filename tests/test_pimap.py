@@ -1,7 +1,9 @@
 """The point-placement map from pin words to centred permutations."""
 
+import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,7 @@ from pinclasses.pinword import (
     parse_pin_word,
 )
 from pinclasses.pipeline import _factor_counts
+from pinclasses.series import Poly, RatGF
 from strategies import pin_specs, pin_words
 
 import tuple_walk
@@ -618,19 +621,28 @@ class TestValueTypes:
         lambda: parse_pin_spec("1r(ur)*"),
         lambda: from_oneline("31586[4]27"),
         lambda: PinDiagram("2lurdld"),
+        lambda: Poly([1, -2, Fraction(1, 2)]),
+        lambda: RatGF(Poly([0, 1]), Poly([1, -1, -1])),
     ]
-    NAMES = ["PinWord", "PinSpec", "CentredPerm", "PinDiagram"]
+    NAMES = ["PinWord", "PinSpec", "CentredPerm", "PinDiagram", "Poly", "RatGF"]
     # The fields each type's equality and hash read.
-    COMPARED = [("numeral", "letters"), ("_canon",), ("filled", "origin_index"), ("word",)]
+    COMPARED = [
+        ("numeral", "letters"),
+        ("_canon",),
+        ("filled", "origin_index"),
+        ("word",),
+        ("coeffs",),
+        ("num", "den"),
+    ]
 
     @pytest.mark.parametrize("make", VALUES, ids=NAMES)
     def test_immutable(self, make):
         value = make()
-        field = type(value).__slots__[0]
-        with pytest.raises(AttributeError):
-            setattr(value, field, getattr(value, field))
-        with pytest.raises(AttributeError):
-            delattr(value, field)
+        for field in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
 
     @pytest.mark.parametrize("make, compared", zip(VALUES, COMPARED), ids=NAMES)
     def test_hash_is_the_hash_of_the_compared_fields(self, make, compared):
@@ -651,3 +663,22 @@ class TestValueTypes:
         assert back == value
         assert hash(back) == hash(value)
         assert str(back) == str(value)
+
+    @pytest.mark.parametrize("make", VALUES, ids=NAMES)
+    def test_deepcopy_round_trip(self, make, monkeypatch):
+        """A deep copy, like a pickled value, equals the original and is
+        built by the validating constructor, once a copy."""
+        value = make()
+        cls = type(value)
+        init, calls = cls.__init__, []
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        for back in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert back == value
+            assert hash(back) == hash(value)
+            assert str(back) == str(value)
+        assert calls == [value.__reduce__()[1]] * 2

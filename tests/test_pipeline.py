@@ -237,6 +237,10 @@ class TestGSequence:
         assert gs.f == seq(gs.G)
         assert gs.f == FROZEN_CLASS_GFS["2(urul)*"]
 
+    def test_repr(self):
+        gs = amended_G("1(ru)*")
+        assert repr(gs) == f"GSequence(G = {gs.G})"
+
     def test_rejects_nonzero_constant_term(self):
         zero = gf("0", "1")
         with pytest.raises(BoundViolation):

@@ -185,6 +185,23 @@ class TestRatGF:
         f = RatGF(Poly([1, -1]), Poly([1, -2, 0, -1]))
         assert RatGF.from_json(f.to_json()) == f
 
+    def test_shared_poly_cannot_change_the_gf(self):
+        """A RatGF keeps the Poly it was given when nothing cancels; that
+        Poly cannot be changed under it."""
+        p = Poly([1, -2])
+        f = RatGF(Poly([1]), p)
+        assert f.den is p
+        with pytest.raises(AttributeError):
+            p.coeffs = (1, -3)
+        assert str(f) == "(1)/(1 - 2z)"
+        assert f in {RatGF(Poly([1]), Poly([1, -2]))}
+
+    def test_equal_only_to_its_own_type(self):
+        assert Poly([1]) != RatGF(1)
+        assert RatGF(1) != Poly([1])
+        assert Poly([1, 2]) != (1, 2)
+        assert Poly() != ()
+
     @given(small_polys, unit_constant_polys, small_polys, unit_constant_polys)
     @settings(max_examples=60)
     def test_field_axioms(self, an, ad, bn, bd):
