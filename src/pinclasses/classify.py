@@ -20,8 +20,7 @@ trie once for every length up to its bound (at most _VERIFY_GUARD), depth
 first from the words of length _ROOT_LENGTH: each word's image and
 ⊞-indecomposability are its parent's plus one placed point
 (`pimap.trie_images`), and each word goes straight into its length's
-image -> word texts map and decomposable list.  The roots are also the
-``jobs`` partition.  Under each root, the first
+image -> word texts map and decomposable list.  Under each root, the first
 deepest leaf and the first word flagged decomposable are checked against
 the pi-map and `is_box_indecomposable` built from scratch (`pimap.check_node`).
 """
@@ -184,19 +183,19 @@ class ClassificationReport:
         )
 
 
-# Words of this length root the trie walk and partition it for ``jobs``.
+# Words of this length root the trie walk.
 _ROOT_LENGTH = 2
 # The walk holds every word's image up to n_max, 2^(n+2) words of length n;
 # pipeline._TAIL_WINDOW reads the tables up to this length.
 _VERIFY_GUARD = 16
 
 
-def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
-    """Worker: for root and its extensions up to length n_max, per length,
-    image pair -> word texts and the decomposable word texts.  The first
-    deepest leaf and the first word flagged decomposable are checked
-    against the pi-map and the ⊞-indecomposability built from scratch."""
-    tables = {n: ({}, []) for n in range(root.length, n_max + 1)}
+def _walk(root: PinWord, n_max: int, tables: dict[int, tuple[dict, list]]) -> None:
+    """Add root and its extensions up to length n_max to tables, which
+    holds per length image pair -> word texts and the decomposable word
+    texts.  The first deepest leaf and the first word flagged decomposable
+    are checked against the pi-map and the ⊞-indecomposability built from
+    scratch."""
     leaf = decomposable = None
     for text, img, indecomposable, _ in trie_images(root, n_max):
         n = len(text)
@@ -211,57 +210,32 @@ def _walk(root: PinWord, n_max: int) -> dict[int, tuple[dict, list]]:
     for node in (leaf, decomposable):
         if node is not None:
             check_node(*node)
-    return tables
 
 
-def _walks(roots, limits, jobs: int):
-    """The _walk of each root to its limit, in a pool of fresh interpreters
-    when jobs > 1; one root is one task, so the pool has at most one worker
-    per root."""
-    if jobs == 1:
-        yield from map(_walk, roots, limits)
-        return
-    # imported here, as the pool's modules are a quarter of `import pinclasses`
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    workers = min(jobs, len(roots))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        yield from pool.map(_walk, roots, limits)
-
-
-def _derive(n_max: int, jobs: int) -> dict[int, tuple[set, set]]:
+def _derive(n_max: int) -> dict[int, tuple[set, set]]:
     """Per length 1..n_max: the decomposable words and the collision groups,
     from one walk of the pin-word trie.  Words shorter than the roots are
     walked on their own, each to its own length."""
-    roots = [w for n in range(1, _ROOT_LENGTH + 1) for w in all_pin_words(n)]
-    limits = [n_max if w.length == _ROOT_LENGTH else w.length for w in roots]
-    images = {n: {} for n in range(1, n_max + 1)}
-    decs = {n: [] for n in range(1, n_max + 1)}
-    for tables in _walks(roots, limits, jobs):
-        for n, (part_images, part_decs) in tables.items():
-            merged = images[n]
-            for key, texts in part_images.items():
-                merged[key] = merged.get(key, ()) + texts
-            decs[n].extend(part_decs)
+    tables = {n: ({}, []) for n in range(1, n_max + 1)}
+    for n in range(1, _ROOT_LENGTH + 1):
+        for root in all_pin_words(n):
+            _walk(root, n_max if n == _ROOT_LENGTH else n, tables)
     return {
-        n: (set(decs[n]), {frozenset(g) for g in images[n].values() if len(g) > 1})
-        for n in range(1, n_max + 1)
+        n: (set(decs), {frozenset(g) for g in images.values() if len(g) > 1})
+        for n, (images, decs) in tables.items()
     }
 
 
-def verify_tables(n_max: int = 12, jobs: int = 1) -> list[ClassificationReport]:
+def verify_tables(n_max: int = 12) -> list[ClassificationReport]:
     """Re-derive both tables exhaustively for every n <= n_max and compare.
 
     A disagreement is reported in the ClassificationReport, never raised.
     """
     if n_max < 2:
         raise ParameterOutOfRange(f"n_max must be at least 2, got {n_max}")
-    if jobs < 1:
-        raise ParameterOutOfRange(f"jobs must be at least 1, got {jobs}")
     if n_max > _VERIFY_GUARD:
         raise CensusTooLarge(f"verify-tables depth {n_max} exceeds the guard {_VERIFY_GUARD}")
-    derived = _derive(n_max, jobs)
+    derived = _derive(n_max)
     reports = []
     for n in range(1, n_max + 1):
         derived_decs, derived_groups = derived[n]

@@ -113,7 +113,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
-    reports = classify.verify_tables(args.n_max, jobs=args.jobs)
+    reports = classify.verify_tables(args.n_max)
     payload = {"reports": [r.to_json() for r in reports]}
     lines = []
     bad = []
@@ -314,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-tables", help="re-derive the classification tables")
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=1)
+    # the walk runs in one process; 1 stays accepted for existing command lines
+    p.add_argument("--jobs", type=int, choices=(1,), help=argparse.SUPPRESS)
     _add_format(p)
     p.set_defaults(func=cmd_verify_tables)
 
@@ -361,8 +362,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call, not at import, and kept for the process
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args) or 0
         sys.stdout.flush()  # a reader that has gone shows here, not at exit

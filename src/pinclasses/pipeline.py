@@ -590,6 +590,8 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     tol = Fraction(tol)
     _check_digits(digits)
     poly = f_or_g if isinstance(f_or_g, Poly) else f_or_g.den
+    if poly.is_zero():
+        raise ParameterOutOfRange("the zero polynomial vanishes everywhere: no smallest root")
     p = _square_free(poly)
     if p.degree < 1:
         raise NoRootInRange(f"{poly.quoted()} has no roots at all")

@@ -1,8 +1,5 @@
 """Exhaustive classification of colliding and decomposable pin words."""
 
-import concurrent.futures
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +16,7 @@ from pinclasses.classify import (
     verify_tables,
 )
 from pinclasses.cperm import QUADRANT_SIGNS, is_box_indecomposable
-from pinclasses.errors import CensusTooLarge, CrossCheckMismatch, ParameterOutOfRange
+from pinclasses.errors import CensusTooLarge, CrossCheckMismatch
 from pinclasses.pimap import all_point_quadrants, pi_map
 from pinclasses.pinword import PinWord, parse_pin_word
 from strategies import pin_words
@@ -325,40 +322,6 @@ class TestVerifyTables:
         assert all(r.table_match for r in reports)
         assert all(r.discrepancies == [] for r in reports)
 
-    def test_parallel_agrees_with_serial(self):
-        serial = verify_tables(8, jobs=1)
-        parallel = verify_tables(8, jobs=2)
-        assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
-
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ParameterOutOfRange) as caught:
-            verify_tables(4, jobs=jobs)
-        assert caught.value.exit_code == 3
-
-    def test_pool_has_at_most_one_worker_per_root(self, monkeypatch):
-        """The pool is sized from the roots, not from ``jobs`` alone; a
-        stand-in pool records its size and runs the walks in this process."""
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        reports = verify_tables(4, jobs=64)
-        assert sizes == [20]
-        assert [r.to_json() for r in reports] == [r.to_json() for r in verify_tables(4)]
-
     def test_json_schema(self):
         report = verify_tables(2)[0]
         data = report.to_json()
@@ -384,12 +347,20 @@ class TestVerifyTables:
             verify_tables(classify._VERIFY_GUARD + 1)
 
 
+def walk_root(root, n_max):
+    """The tables classify._walk fills from root alone: per length, image
+    pair -> word texts and the decomposable word texts."""
+    tables = {n: ({}, []) for n in range(root.length, n_max + 1)}
+    classify._walk(root, n_max, tables)
+    return tables
+
+
 class TestTrieWalk:
     def test_images_and_flags_match_fresh_diagrams(self):
         """Every word of length <= 9, against its pi-map built from scratch."""
         walked = []
         for root in all_pin_words(1):
-            for images, decs in classify._walk(root, 9).values():
+            for images, decs in walk_root(root, 9).values():
                 for key, texts in images.items():
                     for text in texts:
                         img = pi_map(text)
@@ -400,11 +371,12 @@ class TestTrieWalk:
         assert sorted(walked) == sorted(expected)
 
     def test_walk_yields_every_word_of_each_length(self):
-        """2^(n+2) words at each length n >= 2, so a skipped branch shows."""
-        counts = Counter()
+        """2^(n+2) words at each length n >= 2 in the maps all roots share,
+        so a skipped branch or an overwritten entry shows."""
+        tables = {n: ({}, []) for n in range(classify._ROOT_LENGTH, 11)}
         for root in all_pin_words(classify._ROOT_LENGTH):
-            for n, (images, _) in classify._walk(root, 10).items():
-                counts[n] += sum(map(len, images.values()))
+            classify._walk(root, 10, tables)
+        counts = {n: sum(map(len, images.values())) for n, (images, _) in tables.items()}
         assert counts == {n: 2 ** (n + 2) for n in range(2, 11)}
 
     def test_leaf_checked_against_pi_map(self, monkeypatch):
@@ -414,7 +386,7 @@ class TestTrieWalk:
         mirrored = {"l": "r", "r": "l", "u": "u", "d": "d"}
         monkeypatch.setattr(pimap, "_grow", lambda node, c: grow(node, mirrored[c]))
         with pytest.raises(CrossCheckMismatch):
-            classify._walk(PinWord(1, "u"), 6)
+            walk_root(PinWord(1, "u"), 6)
 
     def test_checked_nodes(self, monkeypatch):
         """The walk checks the first deepest leaf, then the first word
@@ -427,7 +399,7 @@ class TestTrieWalk:
             return check(text, img, indecomposable)
 
         monkeypatch.setattr(classify, "check_node", record)
-        classify._walk(PinWord(1, "u"), 6)
+        walk_root(PinWord(1, "u"), 6)
         assert checked == ["1ululu", "1uld"]
 
     def test_carried_flag_checked_from_scratch(self, monkeypatch):
@@ -441,4 +413,4 @@ class TestTrieWalk:
 
         monkeypatch.setattr(classify, "trie_images", inverted)
         with pytest.raises(CrossCheckMismatch):
-            classify._walk(PinWord(1, "u"), 6)
+            walk_root(PinWord(1, "u"), 6)

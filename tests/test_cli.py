@@ -14,10 +14,12 @@ from fractions import Fraction
 import pytest
 
 import pinclasses
-from pinclasses import oracle, pipeline
+from pinclasses import cli, oracle, pipeline
 from pinclasses.cli import RENDER_MAX_POINTS, main
 from pinclasses.cperm import MAX_CLOSURE_SUBSETS, MAX_GENERATOR_POINTS, as_generators
 from pinclasses.series import MAX_PARSE_DEGREE, Poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -171,6 +173,14 @@ class TestGrowth:
         code, out, err = run(capsys, "growth", "--poly", "1")
         assert code == 4
         assert "no roots" in err
+
+    @pytest.mark.parametrize("poly", ["0", "0z^3"])
+    def test_zero_poly_is_a_precondition(self, capsys, poly):
+        """The zero polynomial vanishes everywhere, so it has no smallest
+        root to report: exit 3 with one line, not the no-root exit 4."""
+        code, out, err = run(capsys, "growth", "--poly", poly)
+        assert code == 3 and not out
+        assert err.count("\n") == 1 and "zero polynomial" in err
 
     def test_malformed_poly(self, capsys):
         code, _, err = run(capsys, "growth", "--poly", "1 - 2q")
@@ -334,6 +344,25 @@ class TestVerifyTables:
         data = json.loads(out)["reports"]
         assert [d["length"] for d in data] == [1, 2, 3, 4]
         assert all(d["table_match"] for d in data)
+
+    def test_jobs_one_changes_nothing(self, capsys):
+        """--jobs 1 stays accepted for existing command lines."""
+        code, out, _ = run(capsys, "verify-tables", "--n-max", "8", "--jobs", "1")
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / "verify_tables.out").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_jobs_other_than_one_is_a_usage_error(self, capsys, jobs):
+        """The walk runs in one process; --jobs has no other value, and
+        the help does not list it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-tables", "--n-max", "4", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert "--jobs" in captured.err
+        with pytest.raises(SystemExit):
+            main(["verify-tables", "--help"])
+        assert "--jobs" not in capsys.readouterr().out
 
     def test_bound_below_two(self, capsys):
         code, out, err = run(capsys, "verify-tables", "--n-max", "1")
@@ -650,6 +679,15 @@ class TestRender:
 
 
 class TestTopLevel:
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        assert main(["perm", "1ul"]) == 0
+        assert main(["complete", "--quadrants", "1,2"]) == 0
+        assert len(built) == 1
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nonexistent"])
