@@ -25,7 +25,7 @@ from .errors import (
     PinclassesError,
 )
 from .pimap import PinDiagram, pi_map
-from .pinword import PinWord, is_recurrent, parse_pin_spec, parse_pin_word
+from .pinword import PinWord, check_spec_size, is_recurrent, parse_pin_spec, parse_pin_word
 from .series import MAX_PARSE_DEGREE, Poly, coeffs
 
 
@@ -150,9 +150,9 @@ def cmd_oracle(args) -> int:
     if args.n < 1:  # a depth-0 census has only the empty permutation to compare
         raise ParameterOutOfRange(f"oracle depth --n must be at least 1, got {args.n}")
     spec = None
-    if args.spec:  # the cap gf and growth apply, before any census or recurrence test
+    if args.spec:  # the spec cap, before --dump-perms is opened
         spec = parse_pin_spec(args.spec)
-        pipeline._check_spec_size(spec)
+        check_spec_size(spec)
     with _open_output(args.dump_perms) if args.dump_perms else nullcontext() as dump:
         _run_oracle(args, spec, dump)
     return 0

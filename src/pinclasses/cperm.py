@@ -220,35 +220,26 @@ def as_perm(p) -> CentredPerm:
 
 
 # Each generator's downward closure visits all 2^L subsets of its L
-# non-origin points, so the time about doubles with each point.  On a shared
-# 2-core x86-64 host with CPython 3.11, `closure-of` on one random generator
-# takes 0.6-1.2 s at 16 points, 1.2 s at 17 and 2.6 s at 18.
-MAX_GENERATOR_POINTS = 16
-# The time grows with the sum of 2^L over the generators: on the same host,
-# `closure-of` takes 0.7-0.9 s on one random 16-point generator, 1.2-1.3 s
-# on two and 2.5-3.0 s on four, the most this bound lets through.
-MAX_CLOSURE_SUBSETS = 4 << MAX_GENERATOR_POINTS
+# non-origin points.  On a shared 2-core x86-64 host with CPython 3.11,
+# `closure-of` takes 2.2-3.7 s and 27-34 MB on one random 18-point
+# generator, two 17-point ones or four 16-point ones, all at this bound.
+MAX_CLOSURE_SUBSETS = 1 << 18
 
 
 def as_generators(generators) -> list[CentredPerm]:
-    """The generators of a finite ⊞-closure as CentredPerms, each of at
-    most MAX_GENERATOR_POINTS non-origin points, with at most
-    MAX_CLOSURE_SUBSETS subsets of those points in all; at least one of them
-    must have a non-origin point, or the closure has nothing to count."""
+    """The generators of a finite ⊞-closure as CentredPerms, with at most
+    MAX_CLOSURE_SUBSETS subsets of their non-origin points in all, and a
+    non-origin point in at least one, or the closure has nothing to count."""
     gens = [as_perm(g) for g in generators]
     if not gens:
         raise ParameterOutOfRange("need at least one generator")
-    for g in gens:
-        if g.length > MAX_GENERATOR_POINTS:
-            raise ParameterOutOfRange(
-                f"a generator has at most {MAX_GENERATOR_POINTS} points besides the origin; "
-                f"{g} has {g.length}"
-            )
     subsets = sum(1 << g.length for g in gens)
     if subsets > MAX_CLOSURE_SUBSETS:
+        # a long generator's 2^L has more digits than `str` writes out
+        count = subsets if subsets >> 64 == 0 else f"at least 2^{subsets.bit_length() - 1}"
         raise ParameterOutOfRange(
             f"the generators have at most {MAX_CLOSURE_SUBSETS} subsets of their points "
-            f"besides the origin in all (the sum of 2^L); these have {subsets}"
+            f"besides the origin in all (the sum of 2^L); these have {count}"
         )
     if all(g.length == 0 for g in gens):
         raise EmptyPermutation("every generator is the bare origin, so its closure is empty")

@@ -44,7 +44,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .pimap import diagram_points, pi_map
-from .pinword import as_spec, enumerate_pin_factors, is_recurrent
+from .pinword import as_spec, check_spec_size, enumerate_pin_factors, is_recurrent
 
 MEMORY_GUARD = 10**7
 _SUBSET_GUARD = 10
@@ -117,6 +117,7 @@ def enumerate_class_subset(spec, n_max: int) -> ClassCensus:
     first P + 2c symbols (at most _REFERENCE_SYMBOLS) must be in its table.
     """
     spec = as_spec(spec)
+    check_spec_size(spec)
     _check_depth(n_max, _SUBSET_GUARD, "subset")
     table = _patterns.walk_patterns(spec, n_max)
     description = f"subset census of {spec}"
@@ -171,6 +172,7 @@ def _compose_census(parts, n_max: int, description: str, method: str) -> ClassCe
 def enumerate_class_composition(spec, n_max: int) -> ClassCensus:
     """Census of a recurrent pin class by composing factor images."""
     spec = as_spec(spec)
+    check_spec_size(spec)
     _check_depth(n_max, _COMPOSITION_GUARD, "composition")
     if not is_recurrent(spec):
         raise NotRecurrent(

@@ -20,25 +20,30 @@ one add of a repunit, the top point moving up one is one add of a lane
 unit, and the new point goes in with a mask, a shift and two adds; the node
 carries the origin value and whether the last point is on top, so no value
 is decoded.  The step carries the image's proper ∘-intervals (so its
-⊞-indecomposability) and its quadrant set from the parent, in one pass
-over the parent's intervals: each one the new point P = (p, v) does not
-split is kept, shifted past P, and each one P extends is joined with P.
-The bare origin is tried after the pass, and P's quadrant is read against
-the child's origin.  So the intervals through P come from the parent's in
-O(#intervals), by the extension rule: they are the blocks
+⊞-indecomposability) and its quadrant set from the parent, and reads the
+new point P = (p, v)'s quadrant against the child's origin.
+
+Lemma: an interval of a pin image that holds the origin and p_k holds
+p_{k+1}.  For p_{k+1} lies strictly between p_k and the bounding box of
+{p0..p_{k-1}}, so between p_k and the origin, on one axis (the pin
+separation condition; Brignall, Huczynska & Vatter, "Decomposing simple
+permutations, with enumerative consequences", Combinatorica 2008), and an
+interval holds each point between two of its own on an axis.  So every
+∘-interval is the origin plus a suffix p_j..p_n, and every child interval
+holds P.  The child's are then, by the extension rule, the blocks
 B = (a, b, lo, hi) with a <= p <= b + 1 and lo <= v <= hi + 1, each joined
 with P into (a, b + 1, lo, hi + 1), for B a parent interval or the bare
-origin.  Proof: in the child, B's positions are a..b with those at or past
-p moved up one, so with p they fill a run exactly when a <= p <= b + 1, and
-that run is a..b + 1; values likewise.  Conversely, a proper child
-interval through P, less P and re-standardised, is a block of the parent
-around the origin that is not the whole parent, so a parent interval or
-the bare origin.  `trie_images` grows every word of the pin-word trie, or
-of a nested-dict trie it is given, at one step per word, and yields each
-image as its (lane int, origin index) pair, which its callers, the
-verify-tables walk and a spec's factor counts, only hash; `check_node`
-checks a walked word against the point route, put in lanes.  The two
-routes share no placement code.
+origin: O(#intervals).  Proof: in the child, B's positions are a..b with
+those at or past p moved up one, so with p they fill a run exactly when
+a <= p <= b + 1, and that run is a..b + 1; values likewise.  Conversely, a
+proper child interval, less P and re-standardised, is a block of the parent
+around the origin that is not the whole parent, so a parent interval or the
+bare origin.  `trie_images` grows every word of the pin-word trie, or of a
+nested-dict trie it is given, at one step per word, and yields each image
+as its (lane int, origin index) pair, which its callers, the verify-tables
+walk and a spec's factor counts, only hash; `check_node` checks a walked
+word against the point route, put in lanes.  The two routes share no
+placement code.
 """
 
 from __future__ import annotations
@@ -156,18 +161,10 @@ def _grow(node, letter: str):
     lanes of positions p..m stay, those above move up one lane, and v fills
     the lane between, so no value is decoded.
 
-    The child's intervals are the parent's that P does not split, shifted
-    past P, and, for each block B = (a, b, lo, hi) that is a parent
-    interval or the bare origin (k, k, vo, vo) with a <= p <= b + 1 and
-    lo <= v <= hi + 1, B joined with P as (a, b + 1, lo, hi + 1).  Proof:
-    B's shifted positions and values, with P's, are runs exactly then; and a
-    proper child interval through P, less P, is a block of the parent
-    around the origin short of the whole parent, so one of the B.
-
-    One pass over the parent's intervals keeps each unsplit one and joins
-    each one P extends.  The bare origin is tried after the pass, at the
-    parent's index k and value vo.  P's quadrant is read inline, against
-    the child's origin."""
+    Every child interval holds P (the lemma in the module docstring), so
+    one pass joins with P each parent interval, and then the bare origin
+    (k, k, vo, vo), that P extends (a <= p <= b + 1, lo <= v <= hi + 1), as
+    (a, b + 1, lo, hi + 1).  P's quadrant is read against the child's origin."""
     f, k, vo, last, top, intervals, quadrants, lanes = node
     units, masks, repunits = lanes
     m = f.bit_length() + 15 >> 4
@@ -191,8 +188,6 @@ def _grow(node, letter: str):
     g = (f - low << 16) + v * units[t] + low
     found = []
     for a, b, lo, hi in intervals:
-        if not (a < p <= b or lo < v <= hi):
-            found.append((a + (a >= p), b + (b >= p), lo + (lo >= v), hi + (hi >= v)))
         if a <= p <= b + 1 and lo <= v <= hi + 1:
             found.append((a, b + 1, lo, hi + 1))
     if k <= p <= k + 1 and vo <= v <= vo + 1:

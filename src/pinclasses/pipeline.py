@@ -46,6 +46,7 @@ from .pinword import (
     PinSpec,
     PinWord,
     as_spec,
+    check_spec_size,
     enumerate_pin_factors,
     is_recurrent,
     left_truncate,
@@ -60,21 +61,6 @@ from .series import (
 )
 
 _BOUND_WINDOW = 30
-# The factor walk has about 3|c|^2 nodes, each building an image of up to
-# 3|c| + 3 values in 16-bit lanes of one int, so its cost grows between the
-# square and the cube of a spec's length.  On a shared 2-core x86-64 host
-# with CPython 3.11.7, closure_gf and growth_rate of a seeded 1(c)* take
-# about 0.12 s at |c| = 64, 0.55 s at 128 and 2.0-2.7 s (336 MB) at 252,
-# whose walk runs to depth 759.
-MAX_SPEC_LENGTH = 256
-
-
-def _check_spec_size(spec: PinSpec) -> None:
-    size = spec.prefix_length + spec.cycle_length
-    if size > MAX_SPEC_LENGTH:
-        raise ParameterOutOfRange(
-            f"{spec} has {size} symbols in its prefix and cycle; at most {MAX_SPEC_LENGTH}"
-        )
 
 
 def _is_power_of_one_minus_z(den: Poly) -> bool:
@@ -133,8 +119,7 @@ def _check_pin_class_bounds(gs: GSequence) -> GSequence:
     return gs
 
 
-@lru_cache(maxsize=128)
-def _factor_counts(prefix: PinWord, cycle: str, mode: str) -> dict[int, tuple[int, ...]]:
+def _factor_counts(spec: PinSpec, mode: str) -> dict[int, tuple[int, ...]]:
     """Per length n, up to the stabilization window plus one cycle: the
     numbers of distinct ⊞-indecomposable pi-images of pin factors, in all
     and lying entirely in quadrant 1, 2, 3 and 4, as (g_n, g1_n, .., g4_n).
@@ -144,12 +129,9 @@ def _factor_counts(prefix: PinWord, cycle: str, mode: str) -> dict[int, tuple[in
     by one `trie_images` walk per numeral, which carries each image's flag
     and quadrant set.  Each longest factor's image, flag and one quadrant
     are checked against the routes built from scratch, and each length's
-    image counts against the classification-table route.  Keyed by the
-    written prefix and cycle, since the window depends on the written
-    prefix length.
+    image counts against the classification-table route.
     """
-    spec = PinSpec(prefix, cycle)
-    _check_spec_size(spec)
+    check_spec_size(spec)
     window = spec.prefix_length + 3 * spec.cycle_length + 2
     trie: dict = {}
     for w in enumerate_pin_factors(spec, window, mode):
@@ -218,7 +200,7 @@ def indecomposable_counts(spec, mode: str = "all") -> tuple[dict[int, int], RatG
     """Distinct ⊞-indecomposable pi-images of pin factors, per length, as
     explicit counts plus their generating function g(z)."""
     spec = as_spec(spec)
-    table = _factor_counts(spec.prefix, spec.cycle, mode)
+    table = _factor_counts(spec, mode)
     return {n: row[0] for n, row in table.items()}, _stabilized_gfs(spec, table)[0]
 
 
@@ -230,7 +212,7 @@ def amended_G(spec, mode: str = "all") -> GSequence:
     range.  That structural fact is asserted here.
     """
     spec = as_spec(spec)
-    gs = GSequence(*_stabilized_gfs(spec, _factor_counts(spec.prefix, spec.cycle, mode)))
+    gs = GSequence(*_stabilized_gfs(spec, _factor_counts(spec, mode)))
     _check_pin_class_bounds(gs)
     if not _is_power_of_one_minus_z(gs.G.den):
         raise BoundViolation(f"G denominator {gs.G.den.quoted()} is not a power of (1 - z)")
@@ -246,7 +228,7 @@ def _mode_sequence(spec, mode: str) -> GSequence:
     spec = as_spec(spec)
     if mode not in ("class", "closure", "interior"):
         raise ParameterOutOfRange(f"mode must be class, closure, or interior, got {mode!r}")
-    _check_spec_size(spec)
+    check_spec_size(spec)
     if mode == "class" and not is_recurrent(spec):
         raise NotRecurrent(
             f"{spec} is not recurrent, so its pin class is not ⊞-closed; "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from ._value import Value
@@ -38,6 +39,7 @@ from .errors import (
 MAX_PARSE_DEGREE = 128
 MAX_PARSE_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_PARSE_DIGITS
+_QUOTE_WIDTH = 140
 
 
 def _number(x):
@@ -242,11 +244,21 @@ class Poly(Value):
         return self._text(str)
 
     def quoted(self) -> str:
-        """The text of the polynomial for an error message: `str`, except
-        that a coefficient whose numerator or denominator has more than
-        MAX_PARSE_DIGITS digits, which CPython will not write out, shows
-        as its sign and that bound."""
-        return self._text(_short_number)
+        """The text of the polynomial for an error message, one line within
+        _QUOTE_WIDTH characters: `str`, except that a coefficient whose
+        numerator or denominator has more than MAX_PARSE_DIGITS digits, which
+        CPython will not write out, shows as its sign and that bound.  A
+        longer text keeps its leading terms, "...", its last term and its
+        degree, each run of over 12 digits cut to six and its length."""
+        text = self._text(_short_number)
+        if len(text) <= _QUOTE_WIDTH:
+            return text
+        text = re.sub(r"\d{13,}", lambda m: f"{m[0][:6]}...<{len(m[0])} digits>", text)
+        *head, last = re.split(r" (?=[+-] )", text)
+        tail = f"{last} (degree {self.degree})"
+        ends = accumulate(len(term) + 1 for term in head)
+        shown = [t for t, end in zip(head, ends) if end + len(tail) + 4 <= _QUOTE_WIDTH] or head[:1]
+        return " ".join(shown + ["..."] * (len(shown) < len(head)) + [tail])
 
     def _text(self, number) -> str:
         if self.is_zero():

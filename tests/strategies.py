@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies used across the test suite."""
+"""Shared hypothesis strategies, and seeded inputs, used across the test suite."""
+
+import random
 
 from hypothesis import strategies as st
 
@@ -55,3 +57,16 @@ def centred_perms(draw, max_n=6, min_n=0):
     random_state.shuffle(values)
     origin = draw(st.integers(min_value=1, max_value=n + 1))
     return CentredPerm(tuple(values), origin)
+
+
+def spec_of_size(size: int) -> str:
+    """A seeded spec text of ``size`` symbols: the numeral, one prefix
+    letter when ``size`` is even, and a cycle that alternates the axes and
+    uses the two letters of each axis about equally often."""
+    prefix = "1" + "r" * (1 - size % 2)
+    pairs = (size - len(prefix)) // 2
+    rng = random.Random(7)
+    ud, lr = list("ud" * pairs)[:pairs], list("lr" * pairs)[:pairs]
+    rng.shuffle(ud)
+    rng.shuffle(lr)
+    return prefix + "(" + "".join(a + b for a, b in zip(ud, lr)) + ")*"

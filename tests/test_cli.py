@@ -10,14 +10,16 @@ import time
 from pathlib import Path
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import pinclasses
-from pinclasses import cli, oracle, pipeline
+from pinclasses import classify, cli, oracle, pipeline
 from pinclasses.cli import RENDER_MAX_POINTS, main
-from pinclasses.cperm import MAX_CLOSURE_SUBSETS, MAX_GENERATOR_POINTS, as_generators
-from pinclasses.series import MAX_PARSE_DEGREE, Poly
+from pinclasses.cperm import MAX_CLOSURE_SUBSETS, as_generators
+from pinclasses.pinword import MAX_SPEC_LENGTH
+from pinclasses.series import MAX_PARSE_DEGREE, Poly, RatGF
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,8 +130,6 @@ class TestGf:
         """One symbol over MAX_SPEC_LENGTH exits 3 with one line, before the
         recurrence test or any factor enumeration: the factor walk grows as
         the cube of the spec's length, about 5 s at 256 symbols."""
-        from pinclasses.pipeline import MAX_SPEC_LENGTH
-
         rng = random.Random(7)
         letters = [rng.choice("ud") + rng.choice("lr") for _ in range(MAX_SPEC_LENGTH // 2)]
         spec = "1" + "r" * (MAX_SPEC_LENGTH % 2) + "(" + "".join(letters) + ")*"
@@ -173,6 +173,30 @@ class TestGrowth:
         code, out, err = run(capsys, "growth", "--poly", "1")
         assert code == 4
         assert "no roots" in err
+
+    def test_short_poly_quoted_whole(self, capsys):
+        code, out, err = run(capsys, "growth", "--poly", "1 + z + z^2")
+        assert code == 4 and not out
+        assert err == "error: 1 + z + z^2 has no root in (0, 1/2]\n"
+
+    @pytest.mark.parametrize(
+        "scale, head, last",
+        [
+            (1, "1 + 128z + 8128z^2 + ", "z^128"),
+            (10**4260, "100000...<4261 digits> + 128000...<4263 digits>z + ", "100000...<4261 digits>z^128"),
+        ],
+        ids=["binomials", "scaled"],
+    )
+    def test_long_poly_quoted_in_one_short_line(self, capsys, scale, head, last):
+        """(1 + z)^128 expanded has no root in (0, 1/2]; whole, its message
+        took 4,443 characters, and 553,984 scaled by 10^4260.  It quotes the
+        leading terms, "...", the last term and the degree."""
+        poly = Poly([comb(128, k) * scale for k in range(129)])
+        code, out, err = run(capsys, "growth", "--poly", str(poly))
+        assert code == 4 and not out
+        assert err.count("\n") == 1 and len(err) <= 201
+        assert err.startswith(f"error: {head}")
+        assert err.endswith(f" ... + {last} (degree 128) has no root in (0, 1/2]\n")
 
     @pytest.mark.parametrize("poly", ["0", "0z^3"])
     def test_zero_poly_is_a_precondition(self, capsys, poly):
@@ -364,6 +388,25 @@ class TestVerifyTables:
             main(["verify-tables", "--help"])
         assert "--jobs" not in capsys.readouterr().out
 
+    def test_table_mismatch_exits_five(self, capsys, monkeypatch):
+        """Tables that miss the decomposable 1uld and list 1ru and 1ur, whose
+        images differ, as colliding must be reported: match=NO at lengths 3
+        and 4, one `mismatch:` line for each on stderr, and exit 5."""
+        tabled, groups = classify.decomposable_words, classify.collision_groups_at
+        fake = frozenset({"1ru", "1ur"})
+        monkeypatch.setattr(classify, "decomposable_words", lambda n: tabled(n) - {"1uld"})
+        monkeypatch.setattr(
+            classify, "collision_groups_at", lambda n: groups(n) | {fake} if n == 3 else groups(n)
+        )
+        code, out, err = run(capsys, "verify-tables", "--n-max", "5")
+        assert code == 5
+        no = [line.endswith("match=NO") for line in out.splitlines()]
+        assert no == [False, False, True, True, False]
+        assert err.splitlines() == [
+            "mismatch: collision groups at n=3: not in table [], not found [['1ru', '1ur']]",
+            "mismatch: decomposables at n=4: not in table ['1uld'], not found []",
+        ]
+
     def test_bound_below_two(self, capsys):
         code, out, err = run(capsys, "verify-tables", "--n-max", "1")
         assert code == 3
@@ -383,8 +426,6 @@ class TestOracle:
     def test_spec_over_the_length_cap_fails_fast(self, capsys, method):
         """A spec eight times MAX_SPEC_LENGTH exits 3 with one line, before
         the census or the recurrence test, which take seconds on it."""
-        from pinclasses.pipeline import MAX_SPEC_LENGTH
-
         rng = random.Random(7)
         letters = [rng.choice("ud") + rng.choice("lr") for _ in range(4 * MAX_SPEC_LENGTH)]
         spec = "1(" + "".join(letters) + ")*"
@@ -393,6 +434,20 @@ class TestOracle:
         assert time.perf_counter() - start < 1
         assert code == 3 and not out
         assert f"at most {MAX_SPEC_LENGTH}" in err and err.count("\n") == 1
+
+    def test_census_differing_from_the_gf_exits_five(self, capsys, monkeypatch):
+        """A class GF one too high at z^3 must part from the composition
+        census: the counts and the reference are printed with match false,
+        and the run exits 5 with one line."""
+        class_gf = pipeline.class_gf
+        monkeypatch.setattr(pipeline, "class_gf", lambda spec: class_gf(spec) + RatGF(Poly([0, 0, 0, 1])))
+        argv = ["oracle", "1(ru)*", "--n", "4", "--method", "composition", "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        data = json.loads(out)
+        assert data["match"] is False
+        assert data["reference"] == [c + (n == 3) for n, c in enumerate(data["counts"])]
+        assert err.count("\n") == 1 and "differ from GF coefficients" in err
 
     def test_composition_match(self, capsys):
         code, out, _ = run(capsys, "oracle", "1(ru)*", "--n", "5", "--method", "composition")
@@ -579,23 +634,31 @@ class TestClosureOf:
         assert "bare origin" in err
 
     def test_generator_past_the_cap_fails_fast(self, capsys):
-        """A generator one point past MAX_GENERATOR_POINTS is refused before
-        its 2^L subsets are visited."""
-        n = MAX_GENERATOR_POINTS + 1
-        perm = ",".join(f"[{v}]" if v == 1 else str(v) for v in range(n + 1, 0, -1))
+        """One generator of L points has 2^L subsets: at L = 18 it meets
+        MAX_CLOSURE_SUBSETS and is accepted, and at L = 19 it is refused
+        before its subsets are visited."""
+        n = MAX_CLOSURE_SUBSETS.bit_length() - 1
+        assert [g.length for g in as_generators([descending(n)])] == [n] == [18]
         start = time.perf_counter()
-        code, out, err = run(capsys, "closure-of", "--perms", "41[3]52", perm)
+        code, out, err = run(capsys, "closure-of", "--perms", "41[3]52", descending(n + 1))
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
-        assert err.count("\n") == 1 and f"at most {MAX_GENERATOR_POINTS} points" in err
+        assert err.count("\n") == 1 and f"at most {MAX_CLOSURE_SUBSETS} subsets" in err
+        assert f"these have {(1 << n + 1) + 16}" in err
+
+    def test_generator_past_the_int_text_limit(self, capsys):
+        """2^15000 has more digits than `str` writes out, so the message
+        names the total by its power of two."""
+        code, out, err = run(capsys, "closure-of", "--perms", descending(15000))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.endswith("these have at least 2^15000\n")
 
     def test_generators_past_the_total_cap_fail_fast(self, capsys, monkeypatch):
-        """Generators at the point cap whose 2^L sum to MAX_CLOSURE_SUBSETS
-        pass; one bare origin more is one subset past the total cap, refused
+        """Four generators of 16 points, whose 2^L sum to MAX_CLOSURE_SUBSETS,
+        pass; one bare origin more is one subset past the cap, refused
         before any generator's subsets are visited."""
-        n = MAX_GENERATOR_POINTS
-        perm = ",".join(f"[{v}]" if v == 1 else str(v) for v in range(n + 1, 0, -1))
-        at_cap = [perm] * (MAX_CLOSURE_SUBSETS >> n)
+        n = MAX_CLOSURE_SUBSETS.bit_length() - 3
+        at_cap = [descending(n)] * (MAX_CLOSURE_SUBSETS >> n)
         assert sum(1 << g.length for g in as_generators(at_cap)) == MAX_CLOSURE_SUBSETS
 
         def unreached(gen):
@@ -610,6 +673,12 @@ class TestClosureOf:
         assert err.count("\n") == 1
         assert f"at most {MAX_CLOSURE_SUBSETS} subsets" in err
         assert f"these have {MAX_CLOSURE_SUBSETS + 1}" in err
+
+
+def descending(points: int) -> str:
+    """The generator of ``points`` points besides the origin, all in
+    quadrant 2: n + 1, n, .., 2, then the origin at value 1."""
+    return ",".join(f"[{v}]" if v == 1 else str(v) for v in range(points + 1, 0, -1))
 
 
 class TestRender:

@@ -36,11 +36,11 @@ from pinclasses.cperm import (
     from_oneline,
     is_box_indecomposable,
 )
-from pinclasses.pinword import as_spec
+from pinclasses.pinword import MAX_SPEC_LENGTH, as_spec
 from pinclasses.series import coeffs
 
 import tuple_levels
-from strategies import centred_perms, pin_specs, recurrent_specs
+from strategies import centred_perms, pin_specs, recurrent_specs, spec_of_size
 from tuple_levels import encode
 
 # Exhaustively computed class sizes, frozen here as the reference the
@@ -436,6 +436,22 @@ class TestGuards:
             ",".join([*map(str, range(1, k)), f"[{k}]", *map(str, range(k + 1, 256))])
             for k in range(1, 256)
         }
+
+    @pytest.mark.parametrize(
+        "census", [enumerate_class_subset, enumerate_class_composition], ids=["subset", "composition"]
+    )
+    def test_spec_past_the_length_cap_is_refused_first(self, monkeypatch, census):
+        """A spec one symbol over MAX_SPEC_LENGTH is refused before any
+        walk or recurrence test, as `gf` and `growth` refuse it."""
+
+        def unreached(*args):
+            raise AssertionError("a census walk started")
+
+        monkeypatch.setattr(_patterns, "walk_patterns", unreached)
+        for name in ("is_recurrent", "enumerate_pin_factors", "diagram_points"):
+            monkeypatch.setattr(oracle, name, unreached)
+        with pytest.raises(ParameterOutOfRange, match=f"at most {MAX_SPEC_LENGTH}$"):
+            census(spec_of_size(MAX_SPEC_LENGTH + 1), 6)
 
     def test_every_guard_keeps_the_values_in_a_byte(self):
         guards = [

@@ -175,6 +175,19 @@ class TestCarriedIntervals:
                 stack.extend((text + c, pimap._grow(node, c)) for c in NEXT_LETTERS[text[1:][-1:]])
         assert seen == 4 + sum(2 ** (n + 2) for n in range(2, 11))
 
+    def test_every_interval_is_the_origin_and_a_suffix(self):
+        """The lemma `_grow` rests on, on the point route: for every word
+        of up to 11 points, each ∘-interval of its image holds the origin
+        and p_j..p_n for some j, and no other point."""
+        for n in range(1, 12):
+            for w in all_pin_words(n):
+                pts = diagram_points(w)
+                # the point at each position of the image, x ranks being a run
+                at = sorted(range(n + 1), key=lambda i: pts[i][0])
+                for a, b in _centred_intervals(pi_map(w)):
+                    held = sorted(at[a - 1 : b])
+                    assert held == [0, *range(n + 2 - len(held), n + 1)], (str(w), a, b)
+
     @given(pin_words(max_letters=300))
     @settings(max_examples=40, deadline=None)
     def test_long_paths(self, w):
@@ -360,13 +373,7 @@ class TestAgainstTupleWalk:
             ):
                 assert (text, pair, flag, quadrants) == reference
         for mode in ("all", "recurrent"):
-            _factor_counts.cache_clear()
-            try:
-                assert _factor_counts(spec.prefix, spec.cycle, mode) == tuple_walk.factor_tables(
-                    spec, mode
-                )
-            finally:
-                _factor_counts.cache_clear()
+            assert _factor_counts(spec, mode) == tuple_walk.factor_tables(spec, mode)
 
     @given(pin_words(max_letters=300, min_letters=255))
     @settings(max_examples=20, deadline=None)
@@ -398,9 +405,7 @@ class TestAgainstTupleWalk:
     )
     @settings(max_examples=30, deadline=None)
     def test_factor_counts_match_the_tuple_walk(self, spec, mode):
-        assert _factor_counts(spec.prefix, spec.cycle, mode) == tuple_walk.factor_tables(
-            spec, mode
-        )
+        assert _factor_counts(spec, mode) == tuple_walk.factor_tables(spec, mode)
 
     @pytest.mark.parametrize("start", [1, 255])
     @pytest.mark.parametrize("table", ["units", "repunits"])

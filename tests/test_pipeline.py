@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinclasses import classify, pimap, pipeline
+from pinclasses import classify, pimap, pinword, pipeline
 from pinclasses.cperm import QUADRANT_POINT, is_box_indecomposable, one_quadrant
 from pinclasses.errors import (
     BoundViolation,
@@ -26,7 +26,9 @@ from pinclasses.errors import (
 from pinclasses.classify import all_pin_words
 from pinclasses.pimap import all_point_quadrants, pi_map
 from pinclasses.pinword import (
+    MAX_SPEC_LENGTH,
     _start_numerals,
+    check_spec_size,
     enumerate_pin_factors,
     left_truncate,
     parse_pin_spec,
@@ -52,7 +54,7 @@ from pinclasses.pipeline import (
     truncation_convergence,
 )
 from pinclasses.series import Poly, RatGF, seq
-from strategies import pin_specs
+from strategies import pin_specs, spec_of_size
 
 import fraction_poly as fp
 
@@ -140,7 +142,7 @@ class TestFactorImages:
     )
     @settings(max_examples=40, deadline=None)
     def test_counts_match_reference_from_scratch(self, spec, mode):
-        table = _factor_counts(spec.prefix, spec.cycle, mode)
+        table = _factor_counts(spec, mode)
         window = spec.prefix_length + 3 * spec.cycle_length + 2
         assert sorted(table) == list(range(1, window + 1))
         for n, row in table.items():
@@ -151,8 +153,8 @@ class TestFactorImages:
     )
     def test_equal_specs_written_differently(self, first, second):
         """Equal specs with different written prefixes need tables sized
-        for their own prefix, so the caches must not hand one to the other."""
-        _factor_counts.cache_clear()
+        for their own prefix, so `_start_numerals`' cache, keyed by the
+        written spec, must not hand one to the other."""
         _start_numerals.cache_clear()
         assert parse_pin_spec(first) == parse_pin_spec(second)
         assert class_gf(first) == FROZEN_CLASS_GFS["1(ru)*"]
@@ -160,18 +162,13 @@ class TestFactorImages:
 
     def test_incremental_image_checked_against_pi_map(self, monkeypatch):
         """A skewed image-level step in the walk must fail the check of the
-        longest factors, which places their points on the point route.  The
-        cache is cleared before and after."""
+        longest factors, which places their points on the point route."""
         grow = pimap._grow
         mirrored = {"l": "r", "r": "l", "u": "u", "d": "d"}
         monkeypatch.setattr(pimap, "_grow", lambda node, c: grow(node, mirrored[c]))
         spec = parse_pin_spec("1(ldru)*")
-        _factor_counts.cache_clear()
-        try:
-            with pytest.raises(CrossCheckMismatch):
-                _factor_counts(spec.prefix, spec.cycle, "all")
-        finally:
-            _factor_counts.cache_clear()
+        with pytest.raises(CrossCheckMismatch):
+            _factor_counts(spec, "all")
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -192,12 +189,8 @@ class TestFactorImages:
 
         monkeypatch.setattr(pipeline, "trie_images", corrupted)
         spec = parse_pin_spec("1(ru)*")
-        _factor_counts.cache_clear()
-        try:
-            with pytest.raises(CrossCheckMismatch):
-                _factor_counts(spec.prefix, spec.cycle, "all")
-        finally:
-            _factor_counts.cache_clear()
+        with pytest.raises(CrossCheckMismatch):
+            _factor_counts(spec, "all")
 
     def test_colliding_factors_carry_the_same_values(self, monkeypatch):
         """1r and 1u share an image, so a wrong quadrant set on 1u alone, a
@@ -210,12 +203,32 @@ class TestFactorImages:
 
         monkeypatch.setattr(pipeline, "trie_images", corrupted)
         spec = parse_pin_spec("1(ru)*")
-        _factor_counts.cache_clear()
-        try:
-            with pytest.raises(CrossCheckMismatch, match="another factor"):
-                _factor_counts(spec.prefix, spec.cycle, "all")
-        finally:
-            _factor_counts.cache_clear()
+        with pytest.raises(CrossCheckMismatch, match="another factor"):
+            _factor_counts(spec, "all")
+
+    def test_table_route_mismatch_is_reported(self, monkeypatch):
+        """A table that lists 1r, whose image is ⊞-indecomposable, as
+        decomposable must part the table route's count of indecomposables
+        from the direct one."""
+        tabled = classify.decomposable_words
+        monkeypatch.setattr(
+            classify, "decomposable_words", lambda n: tabled(n) | {"1r"} if n == 2 else tabled(n)
+        )
+        with pytest.raises(CrossCheckMismatch, match=r"table route gives 0 .* at n=2 .* gives 1"):
+            _factor_counts(parse_pin_spec("1(ru)*"), "all")
+
+    def test_overcount_mismatch_is_reported(self, monkeypatch):
+        """Tables that move the decomposable 1l into a collision group with
+        2d keep the table route's count of indecomposables, but their
+        overcount must then disagree with the distinct images."""
+        tabled, groups = classify.decomposable_words, classify.collision_groups_at
+        extra = frozenset({"1l", "2d"})
+        monkeypatch.setattr(classify, "decomposable_words", lambda n: tabled(n) - {"1l"})
+        monkeypatch.setattr(
+            classify, "collision_groups_at", lambda n: groups(n) | {extra} if n == 2 else groups(n)
+        )
+        with pytest.raises(CrossCheckMismatch, match="overcount 1 inconsistent .* at n=2"):
+            _factor_counts(parse_pin_spec("1(ldru)*"), "all")
 
 
 class TestGSequence:
@@ -770,19 +783,6 @@ class TestLongCycles:
         assert 4 < lo < hi < 6 and hi - lo < Fraction(1, 10**10)
 
 
-def spec_of_size(size: int) -> str:
-    """A seeded spec text of ``size`` symbols: the numeral, one prefix
-    letter when ``size`` is even, and a cycle that alternates the axes and
-    uses the two letters of each axis about equally often."""
-    prefix = "1" + "r" * (1 - size % 2)
-    pairs = (size - len(prefix)) // 2
-    rng = random.Random(7)
-    ud, lr = list("ud" * pairs)[:pairs], list("lr" * pairs)[:pairs]
-    rng.shuffle(ud)
-    rng.shuffle(lr)
-    return prefix + "(" + "".join(a + b for a, b in zip(ud, lr)) + ")*"
-
-
 class TestSpecLengthCap:
     """A spec of more than MAX_SPEC_LENGTH symbols is refused before any
     factor is enumerated: the factor walk grows as the cube of the length."""
@@ -800,8 +800,8 @@ class TestSpecLengthCap:
         ids=["class", "closure", "interior", "amended_G", "g", "describe"],
     )
     def test_one_symbol_over_the_cap_is_refused_first(self, monkeypatch, call):
-        spec = parse_pin_spec(spec_of_size(pipeline.MAX_SPEC_LENGTH + 1))
-        assert spec.prefix_length + spec.cycle_length == pipeline.MAX_SPEC_LENGTH + 1
+        spec = parse_pin_spec(spec_of_size(MAX_SPEC_LENGTH + 1))
+        assert spec.prefix_length + spec.cycle_length == MAX_SPEC_LENGTH + 1
 
         def unreached(*args):
             raise AssertionError("reached past the length cap")
@@ -815,11 +815,10 @@ class TestSpecLengthCap:
         """The window the factor walk reads depends on the written prefix,
         so the cap counts the spec as written: 1r(ur)* has 4 symbols though
         it equals 1(ru)*.  A spec exactly at the cap passes the guard."""
-        cap = pipeline.MAX_SPEC_LENGTH
-        spec = parse_pin_spec(spec_of_size(cap))
-        assert spec.prefix_length + spec.cycle_length == cap
-        pipeline._check_spec_size(spec)
-        monkeypatch.setattr(pipeline, "MAX_SPEC_LENGTH", 3)
+        spec = parse_pin_spec(spec_of_size(MAX_SPEC_LENGTH))
+        assert spec.prefix_length + spec.cycle_length == MAX_SPEC_LENGTH
+        check_spec_size(spec)
+        monkeypatch.setattr(pinword, "MAX_SPEC_LENGTH", 3)
         assert closure_gf("1(ru)*") == FROZEN_CLASS_GFS["1(ru)*"]
         with pytest.raises(ParameterOutOfRange):
             closure_gf("1r(ur)*")

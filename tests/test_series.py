@@ -18,6 +18,7 @@ from pinclasses.series import (
     MAX_PARSE_DIGITS,
     Poly,
     RatGF,
+    _QUOTE_WIDTH,
     coeffs,
     from_eventually_constant,
     from_eventually_periodic,
@@ -105,6 +106,18 @@ class TestPoly:
         assert big.quoted() == f"-{long}z + ({long})z^2"
         with pytest.raises(PoleAtZero, match=f"denominator -{long}z"):
             RatGF(1, big)
+
+    def test_quoted_cuts_only_a_text_past_the_width(self):
+        """The longest sum of z^0..z^k whose text fits _QUOTE_WIDTH is
+        quoted whole; one term more keeps the leading terms that fit, then
+        "...", the last term and the degree."""
+        k = max(k for k in range(60) if len(str(Poly([1] * (k + 1)))) <= _QUOTE_WIDTH)
+        fits, past = Poly([1] * (k + 1)), Poly([1] * (k + 2))
+        assert fits.quoted() == str(fits)
+        quoted = past.quoted()
+        assert len(quoted) <= _QUOTE_WIDTH < len(str(past))
+        head, tail = quoted.split(" ... ")
+        assert str(past).startswith(head + " + ") and tail == f"+ z^{k + 1} (degree {k + 1})"
 
     def test_mul_known(self):
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
@@ -209,7 +222,8 @@ class TestRatGF:
         b = RatGF(bn, bd)
         assert a + b == b + a
         assert a * b == b * a
-        assert a - a == RatGF.zero()
+        assert a - a == RatGF.zero() == -a + a
+        assert a * 3 == 3 * a == a + a + a and a * Fraction(1, 2) * 2 == a
         if b.num[0] != 0:  # 1/b is a power series only when b(0) != 0
             assert (a / b) * b == a
 
