@@ -5,12 +5,14 @@ dedupes their raw pi-map images and keeps only the counts of the
 ⊞-indecomposable ones, in all and per quadrant; the classification tables
 recompute every count as an independent cross-check, and any disagreement
 is a hard error.  A spec longer than MAX_SPEC_LENGTH symbols is refused.
-Growth rates come from integer bisection at dyadic points with an
-exact-rational Sturm-chain root-count certificate, so "smallest positive root"
-is a checked claim.  The square-free part and the Sturm chain run over the
-integers: each chain member is a primitive pseudo-remainder, a positive
-multiple of the member over the rationals, so every sign-variation count is
-the same.
+Growth rates come from Descartes bisection (Vincent-Collins-Akritas) on the
+primitive integer form of the polynomial itself: sign-variation counts of
+dyadic nodes of (0, 1/2] certify that no root lies left of the node that
+isolates the smallest one, so "smallest positive root" is a checked claim,
+and integer Horner at dyadic midpoints then halves that node to the
+tolerance.  A repeated root never counts 1, so only when a node no wider
+than the tolerance still counts 2 or more does the walk restart on the
+square-free part, a primitive pseudo-remainder gcd over the integers.
 """
 
 from __future__ import annotations
@@ -428,9 +430,10 @@ def complete_class_gf(quadrants=(1, 2, 3, 4)) -> RatGF:
 
 
 # Bisection cost grows about as the cube of the digits of 1/tol, since step m
-# multiplies numbers of m·deg bits.  On a 2-core x86-64 host with CPython 3.11,
-# 1 - 2z - z^3 takes 0.08 s at 1e-1000, 1.3 s at 1e-3000 and 29 s at 1e-10000;
-# the degree-5 denominator of 1(ldru)* takes 0.4 s, 6.8 s and 149 s.
+# is one Horner on numbers of m·deg bits.  On a shared 2-core x86-64 host with
+# CPython 3.11.7, 1 - 2z - z^3 takes 0.04 s at 1e-1000, 0.6 s at 1e-3000 and
+# 16 s at 1e-10000; the degree-5 denominator of 1(ldru)* takes 0.11 s, 2.0 s
+# and 57 s.
 _MIN_TOL = Fraction(1, 10**1000)
 # A growth interval at the tolerance floor fixes about a thousand digits; the
 # decimal is divided out at ``digits`` precision, so a larger request would
@@ -447,14 +450,8 @@ def _square_free(p: Poly) -> Poly:
     return p.divmod(g.primitive())[0] if g.degree > 0 else p
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    """The Sturm chain of p as primitive integer polynomials, each a
-    positive multiple of its member over the rationals."""
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero():
-        chain.append(-chain[-2].pseudo_remainder(chain[-1]).primitive())
-    chain.pop()
-    return chain
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _sign_changes(values) -> int:
@@ -462,26 +459,70 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    return _sign_changes([p(x) for p in chain])
+def _taylor_shift(cs: list[int]) -> list[int]:
+    """The coefficients of c(x + 1) from those of c(x), lowest first, by
+    repeated synthetic division: d(d+1)/2 integer additions."""
+    a = list(cs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
 
 
-def _roots_in(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in the half-open interval (a, b]."""
-    return _variations(chain, a) - _variations(chain, b)
+def _dyadic_sign(cs, k: int, m: int) -> int:
+    """The sign of p(k / 2^m), read from 2^(m·deg) p(k / 2^m) by integer
+    Horner on p's integer coefficients ``cs``."""
+    acc = shift = 0
+    for c in reversed(cs):
+        acc = acc * k + (c << shift)
+        shift += m
+    return _sign(acc)
 
 
-def _dyadic_variations(chain: list[Poly], k: int, m: int) -> int:
-    """Sign variations of an integer chain at k / 2^m, each member's sign
-    read from 2^(m·deg) p(k / 2^m) by integer Horner."""
-    values = []
-    for p in chain:
-        acc = shift = 0
-        for c in reversed(p.coeffs):
-            acc = acc * k + (c << shift)
-            shift += m
-        values.append(acc)
-    return _sign_changes(values)
+def _first_root_node(p: Poly, tol: Fraction | None):
+    """Descartes bisection (Collins & Akritas) for the smallest root of the
+    primitive integer polynomial p in (0, 1/2].
+
+    Node (k/2^m, (k+1)/2^m] carries the integer polynomial c, a power of 2
+    times p((k + x)/2^m), whose roots in (0, 1) are p's in the node.  Its
+    count, the sign variations of the Taylor shift by 1 of c's reversed
+    coefficients, is at least the number of those roots and of the same
+    parity (Descartes' rule), and c's coefficient sum has the sign of p at
+    the node's right end.  A node's left child is 2^d·c(x/2), its right
+    child that shifted by 1.  The walk visits the left child first, drops a
+    node that counts 0, and stops at the first node that counts 1 with no
+    root at its right end, or counts 0 with one there: the zero counts to
+    its left and that count or exact zero certify that it holds the
+    smallest root and no other.
+
+    A repeated root never counts 1, so once a node no wider than ``tol``
+    still counts 2 or more, the walk restarts on p's square-free part with
+    no such trigger; a square-free p terminates (Vincent's theorem).
+
+    Returns (k, m, the sign of p at (k+1)/2^m, the polynomial walked), or
+    None when p has no root in (0, 1/2]."""
+    d = p.degree
+    stack = [(0, 1, [c << (d - i) for i, c in enumerate(p.coeffs)], False)]
+    while stack:
+        k, m, node, shifted = stack.pop()
+        if shifted:
+            node = _taylor_shift(node)
+        count = _sign_changes(_taylor_shift(node[::-1]))
+        at_hi = sum(node)
+        if count == 0:
+            if at_hi == 0:
+                return k, m, 0, p
+            continue
+        if count == 1 and at_hi:
+            return k, m, _sign(at_hi), p
+        if count > 1 and tol is not None and tol.denominator <= tol.numerator << m:
+            square_free = _square_free(p)
+            if square_free.degree < d:
+                return _first_root_node(square_free, None)
+            tol = None
+        left = [c << (d - i) for i, c in enumerate(node)]
+        stack += [(2 * k + 1, m + 1, left, True), (2 * k, m + 1, left, False)]
+    return None
 
 
 class GrowthResult:
@@ -490,8 +531,8 @@ class GrowthResult:
     ``root_interval`` isolates the smallest positive real root of
     ``polynomial`` in (0, 1/2]; ``growth_rate`` is the decimal rendering of
     its reciprocal interval's midpoint, rounded from the exact midpoint.
-    The interval carries a Sturm-count certificate that no root lies in
-    (0, lo].  An interval other than 0 < lo < hi raises ParameterOutOfRange;
+    The interval carries a Descartes-count certificate that no root lies
+    in (0, lo].  An interval other than 0 < lo < hi raises ParameterOutOfRange;
     a midpoint beyond the float range raises OverflowError.
     """
 
@@ -563,36 +604,44 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     root interval is at most ``tol`` wide and its lower end is positive;
     ``tol`` is an int, Fraction or Decimal of at least 10^-1000, checked
     before it is made exact (the exact fraction of a tiny Decimal is itself
-    slow to build).
+    slow to build); one above 1 acts as 1.
     """
     if not tol > 0:
         raise ParameterOutOfRange(f"tolerance must be positive, got {tol}")
     if tol < _MIN_TOL:
         raise ParameterOutOfRange("tolerance must be at least 1e-1000")
-    tol = Fraction(tol)
+    # every tol of 1/2 or more gives the same bracket, and the exact
+    # fraction of a huge Decimal is slow to build
+    tol = Fraction(min(tol, 1))
     _check_digits(digits)
     poly = f_or_g if isinstance(f_or_g, Poly) else f_or_g.den
     if poly.is_zero():
         raise ParameterOutOfRange("the zero polynomial vanishes everywhere: no smallest root")
-    p = _square_free(poly)
-    if p.degree < 1:
+    if poly.degree < 1:
         raise NoRootInRange(f"{poly.quoted()} has no roots at all")
-    chain = _sturm_chain(p)
-    # the bracket is (k/2^m, (k+1)/2^m], starting at (0, 1/2]; sign
-    # variations at its lower end change only when it moves, so carry them
-    k, m = 0, 1
-    var_lo = _dyadic_variations(chain, k, m)
-    if var_lo - _dyadic_variations(chain, k + 1, m) == 0:
+    found = _first_root_node(poly.primitive(), tol)
+    if found is None:
         raise NoRootInRange(f"{poly.quoted()} has no root in (0, 1/2]")
-    # halve until the width 2^-m is at most tol and the lower end is past 0
-    while k == 0 or tol.denominator > tol.numerator << m:
+    # the node (k/2^m, (k+1)/2^m] holds the smallest root and no other: halve
+    # it by the sign of p at each midpoint, carried at the upper end, until
+    # the width 2^-m is at most tol and the lower end is past 0
+    k, m, s_hi, p = found
+    num, den = tol.numerator, tol.denominator
+    while k == 0 or den > num << m:
         k, m = 2 * k, m + 1
-        var_mid = _dyadic_variations(chain, k + 1, m)
-        if var_lo - var_mid < 1:
-            k, var_lo = k + 1, var_mid
-    lo, hi = Fraction(k, 1 << m), Fraction(k + 1, 1 << m)
-    if _roots_in(chain, Fraction(0), lo) != 0 or _roots_in(chain, lo, hi) < 1:
+        s_mid = _dyadic_sign(p.coeffs, k + 1, m)
+        if s_mid and s_mid != s_hi:
+            k += 1
+        else:
+            s_hi = s_mid
+    # p must change sign across the node, or vanish only at its upper end
+    if _dyadic_sign(p.coeffs, k, m) in (0, s_hi):
         raise CrossCheckMismatch("root isolation certificate failed")
+    # a node deeper than tol asks for is coarsened to the first level the
+    # halving rule stops at, which holds the same root
+    while k > 1 and den <= num << (m - 1):
+        k, m = k >> 1, m - 1
+    lo, hi = Fraction(k, 1 << m), Fraction(k + 1, 1 << m)
     try:
         return GrowthResult((lo, hi), poly, digits=digits)
     except OverflowError:
@@ -600,11 +649,23 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
 
 
 def _positive_on(p: Poly, alpha: Fraction) -> bool:
-    """Certify p > 0 on (0, alpha]: a Sturm count finds no root of its
-    square-free part there, and its lowest term, which fixes its sign just
-    right of 0, is positive."""
+    """Certify p > 0 on (0, alpha], alpha at most 1/2: its lowest term,
+    which fixes its sign just right of 0, is positive, and the Descartes walk
+    on its square-free part finds no root in (0, alpha].  The first root
+    node lies past alpha, or holds alpha with p(alpha) of the sign opposite
+    to p's at the node's right end, or has its one root at that end."""
     lowest = next((c for c in p.coeffs if c), 0)
-    return lowest > 0 and _roots_in(_sturm_chain(_square_free(p)), Fraction(0), alpha) == 0
+    if lowest <= 0:
+        return False
+    found = _first_root_node(_square_free(p), None)
+    if found is None:
+        return True
+    k, m, s_hi, q = found
+    if alpha <= Fraction(k, 1 << m):
+        return True
+    if alpha >= Fraction(k + 1, 1 << m):
+        return False
+    return s_hi == 0 or _sign(q(alpha)) == -s_hi
 
 
 def interior_positivity(spec) -> bool:

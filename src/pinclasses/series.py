@@ -31,11 +31,14 @@ from .errors import (
 
 # `Poly.parse` bounds its input so that `growth --poly` always ends in
 # seconds and every parsed coefficient prints: exponents are at most
-# MAX_PARSE_DEGREE (through `growth_rate`, a dense polynomial with random
-# one-digit coefficients takes about 0.3 s at degree 128 and 4 s at degree
-# 256 on a shared 2-core Intel Xeon with CPython 3.11.7), and each
-# coefficient's numerator and denominator have at most MAX_PARSE_DIGITS
-# digits, CPython's default limit for int-text conversion.
+# MAX_PARSE_DEGREE, and each coefficient's numerator and denominator have at
+# most MAX_PARSE_DIGITS digits, CPython's default limit for int-text
+# conversion.  Through `growth_rate`, on a shared 2-core x86-64 host with
+# CPython 3.11.7, a dense polynomial with random one-digit coefficients takes
+# 2 ms at degree 128 and 6 ms at degree 256.  A repeated smallest root sends
+# it to the square-free part's gcd, which sets the degree bound: times a
+# double root, such a cofactor takes 0.19 s at degree 128 and 2.4 s at 256,
+# and one with 20-digit coefficients 6.1 s at degree 128.
 MAX_PARSE_DEGREE = 128
 MAX_PARSE_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_PARSE_DIGITS

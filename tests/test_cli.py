@@ -274,6 +274,70 @@ class TestGrowth:
         lo, hi = (Fraction(x) for x in lines[1].removeprefix("exact interval: [")[:-1].split(", "))
         assert lo < 3 < hi and hi - lo < Fraction(1, 10**10)
 
+    def test_double_smallest_root_at_the_degree_bound_in_bounded_time(self, capsys):
+        """(1 - 3z)^2 times a dense cofactor of degree MAX_PARSE_DEGREE - 2:
+        the double root never counts 1, so the square-free part is taken."""
+        rng = random.Random(5)
+        middle = [rng.randint(-9, 9) for _ in range(MAX_PARSE_DEGREE - 3)]
+        poly = Poly([1, -6, 9]) * Poly([100, *middle, rng.randint(1, 9)])
+        assert poly.degree == MAX_PARSE_DEGREE
+        start = time.perf_counter()
+        code, out, err = run(capsys, "growth", "--poly", str(poly))
+        assert time.perf_counter() - start < 5
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert lines[0] == "growth = 3"
+        lo, hi = (Fraction(x) for x in lines[1].removeprefix("exact interval: [")[:-1].split(", "))
+        assert lo < 3 < hi and hi - lo < Fraction(1, 10**10)
+
+    @pytest.mark.parametrize(
+        "degree, digits, code, head",
+        [
+            (64, 100, 4, "798093...<100 digits> - 544209...<100 digits>z + "),
+            (128, 20, 0, "43252645487099920653 - 35302312877551243142z - "),
+            (128, 100, 4, "722147...<100 digits> + 193642...<100 digits>z - "),
+        ],
+        ids=["64x100", "128x20", "128x100"],
+    )
+    def test_large_coefficients_in_bounded_time(self, capsys, degree, digits, code, head):
+        """Seeded polynomials with coefficients of exactly ``digits``
+        digits and random signs.  A Sturm chain's pseudo-remainders made
+        these take 12 s to over 100 s; the outputs are the ones that route
+        printed."""
+        rng = random.Random(1000 * degree + digits)
+        poly = Poly(
+            [
+                rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+                for _ in range(degree + 1)
+            ]
+        )
+        start = time.perf_counter()
+        got, out, err = run(capsys, "growth", "--poly", str(poly))
+        assert time.perf_counter() - start < 2
+        assert got == code
+        if code == 4:
+            assert not out and err.count("\n") == 1
+            assert err.startswith(f"error: {head}")
+            assert err.endswith(f"(degree {degree}) has no root in (0, 1/2]\n")
+        else:
+            assert not err and str(poly).startswith(head)
+            assert out.splitlines() == [
+                "growth = 2.241653169",
+                "exact interval: [1099511627776/490491411793, 68719476736/30655713237]",
+                f"smallest root of {poly} in "
+                "(30655713237/68719476736, 490491411793/1099511627776]",
+            ]
+
+    def test_huge_tolerance_ends_at_once(self, capsys):
+        """Every tolerance of 1/2 or more gives the same bracket, so a huge
+        one is cut to 1 before its exact fraction, which alone would take
+        seconds to build."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "growth", "--poly", "1-2z", "--tol", "1e999999999")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and not err
+        assert run(capsys, "growth", "--poly", "1-2z", "--tol", "1") == (0, out, "")
+
     def test_thirty_digits_are_exact(self, capsys):
         """The decimal is rounded from the exact midpoint, not from a float,
         so every digit the interval fixes is right: the growth rate of

@@ -57,6 +57,7 @@ from pinclasses.series import Poly, RatGF, seq
 from strategies import pin_specs, spec_of_size
 
 import fraction_poly as fp
+import sturm_reference as sturm
 
 Z = Poly.parse("z")
 ONE = Poly.parse("1")
@@ -563,8 +564,8 @@ class TestGrowthRate:
         assert Fraction(data["interval"][0]) < Fraction(data["interval"][1])
 
     def test_bisection_evaluates_each_midpoint_once(self, monkeypatch):
-        dyadic, exact = [], []
-        for name, calls in (("_dyadic_variations", dyadic), ("_variations", exact)):
+        shifts, horner = [], []
+        for name, calls in (("_taylor_shift", shifts), ("_dyadic_sign", horner)):
 
             def counted(*args, original=getattr(pipeline, name), calls=calls):
                 calls.append(args)
@@ -574,10 +575,12 @@ class TestGrowthRate:
         result = growth_rate(class_gf("1(ru)*"), tol=Fraction(1, 2**40))
         lo, hi = result.root_interval
         assert hi - lo == Fraction(1, 2**40)
-        # 39 halvings of (0, 1/2] and its two ends on the integral chain;
-        # the exact-rational certificate alone evaluates at Fractions
-        assert len(dyadic) == 39 + 2
-        assert len(exact) == 4
+        # the walk's one node, (0, 1/2], counts 1 by one Taylor shift; then
+        # one integer Horner for each of its 39 halvings, and one at the
+        # lower end for the final sign check
+        assert len(shifts) == 1
+        assert len(horner) == 39 + 1
+        assert {args[0] for args in horner} == {(1, -2, 0, -1)}
 
     @pytest.mark.parametrize("tol", [Fraction(1, 2), 1])
     def test_coarse_tolerance_still_brackets_the_root(self, tol):
@@ -725,8 +728,9 @@ def _positive_multiple(got: Poly, want) -> bool:
 
 
 class TestIntegerCore:
-    """The primitive pseudo-remainder gcd, square-free part and Sturm chain
-    against the Euclidean ones over the rationals."""
+    """The primitive pseudo-remainder gcd, square-free part and the
+    reference route's integer Sturm chain against the Euclidean ones over
+    the rationals."""
 
     @given(_core_polys(8, 8), _core_polys(16, 16), _core_polys(16, 16))
     @settings(max_examples=40, deadline=None)
@@ -735,7 +739,9 @@ class TestIntegerCore:
             want = fp.gcd(fp.frac_poly(a), fp.frac_poly(b))
             assert a.gcd(b).coeffs == want == b.gcd(a).coeffs
 
-    @given(_core_polys(), st.lists(_small_fractions, min_size=1, max_size=6))
+    # the Fraction chain costs about degree^6, so it is drawn at low degrees;
+    # TestDescartesAgainstSturm runs the integer chain at high ones
+    @given(_core_polys(24, 12), st.lists(_small_fractions, min_size=1, max_size=6))
     @settings(max_examples=8, deadline=None)
     def test_sturm_chain_matches_reference(self, p, points):
         self.check_chain(p, points)
@@ -755,13 +761,138 @@ class TestIntegerCore:
         square_free = pipeline._square_free(p)
         want = fp.square_free(fp.frac_poly(p))
         assert _positive_multiple(square_free, want)
-        chain, reference = pipeline._sturm_chain(square_free), fp.sturm_chain(want)
+        chain, reference = sturm.sturm_chain(square_free), fp.sturm_chain(want)
         assert len(chain) == len(reference)
         for member, ref in zip(chain, reference):
             assert all(type(c) is int for c in member.coeffs)
             assert member == member.primitive() and _positive_multiple(member, ref)
         for x in points:
-            assert pipeline._variations(chain, x) == fp.variations(reference, x)
+            assert sturm.variations(chain, x) == fp.variations(reference, x)
+
+
+_ISOLATION_TOLERANCES = [
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(1, 3),
+    Fraction(1, 100),
+    Fraction(1, 10**12),
+    Fraction(1, 2**40),
+    Fraction(1, 10**50),
+]
+
+_roots_in_window = st.one_of(
+    st.builds(
+        lambda e, j: Fraction(j % 2**e or 1, 2 ** (e + 1)),
+        st.integers(1, 12),
+        st.integers(1, 4096),
+    ),
+    st.just(Fraction(1, 2)),
+    st.fractions(Fraction(1, 1000), Fraction(1, 2), max_denominator=10**6),
+)
+
+
+@st.composite
+def _isolation_cases(draw):
+    """A polynomial and the roots put into it: a cofactor of one-digit
+    integer coefficients up to degree 40, or rational ones up to degree 8,
+    maybe times z or z^2, times up to three linear factors with roots in
+    (0, 1/2], dyadic ones and 1/2 among them, each maybe with a second root
+    10^-2 to 10^-12 above it and maybe squared."""
+    if draw(st.booleans()):
+        cs, top = st.integers(-9, 9), 40
+    else:
+        cs, top = st.fractions(-9, 9, max_denominator=12), 8
+    degree = draw(st.integers(0, top))
+    p = Poly(draw(st.lists(cs, min_size=degree + 1, max_size=degree + 1)))
+    p = (ONE if p.is_zero() else p).shift(draw(st.integers(0, 2)))
+    roots = []
+    for _ in range(draw(st.integers(0, 3))):
+        root = draw(_roots_in_window)
+        roots.append(root)
+        if draw(st.booleans()):
+            roots.append(root + Fraction(1, 10 ** draw(st.integers(2, 12))))
+    for root in roots:
+        linear = Poly([root.denominator, -root.numerator])
+        p = p * linear * (linear if draw(st.booleans()) else ONE)
+    return p, roots
+
+
+def _descartes_bracket(poly: Poly, tol: Fraction):
+    try:
+        return growth_rate(poly, tol=tol).root_interval
+    except NoRootInRange:
+        return None
+
+
+class TestDescartesAgainstSturm:
+    """The Descartes bisection against the integer Sturm chain of
+    tests/sturm_reference.py: the same bracket, or no root, on every input."""
+
+    @given(_isolation_cases(), st.sampled_from(_ISOLATION_TOLERANCES))
+    @example((Poly.parse("1 - 2z"), []), Fraction(1, 10**12))
+    @example((Poly.parse("1 - 2z") * Poly.parse("1 - 2z"), []), Fraction(1, 3))
+    # (1 - 4z)^2 (1 - 2z - z^3): a double root at 1/4, below a simple one
+    @example((Poly.parse("1 - 10z + 32z^2 - 33z^3 + 8z^4 - 16z^5"), []), Fraction(1, 10**12))
+    @example((Poly.parse("z - 4z^2"), []), Fraction(1))
+    @example((Poly.parse("1 + z + z^2"), []), Fraction(1, 10**12))
+    @settings(max_examples=120, deadline=None)
+    def test_same_bracket(self, case, tol):
+        poly, _ = case
+        assert _descartes_bracket(poly, tol) == sturm.sturm_bisection(poly, tol)
+
+    @pytest.mark.parametrize("tol", _ISOLATION_TOLERANCES, ids=str)
+    @pytest.mark.parametrize("den", ANCHOR_DENOMINATORS, ids=str)
+    def test_anchor_denominators(self, den, tol):
+        assert _descartes_bracket(den, tol) == sturm.sturm_bisection(den, tol)
+
+    def test_dense_degree_128(self):
+        """The dense one-digit polynomial of the CLI's degree-cap test, and
+        its square, whose smallest root is double."""
+        rng = random.Random(5)
+        middle = [rng.randint(-9, 9) for _ in range(126)]
+        poly = Poly([1, -3]) * Poly([100, *middle, rng.randint(1, 9)])
+        tol = Fraction(1, 10**12)
+        want = sturm.sturm_bisection(poly, tol)
+        assert _descartes_bracket(poly, tol) == want
+        assert _descartes_bracket(poly * Poly([1, -3]), tol) == want
+
+    def test_final_node_sign_check(self, monkeypatch):
+        """A walk that handed back (1/8, 1/4], where 1 - 2z - z^3 has no
+        root, would be halved to a node without a sign change: the final
+        check refuses it."""
+        monkeypatch.setattr(pipeline, "_first_root_node", lambda p, tol: (1, 3, 1, p))
+        with pytest.raises(CrossCheckMismatch, match="certificate"):
+            growth_rate(Poly.parse("1 - 2z - z^3"))
+
+    def test_square_free_part_only_for_a_repeated_root(self, monkeypatch):
+        """A node no wider than tol that still counts 2 or more is what
+        calls for the square-free part, so simple roots never compute a
+        gcd, and a double smallest root computes one."""
+        calls = []
+        square_free = pipeline._square_free
+        monkeypatch.setattr(pipeline, "_square_free", lambda p: calls.append(p) or square_free(p))
+        for f in FROZEN_CLASS_GFS.values():
+            growth_rate(f)
+        for den in ANCHOR_DENOMINATORS:
+            growth_rate(den, tol=Fraction(1, 10**50))
+        assert calls == []
+        cubic = Poly.parse("1 - 2z - z^3")
+        assert growth_rate(cubic * cubic).root_interval == growth_rate(cubic).root_interval
+        assert len(calls) == 1
+
+    @given(_isolation_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_positivity_matches_a_sturm_count(self, case, data):
+        """`_positive_on` against its definition on the Sturm route: the
+        lowest term positive and no root of the square-free part in
+        (0, alpha], alpha often one of the roots put in."""
+        poly, roots = case
+        fixed = [Fraction(1, 8), Fraction(1, 3), Fraction(1, 2)]
+        alpha = data.draw(st.sampled_from(roots + fixed if roots else fixed))
+        lowest = next((c for c in poly.coeffs if c), 0)
+        chain = sturm.sturm_chain(pipeline._square_free(poly))
+        want = lowest > 0 and sturm.roots_in(chain, Fraction(0), alpha) == 0
+        assert pipeline._positive_on(poly, alpha) == want
 
 
 class TestLongCycles:
