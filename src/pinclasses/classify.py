@@ -22,7 +22,7 @@ first from the words of length _ROOT_LENGTH: each word's image and
 (`pimap.trie_images`), and each word goes straight into its length's
 image -> word texts map and decomposable list.  Under each root, the first
 deepest leaf and the first word flagged decomposable are checked against
-the pi-map and `is_box_indecomposable` built from scratch (`pimap.check_node`).
+the routes built from scratch (`pimap.check_node`).
 """
 
 from __future__ import annotations
@@ -194,19 +194,19 @@ def _walk(root: PinWord, n_max: int, tables: dict[int, tuple[dict, list]]) -> No
     """Add root and its extensions up to length n_max to tables, which
     holds per length image pair -> word texts and the decomposable word
     texts.  The first deepest leaf and the first word flagged decomposable
-    are checked against the pi-map and the ⊞-indecomposability built from
-    scratch."""
+    are checked against the routes built from scratch (`check_node`)."""
     leaf = decomposable = None
-    for text, img, indecomposable, _ in trie_images(root, n_max):
+    for node in trie_images(root, n_max):
+        text, img, indecomposable, _ = node
         n = len(text)
         images, decs = tables[n]
         images[img] = images.get(img, ()) + (text,)
         if not indecomposable:
             decs.append(text)
             if decomposable is None:
-                decomposable = (text, img, indecomposable)
+                decomposable = node
         if n == n_max and leaf is None:
-            leaf = (text, img, indecomposable)
+            leaf = node
     for node in (leaf, decomposable):
         if node is not None:
             check_node(*node)

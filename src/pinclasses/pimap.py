@@ -38,12 +38,11 @@ those at or past p moved up one, so with p they fill a run exactly when
 a <= p <= b + 1, and that run is a..b + 1; values likewise.  Conversely, a
 proper child interval, less P and re-standardised, is a block of the parent
 around the origin that is not the whole parent, so a parent interval or the
-bare origin.  `trie_images` grows every word of the pin-word trie, or of a
-nested-dict trie it is given, at one step per word, and yields each image
-as its (lane int, origin index) pair, which its callers, the verify-tables
-walk and a spec's factor counts, only hash; `check_node` checks a walked
-word against the point route, put in lanes.  The two routes share no
-placement code.
+bare origin.  `trie_images` (every word under a root, depth first) and
+`prefix_levels` (given texts' prefixes, one length at a time) grow a word
+at one step and yield its image as a (lane int, origin index) pair, which
+their callers only hash; `check_node` checks a walked word against the
+point route.  The two routes share no placement code.
 """
 
 from __future__ import annotations
@@ -203,43 +202,54 @@ def _grow(node, letter: str):
     return g, j, vo, p, letter == "u", found, quadrants, lanes
 
 
-# The (letter, None) children of a word by its last letter, in reverse
-# LETTERS order, so that a stack pops them in LETTERS order.
-_CHILDREN = {last: tuple((c, None) for c in reversed(cs)) for last, cs in NEXT_LETTERS.items()}
-
-
-def trie_images(root, n_max: int, trie=None):
+def trie_images(root, n_max: int):
     """Yield (word text, image as its (lane int, origin index) pair,
-    ⊞-indecomposable?, quadrant set) for root and every extension of it up
-    to length n_max, depth first.  Each word's node is its parent's plus
-    one `_grow` step, so a word costs one placement and one pass over its
-    parent's ∘-intervals.  ``trie``, if given, is a nested dict from each
-    letter that may follow the root to its own such dict, and the walk
-    keeps to the words it spells, in the trie's insertion order; without
-    it, every letter that may follow a word extends it, in LETTERS order.
-    A word's children are pushed in one plain loop, in reverse, from
-    `_CHILDREN` or the reversed trie items; `_grow` is looked up at each
-    step."""
+    ⊞-indecomposable?, quadrant set) for root and its extensions up to
+    length n_max, depth first in LETTERS order: each word's node is its
+    parent's plus one `_grow` step, looked up at each step."""
     root = as_word(root)
     node = _seed(root.numeral, max(n_max, root.length))  # the longest word walked
     for letter in root.letters:
         node = _grow(node, letter)
-    stack = [(str(root), root.letters[-1:], trie, node)]
+    stack = [(str(root), root.letters[-1:], node)]
     pop, push = stack.pop, stack.append
     while stack:
-        text, last, sub, node = pop()
+        text, last, node = pop()
         f, k, _, _, _, intervals, quadrants, _ = node
         yield text, (f, k), not intervals, quadrants
         if len(text) < n_max:
-            for c, below in _CHILDREN[last] if sub is None else reversed(sub.items()):
-                push((text + c, c, below, _grow(node, c)))
+            for c in reversed(NEXT_LETTERS[last]):  # so the stack pops LETTERS order
+                push((text + c, c, _grow(node, c)))
 
 
-def check_node(w, image: tuple, indecomposable: bool) -> CentredPerm:
-    """Check a `trie_images` node of the word w (or its text) against the
-    routes built from scratch: its image pair against `pi_map`'s, in
-    lanes, its flag against `is_box_indecomposable`.  Returns the image
-    built from scratch."""
+def prefix_levels(texts):
+    """Yield, for n = 1 up to the length of the pin word ``texts`` (all of
+    one length), their distinct length-n prefixes as `trie_images`' tuples,
+    one list a length, in sorted order.  Sorted, a text that first differs
+    from the one before at position j starts a run of texts with one prefix
+    at length j + 1, grown from the run before it: one `_grow` per prefix."""
+    texts = sorted(set(texts))
+    depth = len(texts[0]) if texts else 0
+    born = [[] for _ in range(depth)]  # run starts, by the position they differ at
+    for i, (before, text) in enumerate(zip(["", *texts], texts)):
+        born[next((j for j, (a, b) in enumerate(zip(before, text)) if a != b), 0)].append(i)
+    level: dict = {}
+    for n in range(depth):
+        grow, node, parents, level = _grow, None, level, {}
+        for i in sorted([*parents, *born[n]]):
+            node = parents.get(i, node)
+            level[i] = grow(node, texts[i][n]) if n else _seed(int(texts[i][0]), depth)
+        yield [
+            (texts[i][: n + 1], (f, k), not intervals, quadrants)
+            for i, (f, k, _, _, _, intervals, quadrants, _) in level.items()
+        ]
+
+
+def check_node(w, image: tuple, indecomposable: bool, quadrants) -> None:
+    """Check a walked node of the word w (or its text) against the routes
+    built from scratch: its image pair against `pi_map`'s, in lanes, its
+    flag against `is_box_indecomposable` and its quadrant set against the
+    image's."""
     fresh = pi_map(w)
     f, k = image
     if f != _encode(fresh.filled) or k != fresh.origin_index:
@@ -251,7 +261,8 @@ def check_node(w, image: tuple, indecomposable: bool) -> CentredPerm:
         raise CrossCheckMismatch(
             f"carried ⊞-indecomposability {indecomposable} of {w} differs from its image {fresh}"
         )
-    return fresh
+    if quadrants != fresh.quadrants():
+        raise CrossCheckMismatch(f"carried quadrants {set(quadrants)} of {w} differ from {fresh}")
 
 
 class PinDiagram(Value, args=("word",)):

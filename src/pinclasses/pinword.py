@@ -214,10 +214,10 @@ def parse_pin_spec(text: str) -> PinSpec:
 
 
 # The factor walk has about 3|c|^2 nodes, each an image of up to 3|c| + 3
-# values, so its cost grows between the square and the cube of a spec's
-# length: on a shared 2-core x86-64 host with CPython 3.11.7, closure_gf and
-# growth_rate of a seeded 1(c)* take 0.12 s at |c| = 64, 0.55 s at 128 and
-# 2.0-2.7 s (336 MB) at 252.
+# values, one length of them held at a time, so its time grows between the
+# square and the cube of a spec's length: on a shared 2-core x86-64 host
+# with CPython 3.11.7, closure_gf and growth_rate of a seeded 1(c)* take
+# 0.06 s at |c| = 64, 0.27 s at 128 and 1.2-1.8 s (40 MB) at 252.
 MAX_SPEC_LENGTH = 256
 
 

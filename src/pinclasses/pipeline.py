@@ -1,7 +1,7 @@
 """End-to-end machinery: factor counts to generating functions to growth rates.
 
-The primary counting path walks the trie of a spec's pin factors once,
-dedupes their raw pi-map images and keeps only the counts of the
+The primary counting path grows a spec's pin factors one length at a time,
+dedupes each length's raw pi-map images and keeps only the counts of the
 ⊞-indecomposable ones, in all and per quadrant; the classification tables
 recompute every count as an independent cross-check, and any disagreement
 is a hard error.  A spec longer than MAX_SPEC_LENGTH symbols is refused.
@@ -42,7 +42,7 @@ from .errors import (
     ParameterOutOfRange,
     StabilizationFailure,
 )
-from .pimap import check_node, point_quadrant, trie_images
+from .pimap import check_node, point_quadrant, prefix_levels
 from .pinword import (
     LETTERS,
     PinSpec,
@@ -127,43 +127,30 @@ def _factor_counts(spec: PinSpec, mode: str) -> dict[int, tuple[int, ...]]:
     and lying entirely in quadrant 1, 2, 3 and 4, as (g_n, g1_n, .., g4_n).
 
     A factor is the prefix of the longest factor at its start, so the
-    factors are the words of the trie of the longest factors' texts, grown
-    by one `trie_images` walk per numeral, which carries each image's flag
-    and quadrant set.  Each longest factor's image, flag and one quadrant
-    are checked against the routes built from scratch, and each length's
-    image counts against the classification-table route.
-    """
+    factors are the prefixes of the longest factors' texts, grown one length
+    at a time by `prefix_levels` with each image's flag and quadrant set.
+    Each length is checked, then dropped: its counts against the
+    classification-table route, and each longest factor's node against the
+    routes built from scratch (`check_node`)."""
     check_spec_size(spec)
     window = spec.prefix_length + 3 * spec.cycle_length + 2
-    trie: dict = {}
-    for w in enumerate_pin_factors(spec, window, mode):
-        node = trie
-        for c in str(w):
-            node = node.setdefault(c, {})
-    # per length: the factor texts, and each image's carried flag and one
-    # quadrant (None when its points lie in more than one), hashed once
-    seen = {n: ([], {}) for n in range(1, window + 1)}
-    for numeral, sub in trie.items():
-        for text, img, indec, quadrants in trie_images(PinWord(int(numeral)), window, sub):
-            texts, images = seen[len(text)]
-            texts.append(text)
+    longest = [str(w) for w in enumerate_pin_factors(spec, window, mode)]
+    table = {}
+    for n, level in enumerate(prefix_levels(longest), 1):
+        images = {}  # each image's carried flag and one quadrant (or None)
+        for text, img, indec, quadrants in level:
             carried = indec, next(iter(quadrants)) if len(quadrants) == 1 else None
             if images.setdefault(img, carried) != carried:
                 raise CrossCheckMismatch(
                     f"{text} carries {carried} for an image that another factor carries "
                     f"as {images[img]}"
                 )
-            if len(text) == window:
-                fresh = check_node(text, img, indec)
-                if carried[1] != one_quadrant(fresh):
-                    raise CrossCheckMismatch(
-                        f"carried quadrant {carried[1]} of {text} differs from its image {fresh}"
-                    )
-    table = {}
-    for n, (texts, images) in seen.items():
+            if n == window:
+                check_node(text, img, indec, quadrants)
         tally = Counter(images.values())
         by_quadrant = [tally[True, q] for q in (1, 2, 3, 4)]
         indecs = tally[True, None] + sum(by_quadrant)
+        texts = [text for text, *_ in level]
         dec_words = sum(1 for v in texts if classify.is_decomposable_word(v))
         over = classify.overcount_series({n: texts})[n]
         if len(texts) - dec_words - over != indecs:
@@ -590,8 +577,8 @@ def _significant(x: Fraction, digits: int) -> str:
 
 
 def _check_digits(digits: int) -> None:
-    if digits < 1:
-        raise ParameterOutOfRange(f"digits must be at least 1, got {digits}")
+    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 1:
+        raise ParameterOutOfRange(f"digits must be an integer of at least 1, got {digits!r}")
     if digits > MAX_DIGITS:
         raise ParameterOutOfRange(f"digits must be at most {MAX_DIGITS}")
 
@@ -604,9 +591,9 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     root interval is at most ``tol`` wide and its lower end is positive;
     ``tol`` is an int, Fraction or Decimal of at least 10^-1000, checked
     before it is made exact (the exact fraction of a tiny Decimal is itself
-    slow to build); one above 1 acts as 1.
+    slow to build); one above 1 acts as 1, and a NaN is refused.
     """
-    if not tol > 0:
+    if isinstance(tol, Decimal) and tol.is_nan() or not tol > 0:
         raise ParameterOutOfRange(f"tolerance must be positive, got {tol}")
     if tol < _MIN_TOL:
         raise ParameterOutOfRange("tolerance must be at least 1e-1000")

@@ -394,23 +394,31 @@ class TestTrieWalk:
         checked = []
         check = classify.check_node
 
-        def record(text, img, indecomposable):
+        def record(text, *carried):
             checked.append(text)
-            return check(text, img, indecomposable)
+            return check(text, *carried)
 
         monkeypatch.setattr(classify, "check_node", record)
         walk_root(PinWord(1, "u"), 6)
         assert checked == ["1ululu", "1uld"]
 
-    def test_carried_flag_checked_from_scratch(self, monkeypatch):
-        """An inverted ⊞-indecomposability flag must fail the check built
-        from scratch."""
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda flag, quadrants: (not flag, quadrants), "indecomposability"),
+            (lambda flag, quadrants: (flag, quadrants | {3}), "quadrants"),
+        ],
+        ids=["flag", "quadrants"],
+    )
+    def test_carried_values_checked_from_scratch(self, monkeypatch, corrupt, message):
+        """An inverted ⊞-indecomposability flag, or a wrong quadrant set,
+        must fail the check built from scratch."""
         walk = pimap.trie_images
 
-        def inverted(*args):
+        def corrupted(*args):
             for text, img, indecomposable, quadrants in walk(*args):
-                yield text, img, not indecomposable, quadrants
+                yield text, img, *corrupt(indecomposable, quadrants)
 
-        monkeypatch.setattr(classify, "trie_images", inverted)
-        with pytest.raises(CrossCheckMismatch):
+        monkeypatch.setattr(classify, "trie_images", corrupted)
+        with pytest.raises(CrossCheckMismatch, match=message):
             walk_root(PinWord(1, "u"), 6)

@@ -35,6 +35,7 @@ from pinclasses.pimap import (
     diagram_points,
     pi_map,
     point_quadrant,
+    prefix_levels,
     remove_interior_point,
     trie_images,
 )
@@ -43,6 +44,7 @@ from pinclasses.pinword import (
     PinSpec,
     PinWord,
     as_word,
+    enumerate_pin_factors,
     parse_pin_spec,
     parse_pin_word,
 )
@@ -51,7 +53,7 @@ from pinclasses.series import Poly, RatGF
 from strategies import pin_specs, pin_words
 
 import tuple_walk
-from tuple_walk import lanes, one_line
+from tuple_walk import lanes, one_line, trie_of
 
 # Frozen word -> one-line expectations, independently derivable by hand from
 # the placement rules (each letter's point goes one step beyond the bounding
@@ -104,19 +106,10 @@ def reference_points(w):
 
 
 def fresh_node(text):
-    """What `trie_images` yields for a word, built from scratch."""
+    """What `trie_images` and `prefix_levels` yield for a word, built from
+    scratch."""
     img = pi_map(text)
     return text, (lanes(img.filled), img.origin_index), is_box_indecomposable(img), img.quadrants()
-
-
-def trie_of(words) -> dict:
-    """The nested-dict trie of the letter strings ``words``."""
-    trie: dict = {}
-    for letters in words:
-        node = trie
-        for c in letters:
-            node = node.setdefault(c, {})
-    return trie
 
 
 def reference_intervals(f, k) -> set:
@@ -245,11 +238,11 @@ class TestPiMap:
     @given(pin_words(max_letters=29))
     @settings(max_examples=80)
     def test_prefix_images_match_fresh_diagrams(self, w):
-        """The trie of w's letters alone walks w's prefixes; each image,
-        flag and quadrant set matches the routes built from scratch."""
-        nodes = list(trie_images(PinWord(w.numeral), w.length, trie_of([w.letters])))
+        """The levels of w's text alone hold w's prefixes, one a level; each
+        image, flag and quadrant set matches the routes built from scratch."""
         text = str(w)
-        assert nodes == [fresh_node(text[:k]) for k in range(1, w.length + 1)]
+        levels = list(prefix_levels([text]))
+        assert levels == [[fresh_node(text[:k])] for k in range(1, w.length + 1)]
 
     def test_walk_matches_fresh_routes_to_ten(self):
         """Every word of length <= 10, from each numeral root: image, flag
@@ -261,27 +254,23 @@ class TestPiMap:
             assert node == fresh_node(node[0])
 
     @given(
-        pin_words(max_letters=3),
-        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=40),
         st.randoms(use_true_random=False),
     )
-    @settings(max_examples=60)
-    def test_filtered_walk_yields_exactly_the_admitted_words(self, root, n_max, rng):
-        """Given a trie, the walk yields the root and exactly the words the
-        trie spells past it, up to n_max: here the trie of a random sample
-        of the root's extensions up to n_max + 2.  Each image matches the
-        pi-map built from scratch."""
-        every, frontier = [], [root]
-        while frontier:  # brute force: every extension of the root
-            every += frontier
-            frontier = [v for w in frontier if w.length < n_max + 2 for v in w.extensions()]
-        sample = [str(w) for w in every if rng.random() < 0.3]
-        spelled = {text[:k] for text in sample for k in range(root.length, len(text) + 1)}
-        admitted = {text for text in spelled if len(text) <= n_max} | {str(root)}
-        trie = trie_of(text[root.length :] for text in sample)
-        nodes = list(trie_images(root, n_max, trie))
-        assert sorted(text for text, *_ in nodes) == sorted(admitted)
-        assert all(node == fresh_node(node[0]) for node in nodes)
+    @settings(max_examples=60, deadline=None)
+    def test_levels_hold_exactly_the_distinct_prefixes(self, length, size, rng):
+        """Given a random sample of the words of one length, in random
+        order and partly repeated, level n holds each distinct length-n
+        prefix of the sample once, in sorted order, and each node matches
+        the routes built from scratch."""
+        words = [str(w) for w in all_pin_words(length)]
+        sample = rng.sample(words, min(size, len(words)))
+        levels = list(prefix_levels(sample + sample[: len(sample) // 2]))
+        assert len(levels) == (length if sample else 0)
+        for n, level in enumerate(levels, 1):
+            assert [text for text, *_ in level] == sorted({text[:n] for text in sample})
+            assert all(node == fresh_node(node[0]) for node in level)
 
     @given(pin_words(max_letters=4), st.integers(min_value=1, max_value=7))
     @settings(max_examples=40)
@@ -299,16 +288,12 @@ class TestPiMap:
         assert [text for text, *_ in nodes] == expected
 
     def test_walk_order(self):
-        """Depth first in LETTERS order without a trie; with one, in the
-        order its letters were inserted."""
+        """Depth first in LETTERS order."""
         texts = [text for text, *_ in trie_images(PinWord(1), 4)]
         assert texts == (
             "1 1u 1ul 1ulu 1uld 1ur 1uru 1urd 1d 1dl 1dlu 1dld 1dr 1dru 1drd "
             "1l 1lu 1lul 1lur 1ld 1ldl 1ldr 1r 1ru 1rul 1rur 1rd 1rdl 1rdr"
         ).split()
-        trie = trie_of(["rd", "ru", "lur", "lul", "ld"])
-        texts = [text for text, *_ in trie_images(PinWord(1), 4, trie)]
-        assert texts == "1 1r 1rd 1ru 1l 1lu 1lur 1lul 1ld".split()
 
     @given(pin_words(max_letters=23))
     @settings(max_examples=100)
@@ -316,9 +301,7 @@ class TestPiMap:
         """The walker yields (lane int, origin index) pairs; each must
         decode to exactly what validation would keep, and equal the sorting
         route's."""
-        *_, (_, (image, origin), _, _) = trie_images(
-            PinWord(w.numeral), w.length, trie_of([w.letters])
-        )
+        *_, [(_, (image, origin), _, _)] = prefix_levels([str(w)])
         assert type(image) is int
         assert type(origin) is int
         checked = CentredPerm(one_line(image), origin)
@@ -335,19 +318,38 @@ def seeded_spec(cycle_length: int, prefix: str) -> PinSpec:
     return PinSpec(PinWord(1, prefix), cycle)
 
 
-def beside_tuple_walk(root, n_max, trie=None):
+def beside_tuple_walk(root, n_max):
     """Each `trie_images` node with its (one-line tuple, origin index)
     image pair beside the tuple walk's node."""
     for node, reference in zip(
-        trie_images(root, n_max, trie), tuple_walk.trie_images(root, n_max, trie), strict=True
+        trie_images(root, n_max), tuple_walk.trie_images(root, n_max), strict=True
     ):
         image, k = node[1]
         yield node, (one_line(image), k), reference
 
 
+def beside_tuple_levels(texts):
+    """Each `prefix_levels` node of ``texts`` (one length), level by level,
+    with its image pair as a one-line tuple, beside the tuple walk's node
+    for the same text: the depth-first walk of the texts' trie, which must
+    spell exactly the words of the levels."""
+    texts = list(texts)
+    reference = {}
+    for numeral, sub in trie_of(texts).items():
+        for node in tuple_walk.trie_images(PinWord(int(numeral)), len(texts[0]), sub):
+            reference[node[0]] = node
+    for level in prefix_levels(texts):
+        for node in level:
+            image, k = node[1]
+            yield node, (one_line(image), k), reference.pop(node[0])
+    assert not reference
+
+
 class TestAgainstTupleWalk:
-    """The lane walk against the tuple walk it replaced
-    (tests/tuple_walk.py), node by node, short of depth 254 and past it."""
+    """The lane walks against the tuple walk they replaced
+    (tests/tuple_walk.py), node by node, short of depth 254 and past it:
+    `trie_images` beside the tuple walk of every word, `prefix_levels`
+    beside its walk of the same texts' trie."""
 
     def test_every_word_to_ten(self):
         for root in all_pin_words(1):
@@ -360,18 +362,16 @@ class TestAgainstTupleWalk:
         ids=lambda arg: str(arg) if isinstance(arg, int) else arg or "bare",
     )
     def test_long_specs_across_the_width(self, cycle_length, prefix):
-        """The factor tries of specs whose window (prefix + 3 cycles + 2)
+        """The factor levels of specs whose window (prefix + 3 cycles + 2)
         is 254, 255, 268 and 276, so whose images hold 255 to 277 values:
         every node, and `_factor_counts` in both modes against the tuple
         walk's tables."""
         spec = seeded_spec(cycle_length, prefix)
         window = spec.prefix_length + 3 * spec.cycle_length + 2
         assert window == {82: 254, 84: 255, 88: 268, 90: 276}[cycle_length]
-        for numeral, sub in tuple_walk.factor_trie(spec, window, "all").items():
-            for (text, _, flag, quadrants), pair, reference in beside_tuple_walk(
-                PinWord(int(numeral)), window, sub
-            ):
-                assert (text, pair, flag, quadrants) == reference
+        longest = [str(w) for w in enumerate_pin_factors(spec, window, "all")]
+        for (text, _, flag, quadrants), pair, reference in beside_tuple_levels(longest):
+            assert (text, pair, flag, quadrants) == reference
         for mode in ("all", "recurrent"):
             assert _factor_counts(spec, mode) == tuple_walk.factor_tables(spec, mode)
 
@@ -379,10 +379,7 @@ class TestAgainstTupleWalk:
     @settings(max_examples=20, deadline=None)
     def test_long_words(self, w):
         """Every prefix of a word of 255 to 300 letters, node by node."""
-        trie = trie_of([w.letters])
-        for (text, _, flag, quadrants), pair, reference in beside_tuple_walk(
-            PinWord(w.numeral), w.length, trie
-        ):
+        for (text, _, flag, quadrants), pair, reference in beside_tuple_levels([str(w)]):
             assert (text, pair, flag, quadrants) == reference
 
     def test_root_longer_than_the_depth(self):
@@ -391,13 +388,15 @@ class TestAgainstTupleWalk:
         root = PinWord(2, "dl" * 130)
         (node,) = trie_images(root, 5)
         assert len(one_line(node[1][0])) == root.length + 1
-        check_node(*node[:3])
+        check_node(*node)
 
     def test_depth_past_the_lanes_refused(self):
         """A 16-bit lane holds the values of a walk to depth 65534; a
         deeper walk is refused before any table is built."""
         with pytest.raises(ParameterOutOfRange, match="65534"):
             next(trie_images(PinWord(1), 65535))
+        with pytest.raises(ParameterOutOfRange, match="65534"):
+            next(prefix_levels(["1" + "ud" * 32767]))
 
     @given(
         pin_specs(cycle_lengths=(2, 4, 6, 8, 10, 12)),
@@ -425,11 +424,11 @@ class TestAgainstTupleWalk:
             return units, masks, repunits
 
         monkeypatch.setattr(pimap, "_lanes", skewed)
-        walk = beside_tuple_walk(PinWord(1), 301, trie_of(["dl" * 150]))
+        walk = beside_tuple_levels(["1" + "dl" * 150])
         node = next(node for node, pair, reference in walk if pair != reference[1])
         assert len(node[0]) <= 12 if start == 1 else len(node[0]) > 254
         with pytest.raises(CrossCheckMismatch, match="walked image"):
-            check_node(*node[:3])
+            check_node(*node)
 
 
 class TestMismatchMessages:
@@ -440,7 +439,7 @@ class TestMismatchMessages:
         byte of its 16-bit lane or both."""
         top = 3 << 8 * (width - 1)
         with pytest.raises(CrossCheckMismatch) as err:
-            check_node("1r", (lanes((top, 1, 2)), 2), True)
+            check_node("1r", (lanes((top, 1, 2)), 2), True, {1})
         assert str(err.value) == (
             f"walked image [{top}, 1, 2] with origin index 2 of 1r differs from its pi-map [1]32"
         )

@@ -1,15 +1,20 @@
 """Generating functions, amended counting sequences, and certified growth."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pinclasses
 from pinclasses import classify, pimap, pinword, pipeline
 from pinclasses.cperm import QUADRANT_POINT, is_box_indecomposable, one_quadrant
 from pinclasses.errors import (
@@ -133,9 +138,29 @@ def reference_counts(spec, n, mode):
     return (len(quadrants), *(quadrants.count(q) for q in (1, 2, 3, 4)))
 
 
+# Corruptions of a level node's carried values, by name: each takes the
+# node's text, flag and quadrant set and returns a new flag and set.
+CORRUPTIONS = {
+    "flag": lambda text, flag, quadrants: (not flag, quadrants),
+    "quadrants": lambda text, flag, quadrants: (flag, quadrants | {1, 2, 3, 4}),
+}
+
+
+def corrupted_levels(corrupt):
+    """`pimap.prefix_levels` with each node's carried values corrupted."""
+    walk = pimap.prefix_levels
+
+    def levels(texts):
+        for level in walk(texts):
+            yield [(text, img, *corrupt(text, *carried)) for text, img, *carried in level]
+
+    return levels
+
+
 class TestFactorImages:
-    """The counts of distinct factor images per length, from one walk of
-    the factor trie, and the cross-checks that run in that walk."""
+    """The counts of distinct factor images per length, from one level walk
+    of the longest factors' texts, and the cross-checks that run on each
+    level."""
 
     @given(
         pin_specs(cycle_lengths=(2, 4, 6, 8, 10, 12)),
@@ -172,40 +197,79 @@ class TestFactorImages:
             _factor_counts(spec, "all")
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, message",
         [
-            lambda indecomposable, quadrants: (not indecomposable, quadrants),
-            lambda indecomposable, quadrants: (indecomposable, quadrants | {1, 2, 3, 4}),
+            (CORRUPTIONS["flag"], "table route"),
+            (CORRUPTIONS["quadrants"], "carried quadrants"),
         ],
         ids=["flag", "quadrants"],
     )
-    def test_carried_flags_checked_from_scratch(self, monkeypatch, corrupt):
-        """An inverted ⊞-indecomposability flag, or a wrong quadrant set,
-        must fail the check of the longest factors built from scratch."""
-        walk = pimap.trie_images
-
-        def corrupted(*args):
-            for text, img, indecomposable, quadrants in walk(*args):
-                yield text, img, *corrupt(indecomposable, quadrants)
-
-        monkeypatch.setattr(pipeline, "trie_images", corrupted)
+    def test_carried_flags_checked_from_scratch(self, monkeypatch, corrupt, message):
+        """An inverted ⊞-indecomposability flag must fail the table route
+        at the first length, and a wrong quadrant set, which keeps every
+        count, the check of the longest factors built from scratch."""
+        monkeypatch.setattr(pipeline, "prefix_levels", corrupted_levels(corrupt))
         spec = parse_pin_spec("1(ru)*")
-        with pytest.raises(CrossCheckMismatch):
+        with pytest.raises(CrossCheckMismatch, match=message):
             _factor_counts(spec, "all")
+
+    @pytest.mark.parametrize("corruption, spec", [("flag", "1(ldru)*"), ("quadrants", "1d(ru)*")])
+    def test_mismatch_message_independent_of_hash_seed(self, corruption, spec):
+        """The levels go in sorted text order, so a corrupted walk fails
+        with the same message under two hash seeds; a walk of the factor
+        set in hash order would name a different factor."""
+        src = str(Path(pinclasses.__file__).resolve().parent.parent)
+        tests = str(Path(__file__).resolve().parent)
+        code = (
+            "import sys; from pinclasses import pipeline, pinword, errors; "
+            "import test_pipeline as t; "
+            "pipeline.prefix_levels = t.corrupted_levels(t.CORRUPTIONS[sys.argv[1]])\n"
+            "try: pipeline._factor_counts(pinword.parse_pin_spec(sys.argv[2]), 'all')\n"
+            "except errors.CrossCheckMismatch as err: print(err)"
+        )
+        messages = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)), PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, corruption, spec],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0 and proc.stdout, proc.stderr
+            messages.add(proc.stdout)
+        assert len(messages) == 1
 
     def test_colliding_factors_carry_the_same_values(self, monkeypatch):
         """1r and 1u share an image, so a wrong quadrant set on 1u alone, a
         word shorter than the checked longest factors, must still fail."""
-        walk = pimap.trie_images
 
-        def corrupted(*args):
-            for text, img, indecomposable, quadrants in walk(*args):
-                yield text, img, indecomposable, quadrants | ({1, 2} if text == "1u" else set())
+        def corrupt(text, indecomposable, quadrants):
+            return indecomposable, quadrants | ({1, 2} if text == "1u" else set())
 
-        monkeypatch.setattr(pipeline, "trie_images", corrupted)
+        monkeypatch.setattr(pipeline, "prefix_levels", corrupted_levels(corrupt))
         spec = parse_pin_spec("1(ru)*")
         with pytest.raises(CrossCheckMismatch, match="another factor"):
             _factor_counts(spec, "all")
+
+    @given(
+        pin_specs(cycle_lengths=(2, 4, 6, 8, 10, 12), max_prefix_letters=5),
+        st.sampled_from(["all", "recurrent"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_levels_are_the_factors_of_each_length(self, spec, mode):
+        """Level n of the longest factors' texts holds the texts of the
+        spec's factors of length n, each once, at every n up to the window:
+        a second route to the words `_factor_counts` counts, from
+        `enumerate_pin_factors` at each length."""
+        window = spec.prefix_length + 3 * spec.cycle_length + 2
+        longest = (str(w) for w in enumerate_pin_factors(spec, window, mode))
+        levels = list(pimap.prefix_levels(longest))
+        assert len(levels) == window
+        for n, level in enumerate(levels, 1):
+            expected = sorted(str(w) for w in enumerate_pin_factors(spec, n, mode))
+            assert [text for text, *_ in level] == expected, (spec, mode, n)
 
     def test_table_route_mismatch_is_reported(self, monkeypatch):
         """A table that lists 1r, whose image is ⊞-indecomposable, as
@@ -543,6 +607,23 @@ class TestGrowthRate:
             growth_rate(Poly.parse("1 - 2z - z^3"), digits=0)
         with pytest.raises(ParameterOutOfRange):
             describe("1(ru)*", digits=0)
+
+    @pytest.mark.parametrize("tol", [Decimal("NaN"), Decimal("sNaN")])
+    def test_nan_tolerance_rejected(self, tol):
+        """A NaN Decimal compares with nothing (and sNaN signals), so it is
+        refused as a typed error, not a decimal.InvalidOperation."""
+        with pytest.raises(ParameterOutOfRange, match="positive"):
+            growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+
+    @pytest.mark.parametrize("digits", [True, 2.5])
+    def test_non_integer_digits_rejected(self, digits):
+        """A bool would pass the range check and then break the decimal
+        layout; a float breaks the rounding context: both are refused up
+        front, by growth_rate and by GrowthResult."""
+        with pytest.raises(ParameterOutOfRange, match="integer"):
+            growth_rate(Poly.parse("1 - 2z - z^3"), digits=digits)
+        with pytest.raises(ParameterOutOfRange, match="integer"):
+            GrowthResult((Fraction(1, 4), Fraction(1, 2)), Poly.parse("1 - 3z"), digits=digits)
 
     def test_tolerance_floor(self):
         """Bisection time grows with the bits of 1/tol, so a tolerance

@@ -5,11 +5,14 @@ A node is (filled, origin index, position of the last point, proper
 non-trivial ∘-intervals as (a, b, lo, hi), quadrant set), with ``filled``
 the one-line tuple.  In `_grow` each step copies the tuple into a list,
 shifts every value by one where values move, inserts the new point and
-rebuilds the tuple.  `trie_images` walks them as `pimap.trie_images`
-does and yields (text, (filled, origin index), flag, quadrant set);
-`factor_tables` counts a spec's factor images as
-`pipeline._factor_counts` does, with none of its checks.  `lanes` and
-`one_line` convert between a one-line tuple and the package's lane image.
+rebuilds the tuple.  `trie_images` walks them depth first, as
+`pimap.trie_images` does, and yields (text, (filled, origin index), flag,
+quadrant set); given a nested-dict trie (`trie_of`), it keeps to the words
+the trie spells, so it walks the words whose levels `pimap.prefix_levels`
+grows breadth first.  `factor_tables` counts a spec's factor images over
+the trie of its longest factors, the counts `pipeline._factor_counts`
+takes level by level, with none of its checks.  `lanes` and `one_line`
+convert between a one-line tuple and the package's lane image.
 """
 
 import struct
@@ -79,7 +82,9 @@ def _grow(node, letter: str):
 
 
 def trie_images(root, n_max: int, trie=None):
-    """`pimap.trie_images` on one-line tuples."""
+    """`pimap.trie_images` on one-line tuples; with ``trie``, a nested dict
+    from each letter that may follow the root to its own such dict, only
+    the words it spells, in its insertion order."""
     root = as_word(root)
     node = _seed(root.numeral)
     for letter in root.letters:
@@ -96,15 +101,21 @@ def trie_images(root, n_max: int, trie=None):
                 stack.append((text + c, c, below, _grow(node, c)))
 
 
-def factor_trie(spec: PinSpec, window: int, mode: str) -> dict:
-    """The nested-dict trie of the texts of a spec's longest factors, as
-    `pipeline._factor_counts` builds it."""
+def trie_of(texts) -> dict:
+    """The nested-dict trie of the strings ``texts``."""
     trie: dict = {}
-    for w in enumerate_pin_factors(spec, window, mode):
+    for text in texts:
         node = trie
-        for c in str(w):
+        for c in text:
             node = node.setdefault(c, {})
     return trie
+
+
+def factor_trie(spec: PinSpec, window: int, mode: str) -> dict:
+    """The trie of the texts of a spec's longest factors, of length
+    ``window``: its words are the factors `pipeline._factor_counts`
+    counts."""
+    return trie_of(str(w) for w in enumerate_pin_factors(spec, window, mode))
 
 
 def factor_tables(spec: PinSpec, mode: str) -> dict[int, tuple[int, ...]]:
