@@ -66,13 +66,9 @@ _BOUND_WINDOW = 30
 
 
 def _is_power_of_one_minus_z(den: Poly) -> bool:
-    acc = Poly.one()
-    step = Poly([1, -1])
-    for _ in range(den.degree + 1):
-        if acc == den:
-            return True
-        acc = acc * step
-    return False
+    """True iff den is (1 - z)^d for d its degree: its coefficients are (-1)^i·C(d, i)."""
+    d = den.degree
+    return den.coeffs == tuple((-1) ** i * comb(d, i) for i in range(d + 1))
 
 
 class GSequence:
@@ -96,9 +92,9 @@ class GSequence:
             if any(c < 0 or c.denominator != 1 for c in cs):
                 raise BoundViolation(f"{name} has a negative or non-integer coefficient")
         G = g - g1 * g3 - g2 * g4
-        a = G.coeffs(_BOUND_WINDOW)
-        if a[1] not in (1, 2, 3, 4):
-            raise BoundViolation(f"G linear coefficient {a[1]} outside 1..4")
+        a1 = G.coeffs(1)[1]
+        if a1 not in (1, 2, 3, 4):
+            raise BoundViolation(f"G linear coefficient {a1} outside 1..4")
         self.g = g
         self.g_quadrants = quads
         self.G = G
@@ -134,7 +130,7 @@ def _factor_counts(spec: PinSpec, mode: str) -> dict[int, tuple[int, ...]]:
     routes built from scratch (`check_node`)."""
     check_spec_size(spec)
     window = spec.prefix_length + 3 * spec.cycle_length + 2
-    longest = [str(w) for w in enumerate_pin_factors(spec, window, mode)]
+    longest = {str(w): w for w in enumerate_pin_factors(spec, window, mode)}
     table = {}
     for n, level in enumerate(prefix_levels(longest), 1):
         images = {}  # each image's carried flag and one quadrant (or None)
@@ -146,7 +142,7 @@ def _factor_counts(spec: PinSpec, mode: str) -> dict[int, tuple[int, ...]]:
                     f"as {images[img]}"
                 )
             if n == window:
-                check_node(text, img, indec, quadrants)
+                check_node(longest[text], img, indec, quadrants)
         tally = Counter(images.values())
         by_quadrant = [tally[True, q] for q in (1, 2, 3, 4)]
         indecs = tally[True, None] + sum(by_quadrant)
@@ -515,11 +511,12 @@ def _first_root_node(p: Poly, tol: Fraction | None):
 class GrowthResult:
     """A certified growth rate.
 
-    ``root_interval`` isolates the smallest positive real root of
-    ``polynomial`` in (0, 1/2]; ``growth_rate`` is the decimal rendering of
-    its reciprocal interval's midpoint, rounded from the exact midpoint.
-    The interval carries a Descartes-count certificate that no root lies
-    in (0, lo].  An interval other than 0 < lo < hi raises ParameterOutOfRange;
+    ``root_interval`` (lo, hi] holds the smallest root of ``polynomial`` in
+    (0, 1/2], with a Descartes-count certificate that no root lies in
+    (0, lo]; at a tolerance coarser than the gap to the next root it may
+    hold that one too.  ``growth_rate`` is the decimal rendering of its
+    reciprocal interval's midpoint, rounded from the exact midpoint.  An
+    interval other than 0 < lo < hi raises ParameterOutOfRange;
     a midpoint beyond the float range raises OverflowError.
     """
 
@@ -589,10 +586,12 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     ``f_or_g`` is a RatGF, whose denominator's smallest positive root is
     wanted, or a bare Poly, whose own is.  The bisection stops once the
     root interval is at most ``tol`` wide and its lower end is positive;
-    ``tol`` is an int, Fraction or Decimal of at least 10^-1000, checked
-    before it is made exact (the exact fraction of a tiny Decimal is itself
-    slow to build); one above 1 acts as 1, and a NaN is refused.
+    ``tol`` is an int, float, Fraction or Decimal of at least 10^-1000,
+    checked before it is made exact (the exact fraction of a tiny Decimal is
+    itself slow to build); one above 1 acts as 1; a NaN or a non-number is refused.
     """
+    if not isinstance(tol, (int, float, Fraction, Decimal)):
+        raise ParameterOutOfRange(f"tolerance must be a number, got {tol!r}")
     if isinstance(tol, Decimal) and tol.is_nan() or not tol > 0:
         raise ParameterOutOfRange(f"tolerance must be positive, got {tol}")
     if tol < _MIN_TOL:
@@ -636,23 +635,16 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
 
 
 def _positive_on(p: Poly, alpha: Fraction) -> bool:
-    """Certify p > 0 on (0, alpha], alpha at most 1/2: its lowest term,
-    which fixes its sign just right of 0, is positive, and the Descartes walk
-    on its square-free part finds no root in (0, alpha].  The first root
-    node lies past alpha, or holds alpha with p(alpha) of the sign opposite
-    to p's at the node's right end, or has its one root at that end."""
+    """Certify p > 0 on (0, alpha] for any alpha > 0: its lowest term, which
+    fixes its sign just right of 0, is positive, and the Descartes walk finds
+    no root in (0, 1/2] of q(2·alpha·z), q the square-free part of p, whose
+    roots there are q's in (0, alpha]."""
     lowest = next((c for c in p.coeffs if c), 0)
     if lowest <= 0:
         return False
-    found = _first_root_node(_square_free(p), None)
-    if found is None:
-        return True
-    k, m, s_hi, q = found
-    if alpha <= Fraction(k, 1 << m):
-        return True
-    if alpha >= Fraction(k + 1, 1 << m):
-        return False
-    return s_hi == 0 or _sign(q(alpha)) == -s_hi
+    scale = 2 * Fraction(alpha)
+    scaled = Poly([c * scale**i for i, c in enumerate(_square_free(p).coeffs)])
+    return _first_root_node(scaled.primitive(), None) is None
 
 
 def interior_positivity(spec) -> bool:

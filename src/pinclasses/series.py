@@ -6,10 +6,11 @@ no floating point anywhere in this module, and every true division goes
 through one exact helper, `_div`.  Greatest common divisors run as a
 primitive pseudo-remainder sequence over the integers.  A ``RatGF`` is a
 reduced fraction of two polynomials whose denominator has constant term 1,
-so power-series coefficient extraction is always well defined.  Both are
-immutable values on `_value.Value`.  One builder, `from_eventually_periodic`,
-turns an eventually periodic counting sequence into its generating function;
-an eventually constant one is the case of a one-term period.
+so its power-series coefficients follow from a recurrence with no division.
+Both are immutable values on `_value.Value`.  One builder,
+`from_eventually_periodic`, turns an eventually periodic counting sequence
+into its generating function, one fraction over 1 - z^p for a period p; an
+eventually constant one is the case of a one-term period.
 """
 
 from __future__ import annotations
@@ -429,15 +430,15 @@ class RatGF(Value):
         return self.coeffs(k)[k]
 
     def coeffs(self, n: int) -> list:
-        """First n+1 power-series coefficients, [z^0 .. z^n]."""
-        if self.den[0] == 0:
-            raise PoleAtZero(f"denominator {self.den.quoted()} vanishes at z = 0")
+        """First n+1 power-series coefficients, [z^0 .. z^n], by the
+        recurrence den·f = num, which needs no division since den(0) = 1."""
+        num, den = self.num.coeffs, self.den.coeffs
         out = []
         for k in range(n + 1):
-            c = self.num[k]
-            for j in range(1, min(k, self.den.degree) + 1):
-                c -= self.den[j] * out[k - j]
-            out.append(_div(c, self.den[0]))
+            c = num[k] if k < len(num) else 0
+            for j in range(1, min(k + 1, len(den))):
+                c -= den[j] * out[k - j]
+            out.append(c if type(c) is int else _number(c))
         return out
 
     def __str__(self) -> str:
@@ -472,8 +473,9 @@ def from_eventually_constant(initial, constant, from_index: int) -> RatGF:
 def from_eventually_periodic(initial, block, from_index: int) -> RatGF:
     """Generating function of a sequence that is eventually periodic.
 
-    ``initial`` lists a_1 .. a_{from_index-1}; thereafter
-    a_{from_index + i} = block[i mod len(block)].
+    ``initial`` (the head) lists a_1 .. a_{from_index-1}; thereafter
+    a_{from_index + i} = block[i mod len(block)].  That is one fraction,
+    (head·(1 - z^p) + block·z^s) / (1 - z^p), p = len(block), s = from_index.
     """
     if from_index < 1:
         raise ParameterOutOfRange("from_index must be at least 1")
@@ -483,11 +485,8 @@ def from_eventually_periodic(initial, block, from_index: int) -> RatGF:
         )
     if not block:
         raise ParameterOutOfRange("period block must be non-empty")
-    head = Poly([0, *initial])
-    p = len(block)
-    rep = Poly(block)
-    tail = RatGF(rep.shift(from_index), Poly([1] + [0] * (p - 1) + [-1]))
-    return RatGF(head) + tail
+    den = Poly([1] + [0] * (len(block) - 1) + [-1])
+    return RatGF(Poly([0, *initial]) * den + Poly(block).shift(from_index), den)
 
 
 def seq(g: RatGF) -> RatGF:

@@ -271,6 +271,17 @@ class TestFactorImages:
             expected = sorted(str(w) for w in enumerate_pin_factors(spec, n, mode))
             assert [text for text, *_ in level] == expected, (spec, mode, n)
 
+    def test_longest_factors_checked_as_their_words(self, monkeypatch):
+        """`check_node` gets each longest factor as the PinWord that
+        `enumerate_pin_factors` built, so it is not parsed a second time."""
+        seen = []
+        monkeypatch.setattr(pipeline, "check_node", lambda w, *node: seen.append(w))
+        spec = parse_pin_spec("1(ldru)*")
+        _factor_counts(spec, "all")
+        window = spec.prefix_length + 3 * spec.cycle_length + 2
+        assert sorted(seen, key=str) == sorted(enumerate_pin_factors(spec, window, "all"), key=str)
+        assert all(type(w) is pinword.PinWord for w in seen)
+
     def test_table_route_mismatch_is_reported(self, monkeypatch):
         """A table that lists 1r, whose image is ⊞-indecomposable, as
         decomposable must part the table route's count of indecomposables
@@ -349,6 +360,23 @@ class TestGSequence:
             for build in (lambda: amended_G("1(ru)*"), complete_class_sequence):
                 with pytest.raises(BoundViolation, match=f"a_2 = {a_2} violates"):
                     build()
+
+
+    def test_power_of_one_minus_z_by_binomials(self):
+        """Against the powers of (1 - z) multiplied out: each of them, and
+        every nonzero polynomial one coefficient away from one of them."""
+        powers = [Poly.one()]
+        for _ in range(8):
+            powers.append(powers[-1] * Poly([1, -1]))
+        for power in powers:
+            assert pipeline._is_power_of_one_minus_z(power)
+            for i in range(power.degree + 1):
+                for delta in (-1, 1):
+                    cs = list(power.coeffs)
+                    cs[i] += delta
+                    near = Poly(cs)
+                    if not near.is_zero():
+                        assert pipeline._is_power_of_one_minus_z(near) == (near in powers), cs
 
 
 class TestClassGFs:
@@ -614,6 +642,25 @@ class TestGrowthRate:
         refused as a typed error, not a decimal.InvalidOperation."""
         with pytest.raises(ParameterOutOfRange, match="positive"):
             growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+
+    @pytest.mark.parametrize("tol", ["1e-3", None, [1], 1j])
+    def test_tolerance_that_is_not_a_number_rejected(self, tol):
+        with pytest.raises(ParameterOutOfRange, match="number"):
+            growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+
+    def test_float_tolerance_is_its_exact_fraction(self):
+        poly = Poly.parse("1 - 2z - z^3")
+        got = growth_rate(poly, tol=1e-3).root_interval
+        assert got == growth_rate(poly, tol=Fraction(1e-3)).root_interval
+
+    def test_coarse_interval_holds_the_smallest_root_and_none_left_of_it(self):
+        """At a tolerance coarser than the gap between two roots the interval
+        need not isolate: here it holds both 10/42 and 10/41.  It holds the
+        smallest root, and no root lies in (0, lo]."""
+        r = growth_rate(Poly([10, -41]) * Poly([10, -42]), tol=Fraction(1, 4))
+        lo, hi = r.root_interval
+        assert (lo, hi) == (Fraction(1, 8), Fraction(1, 4))
+        assert lo < Fraction(10, 42) < Fraction(10, 41) <= hi
 
     @pytest.mark.parametrize("digits", [True, 2.5])
     def test_non_integer_digits_rejected(self, digits):
@@ -1129,6 +1176,9 @@ class TestInteriorPositivity:
         assert not positive_on(Poly.parse("z^2 - 8z^3 + 16z^4"), Fraction(1, 4))
         assert not positive_on(Poly.parse("-z + z^2"), Fraction(1, 8))  # negative near 0
         assert not positive_on(Poly.zero(), Fraction(1, 8))
+        # a root at 101/200, past the walk's (0, 1/2], is in (0, alpha]
+        assert positive_on(Poly([101, -200]), Fraction(1, 2))
+        assert not positive_on(Poly([101, -200]), Fraction(51, 100))
 
 
 class TestDescribe:

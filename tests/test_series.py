@@ -232,7 +232,6 @@ class TestRatGF:
     def test_coefficients_match_evaluation_series(self, n, d):
         f = RatGF(n, d)
         got = f.coeffs(6)
-        acc = RatGF(n, d)
         for k in range(7):
             assert f.coefficient(k) == got[k]
 
@@ -395,3 +394,30 @@ class TestExactTypes:
         assert _exact_poly(s.num) and _exact_poly(s.den)
         assert (s.num.coeffs, s.den.coeffs) == fp.reduced(g_den, fp.sub(g_den, g_num))
         assert all(map(_exact, s.coeffs(8)))
+
+    @given(
+        mixed_polys,
+        mixed_polys.filter(lambda p: p[0] != 0),
+        st.integers(min_value=0, max_value=10),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_coeffs_times_den_is_num_to_order_n(self, num, den, n):
+        """Checked by Poly multiplication alone: den times the first n + 1
+        coefficients of num/den is num modulo z^(n+1)."""
+        got = RatGF(num, den).coeffs(n)
+        assert len(got) == n + 1 and all(map(_exact, got))
+        product = den * Poly(got)
+        assert [product[k] for k in range(n + 1)] == [num[k] for k in range(n + 1)]
+
+    @given(
+        st.lists(exact_numbers, min_size=0, max_size=4),
+        st.lists(exact_numbers, min_size=1, max_size=3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_eventually_periodic_is_head_plus_tail(self, initial, block):
+        """The one-fraction builder equals the sum of the head polynomial
+        and the periodic tail block·z^s / (1 - z^p)."""
+        start, p = len(initial) + 1, len(block)
+        head = RatGF(Poly([0, *initial]))
+        tail = RatGF(Poly(block).shift(start), Poly([1] + [0] * (p - 1) + [-1]))
+        assert from_eventually_periodic(initial, block, start) == head + tail
