@@ -18,20 +18,22 @@ letter pair and two numeral pairs).  An exhaustive verifier re-derives both
 tables from scratch and reports any disagreement.  It walks the pin-word
 trie once for every length up to its bound (at most _VERIFY_GUARD), depth
 first from the words of length _ROOT_LENGTH: each word's image and
-⊞-indecomposability are its parent's plus one placed point
-(`pimap.trie_images`), and each word goes straight into its length's
-image -> word texts map and decomposable list.  Under each root, the first
-deepest leaf and the first word flagged decomposable are checked against
-the routes built from scratch (`pimap.check_node`).
+⊞-indecomposability are its parent's plus one placed point (one
+`pimap._grow` step), and each word goes straight into its length's tables,
+keyed by its image as one int: the first word text of each image, every
+text of an image that repeats, and the decomposable texts.  Under each
+root, the first deepest leaf and the first word flagged decomposable are
+checked against the routes built from scratch (`pimap.check_node`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import pimap
 from .cperm import QUADRANT_SIGNS, CentredPerm, centred_pattern, quadrant_of
 from .errors import CensusTooLarge, ParameterOutOfRange
-from .pimap import check_node, trie_images
+from .pimap import check_node
 from .pinword import NEXT_LETTERS, PinWord
 
 _LETTER_VEC = {"r": (1, 0), "u": (0, 1), "l": (-1, 0), "d": (0, -1)}
@@ -190,39 +192,73 @@ _ROOT_LENGTH = 2
 _VERIFY_GUARD = 16
 
 
-def _walk(root: PinWord, n_max: int, tables: dict[int, tuple[dict, list]]) -> None:
+def _walk(root: PinWord, n_max: int, tables: dict[int, tuple[dict, dict, list]]) -> None:
     """Add root and its extensions up to length n_max to tables, which
-    holds per length image pair -> word texts and the decomposable word
-    texts.  The first deepest leaf and the first word flagged decomposable
-    are checked against the routes built from scratch (`check_node`)."""
+    holds per length: image key -> first word text, image key -> every
+    word text for a key that repeats, and the decomposable word texts.
+
+    The walk is depth first in LETTERS order, one `pimap._grow` step a
+    word.  An image's key is its lane int with the origin index as one
+    more 16-bit lane below, f << 16 | k, one-to-one as k <= m <= 0xFFFF.
+    The first deepest leaf and the first word flagged decomposable are
+    checked against the routes built from scratch (`check_node`)."""
+    grow = pimap._grow
+    node = pimap._seed(root.numeral, n_max)
+    for letter in root.letters:
+        node = grow(node, letter)
     leaf = decomposable = None
-    for node in trie_images(root, n_max):
-        text, img, indecomposable, _ = node
+    stack = [(str(root), root.letters[-1:], node)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        text, last, node = pop()
+        f, k, _, _, _, intervals, _, _ = node
         n = len(text)
-        images, decs = tables[n]
-        images[img] = images.get(img, ()) + (text,)
-        if not indecomposable:
+        firsts, groups, decs = tables[n]
+        key = f << 16 | k
+        first = firsts.setdefault(key, text)
+        if first is not text:  # the key is a repeat: its group gets text
+            groups.setdefault(key, [first]).append(text)
+        if intervals:
             decs.append(text)
             if decomposable is None:
-                decomposable = node
-        if n == n_max and leaf is None:
-            leaf = node
-    for node in (leaf, decomposable):
-        if node is not None:
-            check_node(*node)
+                decomposable = text, node
+        if n < n_max - 1:
+            for c in reversed(NEXT_LETTERS[last]):  # so the stack pops LETTERS order
+                push((text + c, c, grow(node, c)))
+        elif n < n_max:  # the children are leaves: tabulate them here, in LETTERS order
+            firsts, groups, decs = tables[n_max]
+            for c in NEXT_LETTERS[last]:
+                word, child = text + c, grow(node, c)
+                f, k, _, _, _, intervals, _, _ = child
+                key = f << 16 | k
+                first = firsts.setdefault(key, word)
+                if first is not word:
+                    groups.setdefault(key, [first]).append(word)
+                if intervals:
+                    decs.append(word)
+                    if decomposable is None:
+                        decomposable = word, child
+                if leaf is None:
+                    leaf = word, child
+        elif leaf is None:
+            leaf = text, node
+    for found in (leaf, decomposable):
+        if found is not None:
+            text, (f, k, _, _, _, intervals, quadrants, _) = found
+            check_node(text, (f, k), not intervals, quadrants)
 
 
 def _derive(n_max: int) -> dict[int, tuple[set, set]]:
     """Per length 1..n_max: the decomposable words and the collision groups,
     from one walk of the pin-word trie.  Words shorter than the roots are
     walked on their own, each to its own length."""
-    tables = {n: ({}, []) for n in range(1, n_max + 1)}
+    tables = {n: ({}, {}, []) for n in range(1, n_max + 1)}
     for n in range(1, _ROOT_LENGTH + 1):
         for root in all_pin_words(n):
             _walk(root, n_max if n == _ROOT_LENGTH else n, tables)
     return {
-        n: (set(decs), {frozenset(g) for g in images.values() if len(g) > 1})
-        for n, (images, decs) in tables.items()
+        n: (set(decs), set(map(frozenset, groups.values())))
+        for n, (_, groups, decs) in tables.items()
     }
 
 

@@ -38,11 +38,11 @@ those at or past p moved up one, so with p they fill a run exactly when
 a <= p <= b + 1, and that run is a..b + 1; values likewise.  Conversely, a
 proper child interval, less P and re-standardised, is a block of the parent
 around the origin that is not the whole parent, so a parent interval or the
-bare origin.  `trie_images` (every word under a root, depth first) and
-`prefix_levels` (given texts' prefixes, one length at a time) grow a word
-at one step and yield its image as a (lane int, origin index) pair, which
-their callers only hash; `check_node` checks a walked word against the
-point route.  The two routes share no placement code.
+bare origin.  Two walks take one `_grow` step a word: `classify._walk`
+(every word under a root, depth first, for verify-tables) and
+`prefix_levels` (given texts' prefixes, one length at a time, for a spec's
+factors); their callers only hash an image.  `check_node` checks a walked
+word against the point route.  The two routes share no placement code.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .cperm import (
     quadrant_of,
 )
 from .errors import CrossCheckMismatch, IndexOutOfRange, NotInterior, ParameterOutOfRange
-from .pinword import NEXT_LETTERS, PinWord, as_word
+from .pinword import PinWord, as_word
 
 
 def _axis(sign: int, letters: str, high: str, low: str) -> list[int]:
@@ -202,30 +202,11 @@ def _grow(node, letter: str):
     return g, j, vo, p, letter == "u", found, quadrants, lanes
 
 
-def trie_images(root, n_max: int):
-    """Yield (word text, image as its (lane int, origin index) pair,
-    ⊞-indecomposable?, quadrant set) for root and its extensions up to
-    length n_max, depth first in LETTERS order: each word's node is its
-    parent's plus one `_grow` step, looked up at each step."""
-    root = as_word(root)
-    node = _seed(root.numeral, max(n_max, root.length))  # the longest word walked
-    for letter in root.letters:
-        node = _grow(node, letter)
-    stack = [(str(root), root.letters[-1:], node)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        text, last, node = pop()
-        f, k, _, _, _, intervals, quadrants, _ = node
-        yield text, (f, k), not intervals, quadrants
-        if len(text) < n_max:
-            for c in reversed(NEXT_LETTERS[last]):  # so the stack pops LETTERS order
-                push((text + c, c, _grow(node, c)))
-
-
 def prefix_levels(texts):
     """Yield, for n = 1 up to the length of the pin word ``texts`` (all of
-    one length), their distinct length-n prefixes as `trie_images`' tuples,
-    one list a length, in sorted order.  Sorted, a text that first differs
+    one length), their distinct length-n prefixes as (text, image as its
+    (lane int, origin index) pair, ⊞-indecomposable?, quadrant set), one
+    list a length, in sorted order.  Sorted, a text that first differs
     from the one before at position j starts a run of texts with one prefix
     at length j + 1, grown from the run before it: one `_grow` per prefix."""
     texts = sorted(set(texts))

@@ -588,12 +588,15 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     root interval is at most ``tol`` wide and its lower end is positive;
     ``tol`` is an int, float, Fraction or Decimal of at least 10^-1000,
     checked before it is made exact (the exact fraction of a tiny Decimal is
-    itself slow to build); one above 1 acts as 1; a NaN or a non-number is refused.
+    itself slow to build); one above 1 acts as 1; a bool, a NaN, an infinity
+    or a non-number is refused, as `digits` refuses a bool.
     """
-    if not isinstance(tol, (int, float, Fraction, Decimal)):
+    if not isinstance(tol, (int, float, Fraction, Decimal)) or isinstance(tol, bool):
         raise ParameterOutOfRange(f"tolerance must be a number, got {tol!r}")
     if isinstance(tol, Decimal) and tol.is_nan() or not tol > 0:
         raise ParameterOutOfRange(f"tolerance must be positive, got {tol}")
+    if isinstance(tol, (float, Decimal)) and not Decimal(tol).is_finite():
+        raise ParameterOutOfRange(f"tolerance must be finite, got {tol}")
     if tol < _MIN_TOL:
         raise ParameterOutOfRange("tolerance must be at least 1e-1000")
     # every tol of 1/2 or more gives the same bracket, and the exact

@@ -349,35 +349,104 @@ class TestVerifyTables:
 
 def walk_root(root, n_max):
     """The tables classify._walk fills from root alone: per length, image
-    pair -> word texts and the decomposable word texts."""
-    tables = {n: ({}, []) for n in range(root.length, n_max + 1)}
+    key -> first word text, image key -> word texts for a key that repeats,
+    and the decomposable word texts."""
+    tables = {n: ({}, {}, []) for n in range(root.length, n_max + 1)}
     classify._walk(root, n_max, tables)
     return tables
 
 
+def walked(level):
+    """(image key, word text) for every word a length's tables hold."""
+    firsts, groups, _ = level
+    yield from firsts.items()
+    for key, texts in groups.items():
+        assert texts[0] == firsts[key]
+        for text in texts[1:]:
+            yield key, text
+
+
+def image_key(text):
+    """The walk's key of a word's image, from its pi-map built from scratch."""
+    img = pi_map(text)
+    return lanes(img.filled) << 16 | img.origin_index
+
+
+def depth_first(root, n_max):
+    """The texts of root and its extensions up to length n_max, depth first
+    in LETTERS order."""
+    words, order = [root], []
+    while words:
+        w = words.pop()
+        order.append(str(w))
+        if w.length < n_max:
+            words.extend(reversed(w.extensions()))
+    return order
+
+
 class TestTrieWalk:
     def test_images_and_flags_match_fresh_diagrams(self):
-        """Every word of length <= 9, against its pi-map built from scratch."""
-        walked = []
+        """Every word of length <= 10, against its pi-map built from scratch."""
+        walked_texts = []
         for root in all_pin_words(1):
-            for images, decs in walk_root(root, 9).values():
-                for key, texts in images.items():
-                    for text in texts:
-                        img = pi_map(text)
-                        assert key == (lanes(img.filled), img.origin_index)
-                        assert (text in decs) == (not is_box_indecomposable(img))
-                        walked.append(text)
-        expected = [str(w) for n in range(1, 10) for w in all_pin_words(n)]
-        assert sorted(walked) == sorted(expected)
+            for level in walk_root(root, 10).values():
+                decs = set(level[2])
+                for key, text in walked(level):
+                    assert key == image_key(text)
+                    assert (text in decs) == (not is_box_indecomposable(pi_map(text)))
+                    walked_texts.append(text)
+        expected = [str(w) for n in range(1, 11) for w in all_pin_words(n)]
+        assert sorted(walked_texts) == sorted(expected)
+
+    @given(pin_words(max_letters=4), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=40, deadline=None)
+    def test_extensions_of_any_root(self, root, extra):
+        """A root of up to five letters and its extensions by up to four:
+        each length holds exactly the extensions, each with its image key
+        and flag against pi_map, and the groups are the repeated keys."""
+        tables = walk_root(root, root.length + extra)
+        order = depth_first(root, root.length + extra)
+        for n, level in tables.items():
+            pairs = list(walked(level))
+            assert sorted(text for _, text in pairs) == sorted(t for t in order if len(t) == n)
+            keys = [key for key, _ in pairs]
+            assert all(keys.count(key) > 1 for key in level[1])
+            for key, text in pairs:
+                assert key == image_key(text)
+                assert (text in level[2]) == (not is_box_indecomposable(pi_map(text)))
+
+    def test_walk_order(self):
+        """Depth first in LETTERS order: within each length, the first
+        texts, each group and the decomposable texts keep the walk's order."""
+        order = depth_first(PinWord(1), 4)
+        assert order == (
+            "1 1u 1ul 1ulu 1uld 1ur 1uru 1urd 1d 1dl 1dlu 1dld 1dr 1dru 1drd "
+            "1l 1lu 1lul 1lur 1ld 1ldl 1ldr 1r 1ru 1rul 1rur 1rd 1rdl 1rdr"
+        ).split()
+        for n, (firsts, groups, decs) in walk_root(PinWord(1), 4).items():
+            at_n = [t for t in order if len(t) == n]
+            repeats = {t for texts in groups.values() for t in texts[1:]}
+            assert list(firsts.values()) == [t for t in at_n if t not in repeats]
+            for texts in groups.values():
+                assert texts == [t for t in at_n if t in texts]
+            assert decs == [t for t in at_n if t in decs]
+        assert walk_root(PinWord(1), 4)[2][1] == {image_key("1u"): ["1u", "1r"]}
 
     def test_walk_yields_every_word_of_each_length(self):
         """2^(n+2) words at each length n >= 2 in the maps all roots share,
         so a skipped branch or an overwritten entry shows."""
-        tables = {n: ({}, []) for n in range(classify._ROOT_LENGTH, 11)}
+        tables = {n: ({}, {}, []) for n in range(classify._ROOT_LENGTH, 11)}
         for root in all_pin_words(classify._ROOT_LENGTH):
             classify._walk(root, 10, tables)
-        counts = {n: sum(map(len, images.values())) for n, (images, _) in tables.items()}
+        counts = {n: sum(1 for _ in walked(level)) for n, level in tables.items()}
         assert counts == {n: 2 ** (n + 2) for n in range(2, 11)}
+
+    def test_long_root(self):
+        """The lane tables follow the walk's depth: a 261-letter root
+        walked to its own length is its one leaf, checked from scratch."""
+        root = PinWord(2, "dl" * 130)
+        (level,) = walk_root(root, root.length).values()
+        assert list(walked(level)) == [(image_key(str(root)), str(root))]
 
     def test_leaf_checked_against_pi_map(self, monkeypatch):
         """A skewed image-level step in the walk must fail the check built
@@ -402,6 +471,21 @@ class TestTrieWalk:
         walk_root(PinWord(1, "u"), 6)
         assert checked == ["1ululu", "1uld"]
 
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 7])
+    def test_checked_nodes_of_every_root(self, monkeypatch, n_max):
+        """Under every root of the walk, at the root's own depth, one past
+        it and deeper: the first deepest leaf and the first decomposable
+        word in depth-first LETTERS order, each checked once."""
+        checked = []
+        monkeypatch.setattr(classify, "check_node", lambda text, *_: checked.append(text))
+        for root in all_pin_words(classify._ROOT_LENGTH):
+            checked.clear()
+            walk_root(root, n_max)
+            order = depth_first(root, n_max)
+            leaf = next(t for t in order if len(t) == n_max)
+            decs = [t for t in order if not is_box_indecomposable(pi_map(t))]
+            assert checked == [leaf, *decs[:1]]
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -412,13 +496,16 @@ class TestTrieWalk:
     )
     def test_carried_values_checked_from_scratch(self, monkeypatch, corrupt, message):
         """An inverted ⊞-indecomposability flag, or a wrong quadrant set,
-        must fail the check built from scratch."""
-        walk = pimap.trie_images
+        carried out of the image step must fail the check built from
+        scratch.  An empty interval list marks an indecomposable image, and
+        (0, 0, 0, 0) stands for a proper interval that no step extends."""
+        grow = pimap._grow
 
-        def corrupted(*args):
-            for text, img, indecomposable, quadrants in walk(*args):
-                yield text, img, *corrupt(indecomposable, quadrants)
+        def corrupted(node, c):
+            *head, intervals, quadrants, lanes = grow(node, c)
+            flag, quadrants = corrupt(not intervals, quadrants)
+            return *head, [] if flag else [(0, 0, 0, 0)], quadrants, lanes
 
-        monkeypatch.setattr(classify, "trie_images", corrupted)
+        monkeypatch.setattr(pimap, "_grow", corrupted)
         with pytest.raises(CrossCheckMismatch, match=message):
             walk_root(PinWord(1, "u"), 6)

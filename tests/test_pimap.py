@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinclasses import pimap
+from pinclasses import classify, pimap
 from pinclasses.classify import all_pin_words
 from pinclasses.cperm import (
     QUADRANT_SIGNS,
@@ -37,7 +37,6 @@ from pinclasses.pimap import (
     point_quadrant,
     prefix_levels,
     remove_interior_point,
-    trie_images,
 )
 from pinclasses.pinword import (
     NEXT_LETTERS,
@@ -106,8 +105,7 @@ def reference_points(w):
 
 
 def fresh_node(text):
-    """What `trie_images` and `prefix_levels` yield for a word, built from
-    scratch."""
+    """What `prefix_levels` yields for a word, built from scratch."""
     img = pi_map(text)
     return text, (lanes(img.filled), img.origin_index), is_box_indecomposable(img), img.quadrants()
 
@@ -244,14 +242,15 @@ class TestPiMap:
         levels = list(prefix_levels([text]))
         assert levels == [[fresh_node(text[:k])] for k in range(1, w.length + 1)]
 
-    def test_walk_matches_fresh_routes_to_ten(self):
-        """Every word of length <= 10, from each numeral root: image, flag
-        and quadrant set against pi_map, is_box_indecomposable and
-        quadrants() built from scratch."""
-        nodes = [node for root in all_pin_words(1) for node in trie_images(root, 10)]
-        assert len(nodes) == 4 + sum(2 ** (n + 2) for n in range(2, 11))
-        for node in nodes:
-            assert node == fresh_node(node[0])
+    def test_levels_match_fresh_routes_to_ten(self):
+        """The levels of every word of length 10 hold every word of length
+        <= 10, each once: image, flag and quadrant set against pi_map,
+        is_box_indecomposable and quadrants() built from scratch."""
+        levels = list(prefix_levels(str(w) for w in all_pin_words(10)))
+        assert [len(level) for level in levels] == [4] + [2 ** (n + 2) for n in range(2, 11)]
+        for level in levels:
+            for node in level:
+                assert node == fresh_node(node[0])
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -272,28 +271,19 @@ class TestPiMap:
             assert [text for text, *_ in level] == sorted({text[:n] for text in sample})
             assert all(node == fresh_node(node[0]) for node in level)
 
-    @given(pin_words(max_letters=4), st.integers(min_value=1, max_value=7))
+    @given(pin_words(max_letters=4), st.integers(min_value=0, max_value=4))
     @settings(max_examples=40)
-    def test_trie_images_match_fresh_diagrams(self, root, n_max):
-        nodes = list(trie_images(root, n_max))
-        assert all(node == fresh_node(node[0]) for node in nodes)
-        # the root and its extensions of every length up to n_max, in
-        # depth-first LETTERS order
-        words, expected = [root], []
-        while words:
-            w = words.pop()
-            expected.append(str(w))
-            if w.length < n_max:
-                words.extend(reversed(w.extensions()))
-        assert [text for text, *_ in nodes] == expected
-
-    def test_walk_order(self):
-        """Depth first in LETTERS order."""
-        texts = [text for text, *_ in trie_images(PinWord(1), 4)]
-        assert texts == (
-            "1 1u 1ul 1ulu 1uld 1ur 1uru 1urd 1d 1dl 1dlu 1dld 1dr 1dru 1drd "
-            "1l 1lu 1lul 1lur 1ld 1ldl 1ldr 1r 1ru 1rul 1rur 1rd 1rdl 1rdr"
-        ).split()
+    def test_extension_levels_match_fresh_diagrams(self, root, extra):
+        """The levels of every extension of a root by ``extra`` letters hold
+        the root's prefixes, one a level, then every extension of each
+        length, each matching the routes built from scratch."""
+        text = str(root)
+        texts = [str(w) for w in all_pin_words(root.length + extra) if str(w).startswith(text)]
+        levels = list(prefix_levels(texts))
+        assert len(levels) == root.length + extra
+        for n, level in enumerate(levels, 1):
+            assert [t for t, *_ in level] == sorted({t[:n] for t in texts})
+            assert all(node == fresh_node(node[0]) for node in level)
 
     @given(pin_words(max_letters=23))
     @settings(max_examples=100)
@@ -318,16 +308,6 @@ def seeded_spec(cycle_length: int, prefix: str) -> PinSpec:
     return PinSpec(PinWord(1, prefix), cycle)
 
 
-def beside_tuple_walk(root, n_max):
-    """Each `trie_images` node with its (one-line tuple, origin index)
-    image pair beside the tuple walk's node."""
-    for node, reference in zip(
-        trie_images(root, n_max), tuple_walk.trie_images(root, n_max), strict=True
-    ):
-        image, k = node[1]
-        yield node, (one_line(image), k), reference
-
-
 def beside_tuple_levels(texts):
     """Each `prefix_levels` node of ``texts`` (one length), level by level,
     with its image pair as a one-line tuple, beside the tuple walk's node
@@ -348,13 +328,13 @@ def beside_tuple_levels(texts):
 class TestAgainstTupleWalk:
     """The lane walks against the tuple walk they replaced
     (tests/tuple_walk.py), node by node, short of depth 254 and past it:
-    `trie_images` beside the tuple walk of every word, `prefix_levels`
-    beside its walk of the same texts' trie."""
+    `prefix_levels` beside the tuple walk of the same texts' trie, from
+    every word of length 10 to a spec's longest factors."""
 
     def test_every_word_to_ten(self):
-        for root in all_pin_words(1):
-            for (text, _, flag, quadrants), pair, reference in beside_tuple_walk(root, 10):
-                assert (text, pair, flag, quadrants) == reference
+        texts = [str(w) for w in all_pin_words(10)]
+        for (text, _, flag, quadrants), pair, reference in beside_tuple_levels(texts):
+            assert (text, pair, flag, quadrants) == reference
 
     @pytest.mark.parametrize(
         "cycle_length, prefix",
@@ -382,11 +362,14 @@ class TestAgainstTupleWalk:
         for (text, _, flag, quadrants), pair, reference in beside_tuple_levels([str(w)]):
             assert (text, pair, flag, quadrants) == reference
 
-    def test_root_longer_than_the_depth(self):
-        """The lane tables follow the longest word walked: a 261-letter
-        root walked to depth 5 yields itself alone."""
+    def test_long_word_levels(self):
+        """The lane tables follow the word's length: the levels of a
+        261-letter word hold its prefixes, one a level, and the last passes
+        `check_node`."""
         root = PinWord(2, "dl" * 130)
-        (node,) = trie_images(root, 5)
+        levels = list(prefix_levels([str(root)]))
+        assert [len(level) for level in levels] == [1] * root.length
+        (node,) = levels[-1]
         assert len(one_line(node[1][0])) == root.length + 1
         check_node(*node)
 
@@ -394,7 +377,7 @@ class TestAgainstTupleWalk:
         """A 16-bit lane holds the values of a walk to depth 65534; a
         deeper walk is refused before any table is built."""
         with pytest.raises(ParameterOutOfRange, match="65534"):
-            next(trie_images(PinWord(1), 65535))
+            classify._walk(PinWord(1), 65535, {})
         with pytest.raises(ParameterOutOfRange, match="65534"):
             next(prefix_levels(["1" + "ud" * 32767]))
 

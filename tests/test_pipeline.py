@@ -648,6 +648,19 @@ class TestGrowthRate:
         with pytest.raises(ParameterOutOfRange, match="number"):
             growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, False])
+    def test_bool_tolerance_rejected(self, tol):
+        """A bool is an int, but as a tolerance it is a likely mistake, as it
+        is for ``digits``: True would act as the tolerance 1."""
+        with pytest.raises(ParameterOutOfRange, match="number"):
+            growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+
+    @pytest.mark.parametrize("tol", [float("inf"), Decimal("Infinity")], ids=str)
+    def test_infinite_tolerance_rejected(self, tol):
+        """An infinite tolerance would act as 1; it is refused, like a NaN."""
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+
     def test_float_tolerance_is_its_exact_fraction(self):
         poly = Poly.parse("1 - 2z - z^3")
         got = growth_rate(poly, tol=1e-3).root_interval
@@ -940,7 +953,7 @@ def _isolation_cases(draw):
         if draw(st.booleans()):
             roots.append(root + Fraction(1, 10 ** draw(st.integers(2, 12))))
     for root in roots:
-        linear = Poly([root.denominator, -root.numerator])
+        linear = Poly([root.numerator, -root.denominator])
         p = p * linear * (linear if draw(st.booleans()) else ONE)
     return p, roots
 
@@ -965,8 +978,12 @@ class TestDescartesAgainstSturm:
     @example((Poly.parse("1 + z + z^2"), []), Fraction(1, 10**12))
     @settings(max_examples=120, deadline=None)
     def test_same_bracket(self, case, tol):
-        poly, _ = case
-        assert _descartes_bracket(poly, tol) == sturm.sturm_bisection(poly, tol)
+        poly, roots = case
+        want = sturm.sturm_bisection(poly, tol)
+        assert _descartes_bracket(poly, tol) == want
+        # the roots put in are roots, so the smallest root lies at or left of them
+        assert all(poly(root) == 0 for root in roots)
+        assert not roots or want is not None and want[0] < min(roots)
 
     @pytest.mark.parametrize("tol", _ISOLATION_TOLERANCES, ids=str)
     @pytest.mark.parametrize("den", ANCHOR_DENOMINATORS, ids=str)

@@ -6,7 +6,7 @@ non-trivial ∘-intervals as (a, b, lo, hi), quadrant set), with ``filled``
 the one-line tuple.  In `_grow` each step copies the tuple into a list,
 shifts every value by one where values move, inserts the new point and
 rebuilds the tuple.  `trie_images` walks them depth first, as
-`pimap.trie_images` does, and yields (text, (filled, origin index), flag,
+`classify._walk` does, and yields (text, (filled, origin index), flag,
 quadrant set); given a nested-dict trie (`trie_of`), it keeps to the words
 the trie spells, so it walks the words whose levels `pimap.prefix_levels`
 grows breadth first.  `factor_tables` counts a spec's factor images over
@@ -82,7 +82,7 @@ def _grow(node, letter: str):
 
 
 def trie_images(root, n_max: int, trie=None):
-    """`pimap.trie_images` on one-line tuples; with ``trie``, a nested dict
+    """A depth-first walk on one-line tuples; with ``trie``, a nested dict
     from each letter that may follow the root to its own such dict, only
     the words it spells, in its insertion order."""
     root = as_word(root)
