@@ -23,7 +23,10 @@ first from the words of length _ROOT_LENGTH: each word's image and
 keyed by its image as one int: the first word text of each image, every
 text of an image that repeats, and the decomposable texts.  Under each
 root, the first deepest leaf and the first word flagged decomposable are
-checked against the routes built from scratch (`pimap.check_node`).
+checked against the routes built from scratch (`pimap.check_node`).  The
+verifier returns one JSON-ready dict a length, which `verify-tables` prints
+as it is: the derived decomposable words and collision groups as sorted
+lists, whether both match the tables, and a message for each that does not.
 """
 
 from __future__ import annotations
@@ -151,40 +154,6 @@ def all_pin_words(n: int) -> list[PinWord]:
     return [PinWord(q, s) for q in (1, 2, 3, 4) for s in strings]
 
 
-class ClassificationReport:
-    """Outcome of the exhaustive re-derivation at one length."""
-
-    __slots__ = (
-        "length",
-        "decomposable_words",
-        "collision_groups",
-        "table_match",
-        "discrepancies",
-    )
-
-    def __init__(self, length, decomposable_words, collision_groups, table_match, discrepancies):
-        self.length = length
-        self.decomposable_words = frozenset(decomposable_words)
-        self.collision_groups = frozenset(frozenset(g) for g in collision_groups)
-        self.table_match = bool(table_match)
-        self.discrepancies = list(discrepancies)
-
-    def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "decomposable_words": sorted(self.decomposable_words),
-            "collision_groups": sorted(sorted(g) for g in self.collision_groups),
-            "table_match": self.table_match,
-            "discrepancies": self.discrepancies,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ClassificationReport(n={self.length}, dec={len(self.decomposable_words)}, "
-            f"groups={len(self.collision_groups)}, match={self.table_match})"
-        )
-
-
 # Words of this length root the trie walk.
 _ROOT_LENGTH = 2
 # The walk holds every word's image up to n_max, 2^(n+2) words of length n;
@@ -262,43 +231,35 @@ def _derive(n_max: int) -> dict[int, tuple[set, set]]:
     }
 
 
-def verify_tables(n_max: int = 12) -> list[ClassificationReport]:
+def verify_tables(n_max: int = 12) -> list[dict]:
     """Re-derive both tables exhaustively for every n <= n_max and compare.
 
-    A disagreement is reported in the ClassificationReport, never raised.
+    One JSON-ready record per length n = 1..n_max: its `length`, the
+    derived `decomposable_words` sorted, the derived `collision_groups`
+    each sorted and then sorted as a list, `table_match`, and the
+    `discrepancies`, one message for each table that disagrees.  A
+    disagreement is reported in the record, never raised.
     """
     if n_max < 2:
         raise ParameterOutOfRange(f"n_max must be at least 2, got {n_max}")
     if n_max > _VERIFY_GUARD:
         raise CensusTooLarge(f"verify-tables depth {n_max} exceeds the guard {_VERIFY_GUARD}")
-    derived = _derive(n_max)
     reports = []
-    for n in range(1, n_max + 1):
-        derived_decs, derived_groups = derived[n]
-        table_decs = set(decomposable_words(n))
-        table_groups = set(collision_groups_at(n))
+    for n, (decs, groups) in _derive(n_max).items():
+        report = {"length": n}
         discrepancies = []
-        if derived_decs != table_decs:
-            extra = sorted(derived_decs - table_decs)
-            missing = sorted(table_decs - derived_decs)
-            discrepancies.append(
-                f"decomposables at n={n}: not in table {extra}, not found {missing}"
-            )
-        if derived_groups != table_groups:
-            extra = sorted(sorted(g) for g in derived_groups - table_groups)
-            missing = sorted(sorted(g) for g in table_groups - derived_groups)
-            discrepancies.append(
-                f"collision groups at n={n}: not in table {extra}, not found {missing}"
-            )
-        reports.append(
-            ClassificationReport(
-                length=n,
-                decomposable_words=derived_decs,
-                collision_groups=derived_groups,
-                table_match=not discrepancies,
-                discrepancies=discrepancies,
-            )
-        )
+        # a word sorts as itself (str), a group as its sorted list of texts
+        for field, kind, form, derived, tabled in (
+            ("decomposable_words", "decomposables", str, decs, decomposable_words(n)),
+            ("collision_groups", "collision groups", sorted, groups, collision_groups_at(n)),
+        ):
+            report[field] = sorted(map(form, derived))
+            if derived != tabled:
+                extra = sorted(map(form, derived - tabled))
+                missing = sorted(map(form, tabled - derived))
+                discrepancies.append(f"{kind} at n={n}: not in table {extra}, not found {missing}")
+        report.update(table_match=not discrepancies, discrepancies=discrepancies)
+        reports.append(report)
     return reports
 
 

@@ -114,23 +114,17 @@ def cmd_growth(args) -> int:
 
 def cmd_verify_tables(args) -> int:
     reports = classify.verify_tables(args.n_max)
-    payload = {"reports": [r.to_json() for r in reports]}
-    lines = []
-    bad = []
-    for r in reports:
-        lines.append(
-            f"n={r.length:2d}  decomposable={len(r.decomposable_words):3d}  "
-            f"collision_groups={len(r.collision_groups):3d}  "
-            f"match={'yes' if r.table_match else 'NO'}"
-        )
-        if not r.table_match:
-            bad.extend(r.discrepancies)
-    _emit(args, payload, lines)
-    if bad:
-        for msg in bad:
-            print(f"mismatch: {msg}", file=sys.stderr)
-        return 5
-    return 0
+    lines = [
+        f"n={r['length']:2d}  decomposable={len(r['decomposable_words']):3d}  "
+        f"collision_groups={len(r['collision_groups']):3d}  "
+        f"match={'yes' if r['table_match'] else 'NO'}"
+        for r in reports
+    ]
+    _emit(args, {"reports": reports}, lines)
+    bad = [msg for r in reports for msg in r["discrepancies"]]
+    for msg in bad:
+        print(f"mismatch: {msg}", file=sys.stderr)
+    return 5 if bad else 0
 
 
 def _open_output(path: str):

@@ -276,11 +276,15 @@ def left_truncate(spec, n: int) -> PinSpec:
 
 
 def _factor_windows(spec: PinSpec) -> tuple[int, int]:
-    """(first recurrent start, last start needed): factors starting at or
-    beyond prefix_length+2 sit in the pure-cycle era and recur with period
-    |cycle|; one extra cycle of starts is scanned as insurance."""
+    """(first recurrent start, last start needed): P + 2 and P + C + 1, for
+    prefix length P and cycle length C, so the recurrent starts are exactly
+    one cycle.  For a start i >= P + 2, letters i - 1 and i are both cycle
+    letters, and p_i's quadrant is fixed by that letter pair
+    (`pipeline._pair_quadrant_table` checks this against the pi-map for
+    every numeral); the letters after i repeat with the cycle too, so the
+    factor at start i equals the factor at i + C."""
     p, c = spec.prefix_length, spec.cycle_length
-    return p + 2, p + 2 * c + 1
+    return p + 2, p + c + 1
 
 
 @lru_cache(maxsize=128)

@@ -589,8 +589,11 @@ def growth_rate(f_or_g, tol=Fraction(1, 10**12), digits: int = 10) -> GrowthResu
     ``tol`` is an int, float, Fraction or Decimal of at least 10^-1000,
     checked before it is made exact (the exact fraction of a tiny Decimal is
     itself slow to build); one above 1 acts as 1; a bool, a NaN, an infinity
-    or a non-number is refused, as `digits` refuses a bool.
+    or a non-number is refused, as `digits` refuses a bool.  Anything but
+    a RatGF or a Poly, text included, is refused as ``f_or_g``.
     """
+    if not isinstance(f_or_g, (RatGF, Poly)):
+        raise ParameterOutOfRange(f"growth_rate needs a RatGF or Poly, not {type(f_or_g).__name__}")
     if not isinstance(tol, (int, float, Fraction, Decimal)) or isinstance(tol, bool):
         raise ParameterOutOfRange(f"tolerance must be a number, got {tol!r}")
     if isinstance(tol, Decimal) and tol.is_nan() or not tol > 0:

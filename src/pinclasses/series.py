@@ -299,8 +299,11 @@ class Poly(Value):
         An exponent above MAX_PARSE_DEGREE raises ParameterOutOfRange before
         any coefficient list is built; a coefficient whose numerator or
         denominator has more than MAX_PARSE_DIGITS digits raises
-        MalformedSyntax."""
-        s = text.replace(" ", "").replace("**", "^").lower()
+        MalformedSyntax, as does anything but text.  Every whitespace
+        character is ignored."""
+        if not isinstance(text, str):
+            raise MalformedSyntax(f"expected polynomial text, got {type(text).__name__}")
+        s = re.sub(r"\s+", "", text).replace("**", "^").lower()
         if not s:
             raise MalformedSyntax("empty polynomial")
         # split into signed terms; a sign inside parentheses splits nothing

@@ -160,16 +160,16 @@ def test_criterion_3_classification_tables():
     reports = verify_tables(16)
     elapsed = time.perf_counter() - start
 
-    assert [r.length for r in reports] == list(range(1, 17))
-    assert all(r.table_match for r in reports)
-    assert all(r.discrepancies == [] for r in reports)
+    assert [r["length"] for r in reports] == list(range(1, 17))
+    assert all(r["table_match"] for r in reports)
+    assert all(r["discrepancies"] == [] for r in reports)
 
-    dec_counts = {r.length: len(r.decomposable_words) for r in reports}
+    dec_counts = {r["length"]: len(r["decomposable_words"]) for r in reports}
     assert dec_counts[1] == 0 and dec_counts[2] == 8 and dec_counts[3] == 8
     assert all(dec_counts[n] == 16 for n in range(4, 17))
 
     group_sizes = {
-        r.length: sorted(len(g) for g in r.collision_groups) for r in reports
+        r["length"]: sorted(len(g) for g in r["collision_groups"]) for r in reports
     }
     assert group_sizes[2] == [2] * 4
     assert group_sizes[3] == [2] * 8

@@ -1,5 +1,7 @@
 """Exhaustive classification of colliding and decomposable pin words."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -318,13 +320,12 @@ class TestOvercountSeries:
 class TestVerifyTables:
     def test_reports_match(self):
         reports = verify_tables(6)
-        assert [r.length for r in reports] == [1, 2, 3, 4, 5, 6]
-        assert all(r.table_match for r in reports)
-        assert all(r.discrepancies == [] for r in reports)
+        assert [r["length"] for r in reports] == [1, 2, 3, 4, 5, 6]
+        assert all(r["table_match"] for r in reports)
+        assert all(r["discrepancies"] == [] for r in reports)
 
     def test_json_schema(self):
-        report = verify_tables(2)[0]
-        data = report.to_json()
+        data = verify_tables(2)[0]
         assert set(data) == {
             "length",
             "decomposable_words",
@@ -334,6 +335,45 @@ class TestVerifyTables:
         }
         assert data["length"] == 1
         assert data["decomposable_words"] == []
+
+    def test_records_are_sorted_and_json_ready(self):
+        """Each record is what `verify-tables --format json` prints: plain
+        lists, sorted, that read back from JSON unchanged."""
+        reports = verify_tables(4)
+        assert json.loads(json.dumps(reports)) == reports
+        for r in reports:
+            n = r["length"]
+            assert r["decomposable_words"] == sorted(decomposable_words(n))
+            assert r["collision_groups"] == sorted(map(sorted, collision_groups_at(n)))
+            assert all(g == sorted(g) for g in r["collision_groups"])
+
+    def test_discrepancies_at_one_length(self, monkeypatch):
+        """Both tables wrong at one length: one message each, decomposables
+        first, and that record alone reports no match.  The derived words
+        and groups stay as the walk found them."""
+        tabled, groups = classify.decomposable_words, classify.collision_groups_at
+        dropped = min(groups(4), key=sorted)
+        fake = frozenset({"1rur", "1urd"})  # two words whose images differ
+        monkeypatch.setattr(
+            classify,
+            "decomposable_words",
+            lambda n: tabled(n) - {"1uld"} | {"1rur"} if n == 4 else tabled(n),
+        )
+        monkeypatch.setattr(
+            classify,
+            "collision_groups_at",
+            lambda n: groups(n) - {dropped} | {fake} if n == 4 else groups(n),
+        )
+        reports = verify_tables(5)
+        assert [r["table_match"] for r in reports] == [True, True, True, False, True]
+        r = reports[3]
+        assert r["discrepancies"] == [
+            "decomposables at n=4: not in table ['1uld'], not found ['1rur']",
+            f"collision groups at n=4: not in table [{sorted(dropped)}], "
+            "not found [['1rur', '1urd']]",
+        ]
+        assert r["decomposable_words"] == sorted(tabled(4))
+        assert r["collision_groups"] == sorted(map(sorted, groups(4)))
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,13 @@ class TestGrowth:
     def test_malformed_poly(self, capsys):
         code, _, err = run(capsys, "growth", "--poly", "1 - 2q")
         assert code == 2
+        code, out, err = run(capsys, "growth", "--poly", "1++z")
+        assert code == 2 and not out and "tokenize" in err
+
+    @pytest.mark.parametrize("poly", ["1 -\t2z", "1-2z\n", "\t1 - 2z\r\n"])
+    def test_poly_whitespace_of_any_kind(self, capsys, poly):
+        """Tabs and line breaks are ignored as spaces are."""
+        assert run(capsys, "growth", "--poly", poly) == run(capsys, "growth", "--poly", "1 - 2z")
 
     @pytest.mark.parametrize("mode", ["class", "closure", "interior"])
     def test_poly_rejects_a_mode(self, capsys, mode):
@@ -600,6 +607,12 @@ class TestOracle:
         assert data["counts"] == [1, 1, 2, 5, 11]
         assert data["match"] is True
 
+    @pytest.mark.parametrize("method", ["subset", "composition"])
+    def test_spec_method_without_a_spec(self, capsys, method):
+        code, out, err = run(capsys, "oracle", "--n", "3", "--method", method)
+        assert code == 2 and not out
+        assert "needs a spec" in err
+
     def test_composition_rejects_nonrecurrent(self, capsys):
         code, _, err = run(capsys, "oracle", "1(ul)*", "--n", "3", "--method", "composition")
         assert code == 3
@@ -690,6 +703,8 @@ class TestClosureOf:
     def test_malformed_perm(self, capsys):
         code, _, err = run(capsys, "closure-of", "--perms", "4[1]52")
         assert code == 2
+        code, out, err = run(capsys, "closure-of", "--perms", "1,x,[2]")
+        assert code == 2 and not out and "bad entry" in err
 
     def test_bare_origin_is_a_precondition(self, capsys):
         code, out, err = run(capsys, "closure-of", "--perms", "[1]")

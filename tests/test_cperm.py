@@ -79,6 +79,8 @@ class TestParsingAndBasics:
             from_oneline("[1]1")
         with pytest.raises(MalformedSyntax):
             from_oneline("[1]x2")
+        with pytest.raises(MalformedSyntax, match="bad entry"):
+            from_oneline("1,x,[2]")
 
     def test_non_text_input_is_a_parse_error(self):
         """A value that is neither a CentredPerm nor text is malformed input."""
@@ -129,6 +131,11 @@ class TestStrictConstruction:
     def test_string_origin_index_rejected(self):
         with pytest.raises(NotAPermutation):
             CentredPerm([2, 1], "1")
+
+    @pytest.mark.parametrize("origin", [0, 3])
+    def test_origin_index_outside_the_entries_rejected(self, origin):
+        with pytest.raises(NotAPermutation, match="origin index"):
+            CentredPerm([2, 1], origin)
 
     def test_numpy_integers_pass_as_python_ints(self):
         np = pytest.importorskip("numpy")

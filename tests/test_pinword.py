@@ -13,6 +13,7 @@ from pinclasses.errors import (
     ParameterOutOfRange,
 )
 from pinclasses import pinword
+from pinclasses.cli import main as cli_main
 from pinclasses.pimap import pi_map, point_quadrant
 from pinclasses.pinword import (
     PinSpec,
@@ -59,6 +60,12 @@ class TestPinWord:
     def test_bad_numeral(self):
         with pytest.raises(MalformedSyntax):
             PinWord(5, "")
+
+    def test_letters_outside_udlr(self):
+        """Built directly, a word's letters are checked as parsing checks
+        them."""
+        with pytest.raises(MalformedSyntax, match="invalid letters"):
+            PinWord(1, "rx")
 
     def test_numeral_must_be_an_integer(self):
         """Floats and strings are not truncated or parsed into numerals."""
@@ -134,6 +141,37 @@ class TestPinSpec:
             parse_pin_spec("1(udu)*")  # wrap-around u..u clash
         with pytest.raises(NonAlternatingCycle):
             parse_pin_spec("1u(ul)*")  # junction clash
+
+    @pytest.mark.parametrize("text", ["1(r)*", "1(rur)*"])
+    def test_cycle_clash_only_at_the_wrap_around(self, text):
+        """A cycle that alternates inside but not from its last letter back
+        to its first is refused: as a library call, and as exit 2."""
+        with pytest.raises(NonAlternatingCycle, match="wrap-around"):
+            parse_pin_spec(text)
+        assert cli_main(["gf", text]) == 2
+
+    def test_cycle_checked_when_built_directly(self):
+        with pytest.raises(MalformedSyntax, match="non-empty"):
+            PinSpec("1", "")
+        with pytest.raises(MalformedSyntax, match="invalid letters"):
+            PinSpec("1", "rx")
+
+    def test_word_without_a_cycle_is_not_a_spec(self, capsys):
+        with pytest.raises(MalformedSyntax, match="pin spec"):
+            parse_pin_spec("1ru")
+        assert cli_main(["gf", "1ru"]) == 2
+        assert "pin spec" in capsys.readouterr().err
+
+    def test_positions_and_lengths_below_one(self):
+        s = parse_pin_spec("1(ru)*")
+        with pytest.raises(IndexOutOfRange):
+            s.symbol(0)
+        with pytest.raises(IndexOutOfRange):
+            s.initial_word(0)
+        with pytest.raises(IndexOutOfRange):
+            left_truncate(s, 0)
+        with pytest.raises(IndexOutOfRange):
+            enumerate_pin_factors(s, 0)
 
     def test_symbols_and_initial_word(self):
         s = parse_pin_spec("1(ru)*")
@@ -240,6 +278,21 @@ class TestFactors:
         brute = {pin_factor(s, i, i + n - 1) for i in range(1, horizon + 1)}
         assert enumerate_pin_factors(s, n, "all") == brute
 
+    @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=5), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_one_cycle_of_starts_suffices(self, s, n):
+        """The factors from starts up to P + C + 1 are those from a second
+        cycle of starts too, up to P + 2C + 1, in both modes: a factor
+        starting past the prefix recurs C starts on.  pin_factor folds its
+        starts past P + C + 1 back by the cycle as well;
+        test_factor_numeral_is_point_quadrant checks those numerals against
+        fresh diagrams."""
+        p, c = s.prefix_length, s.cycle_length
+        assert pinword._factor_windows(s) == (p + 2, p + c + 1)
+        for mode, first in (("all", 1), ("recurrent", p + 2)):
+            brute = {pin_factor(s, i, i + n - 1) for i in range(first, p + 2 * c + 2)}
+            assert enumerate_pin_factors(s, n, mode) == brute
+
     @given(pin_specs(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=40, deadline=None)
     def test_recurrent_factors_are_tail_factors(self, s, n):
@@ -263,7 +316,7 @@ class TestFactors:
         """pin_factor's numeral, read from the cached start numerals and
         folded by the cycle past their end, is the quadrant of p_i in a
         fresh diagram of w_{1,i}."""
-        last = s.prefix_length + 4 * s.cycle_length + 1  # hi + 2c
+        last = s.prefix_length + 4 * s.cycle_length + 1  # hi + 3c
         for i in range(1, last + 1):
             assert pin_factor(s, i, i).numeral == point_quadrant(s.initial_word(i), i)
 

@@ -32,6 +32,7 @@ from pinclasses.classify import all_pin_words
 from pinclasses.pimap import all_point_quadrants, pi_map
 from pinclasses.pinword import (
     MAX_SPEC_LENGTH,
+    PinWord,
     _start_numerals,
     check_spec_size,
     enumerate_pin_factors,
@@ -362,6 +363,21 @@ class TestGSequence:
                     build()
 
 
+    def test_denominator_with_another_pole_fails(self, monkeypatch):
+        """A g with a pole at z = -1 as well, its counts kept non-negative
+        integers inside every coefficient bound, gives a G whose denominator
+        is not a power of (1 - z): amended_G refuses it."""
+        stabilized = pipeline._stabilized_gfs
+        bump = gf("z^2", "1 - z^2")
+
+        def skewed(spec, table):
+            g, *quadrant_gfs = stabilized(spec, table)
+            return [g + bump, *quadrant_gfs]
+
+        monkeypatch.setattr(pipeline, "_stabilized_gfs", skewed)
+        with pytest.raises(BoundViolation, match="not a power of"):
+            amended_G("1(ru)*")
+
     def test_power_of_one_minus_z_by_binomials(self):
         """Against the powers of (1 - z) multiplied out: each of them, and
         every nonzero polynomial one coefficient away from one of them."""
@@ -506,6 +522,31 @@ class TestCompleteClass:
         with pytest.raises(DisconnectedQuadrants):
             complete_class_gf(())
 
+    def test_pair_quadrant_that_depends_on_the_numeral_fails(self, monkeypatch):
+        """A pi-map whose p_3 moves with the numeral breaks the pair table's
+        premise; the probe of every numeral must catch it.  The cached table
+        is left alone: its undecorated builder runs."""
+        point_quadrant = pipeline.point_quadrant
+        monkeypatch.setattr(
+            pipeline,
+            "point_quadrant",
+            lambda w, k: point_quadrant(w, k) % 4 + 1 if w.numeral == 4 else point_quadrant(w, k),
+        )
+        with pytest.raises(CrossCheckMismatch, match="depends on the numeral"):
+            pipeline._pair_quadrant_table.__wrapped__()
+
+    def test_collision_group_split_by_confinement_fails(self, monkeypatch):
+        """Colliding words share one image, so all or none lie in a quadrant
+        set; a tabled group of 1r (quadrant 1) and 3l (quadrant 3) must be
+        refused when only quadrants 1 and 2 are kept."""
+        groups = classify.collision_groups_at
+        split = frozenset({"1r", "3l"})
+        monkeypatch.setattr(
+            classify, "collision_groups_at", lambda n: groups(n) | {split} if n == 2 else groups(n)
+        )
+        with pytest.raises(CrossCheckMismatch, match="splits on confinement"):
+            pipeline._confined_correction_gfs(frozenset({1, 2}))
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_word_quadrants_match_geometry(self, n):
         # the confinement test reads quadrants from the probed tables; the
@@ -647,6 +688,13 @@ class TestGrowthRate:
     def test_tolerance_that_is_not_a_number_rejected(self, tol):
         with pytest.raises(ParameterOutOfRange, match="number"):
             growth_rate(Poly.parse("1 - 2z - z^3"), tol=tol)
+
+    @pytest.mark.parametrize("target", ["1 - 2z", None, 5])
+    def test_target_that_is_not_a_gf_rejected(self, target):
+        """Text, None or a number is refused as a typed error, not an
+        AttributeError on its missing denominator."""
+        with pytest.raises(ParameterOutOfRange, match="RatGF or Poly"):
+            growth_rate(target)
 
     @pytest.mark.parametrize("tol", [True, False])
     def test_bool_tolerance_rejected(self, tol):
@@ -1145,6 +1193,20 @@ class TestTruncationConvergence:
         for r in results:
             assert r.root_interval[0] <= interior.root_interval[1]
 
+
+    def test_no_truncation_point_fails(self, monkeypatch):
+        """Truncations whose factors always include one that does not recur
+        leave no truncation point, which the theory rules out: refused."""
+        enumerate_factors = pipeline.enumerate_pin_factors
+        stray = PinWord(1, "rururururu")  # longer than any factor asked for
+
+        def with_stray(spec, n, mode="all"):
+            found = enumerate_factors(spec, n, mode)
+            return found | {stray} if mode == "all" else found
+
+        monkeypatch.setattr(pipeline, "enumerate_pin_factors", with_stray)
+        with pytest.raises(CrossCheckMismatch, match="no valid truncation point"):
+            truncation_convergence("1(ru)*", 1)
 
     @given(pin_specs(cycle_lengths=(2, 4, 6), max_prefix_letters=4), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)

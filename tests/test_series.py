@@ -68,6 +68,20 @@ class TestPoly:
         for zero_denominator in ("1/0", "1-(1/0)z", "z^2 + 3/00z"):
             with pytest.raises(MalformedSyntax, match="zero denominator"):
                 Poly.parse(zero_denominator)
+        with pytest.raises(MalformedSyntax, match="tokenize"):
+            Poly.parse("1++z")
+
+    @pytest.mark.parametrize("text", [None, 5])
+    def test_parse_non_text_is_malformed(self, text):
+        """Only text parses; anything else is malformed input, not an
+        AttributeError."""
+        with pytest.raises(MalformedSyntax) as caught:
+            Poly.parse(text)
+        assert caught.value.exit_code == 2
+
+    @pytest.mark.parametrize("text", ["1 -\t2z", "1-2z\n", "\t1\r\n- 2 z\x0b"])
+    def test_parse_ignores_every_whitespace_character(self, text):
+        assert Poly.parse(text) == Poly([1, -2])
 
     def test_parse_degree_bound(self):
         """Exponents up to MAX_PARSE_DEGREE parse, leading zeros and all;
@@ -132,6 +146,10 @@ class TestPoly:
         with pytest.raises(DivisionByZero):
             Poly([1]).divmod(Poly.zero())
 
+    def test_pseudo_remainder_by_zero(self):
+        with pytest.raises(DivisionByZero):
+            Poly([1, 2]).pseudo_remainder(Poly.zero())
+
     def test_eval_horner(self):
         p = Poly([1, -2, 0, -1])
         x = Fraction(1, 2)
@@ -181,6 +199,10 @@ class TestRatGF:
     def test_pole_at_zero_rejected(self):
         with pytest.raises(PoleAtZero):
             RatGF(Poly.one(), Poly([0, 1]))
+
+    def test_division_by_the_zero_gf(self):
+        with pytest.raises(DivisionByZero):
+            RatGF(Poly([1]), Poly([1, -2])) / RatGF.zero()
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DivisionByZero):
