@@ -8,6 +8,14 @@ symmetry commutes with pair insertion, and from its third member on a family
 keeps one numeral, first letter and set of adjacent letter pairs, which fix
 its quadrants (`pipeline._word_quadrants`) and tell distinct images apart.
 
+A spec's table route reads the tables two ways.  Up to `PERIODIC_FROM`,
+where the single-member families live, it looks each factor up
+(`is_decomposable_word`, `overcount_series`), which builds the tables of
+that length.  Past it, `factor_corrections` counts the members among the
+prefixes of the spec's longest factors in one pass, from every family's
+numeral, pair and rest under every symmetry, built once at import
+(`_PARTS`).
+
 Words here are valid by construction, so the tables and the verifier hold
 word texts (``"1ldr"``); `PinWord` validates only input from outside, and
 this module builds one only in `all_pin_words`.  The lookups accept a
@@ -130,6 +138,63 @@ def collision_groups_at(n: int) -> frozenset[frozenset[str]]:
     """All collision groups (size >= 2) among pin word texts of length n."""
     groups = _groups(_COLLISION_FAMILIES, n)
     return frozenset(frozenset(map(s.word, group)) for group in groups for s in SYMMETRIES)
+
+
+def _parts_index():
+    """Every word family of both tables under every symmetry, as (pair,
+    rest, group), keyed by the numeral and first letter its members can
+    start with; group is None for a decomposable family, else the (text,
+    pair) of each family in its collision group, one entry for a group that
+    two symmetries give alike.  A symmetry maps a family's text and pair
+    each on its own."""
+    index: dict[str, dict] = {}
+    for family in _DECOMPOSABLE_FAMILIES + _COLLISION_FAMILIES:
+        for s in SYMMETRIES:
+            group = tuple((s.word(text), s.word(pair)) for text, pair in family)
+            tag = frozenset(group) if len(family) > 1 else None
+            for text, pair in group:
+                entry = pair, text[1:], tag
+                index.setdefault(text[:2], {})[entry] = None
+                if pair[:1] not in ("", text[1]):
+                    index.setdefault(text[0] + pair[0], {})[entry] = None
+    return {key: tuple(entries) for key, entries in index.items()}
+
+
+_PARTS = _parts_index()
+
+
+def factor_corrections(texts) -> dict[int, tuple[int, int]]:
+    """The table route's two corrections for the prefixes of pin word
+    texts: per length n, the number of distinct length-n prefixes that are
+    ⊞-decomposable, and their collision overcount (as `overcount_series`),
+    or (0, 0) at a length missing from the dict.
+
+    One pass a text: a member numeral + pair^k + rest of a family with
+    k >= 1 starts with its pair, so the text's leading run of its first
+    letter pair bounds k, and every other family has only k = 0.  Groups
+    are told apart by their member texts."""
+    decomposables: dict[int, set] = {}
+    present: dict[frozenset, set] = {}  # a collision group's texts -> those that are prefixes
+    for text in texts:
+        lead, run = text[1:3], 0
+        if len(lead) == 2:
+            while text.startswith(lead, 1 + 2 * run):
+                run += 1
+        for pair, rest, group in _PARTS.get(text[:2], ()):
+            for k in range(run + 1 if pair == lead else 1):
+                if text.startswith(rest, 1 + 2 * k):
+                    n = 1 + 2 * k + len(rest)
+                    if group is None:
+                        decomposables.setdefault(n, set()).add(text[:n])
+                    else:
+                        members = frozenset(t[0] + p * k + t[1:] for t, p in group)
+                        present.setdefault(members, set()).add(text[:n])
+    out = {n: (len(prefixes), 0) for n, prefixes in decomposables.items()}
+    for members, prefixes in present.items():
+        n = len(next(iter(members)))
+        decs, over = out.get(n, (0, 0))
+        out[n] = decs, over + len(prefixes) - 1
+    return out
 
 
 def collision_group(w) -> frozenset[str]:

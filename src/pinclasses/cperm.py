@@ -25,8 +25,9 @@ checks from scratch that a piece the level kernel generates is a ⊞-sum of
 two shorter members.
 
 The exported functions that take centred permutations also accept them as
-bracket text, through `as_perm`.  `is_box_indecomposable` and
-`minimal_centred_intervals` both read one ∘-interval scan, `_centred_intervals`.
+bracket text, through `as_perm`.  `minimal_centred_intervals` and
+`check_split` read one O(m^2) ∘-interval scan, `_centred_intervals`;
+`is_box_indecomposable` closes the two smallest candidates in O(m).
 """
 
 from __future__ import annotations
@@ -506,12 +507,60 @@ def minimal_centred_intervals(p: CentredPerm) -> list[tuple[int, int]]:
     return sorted(found)
 
 
+def _spans_all(f, where, a: int, b: int) -> bool:
+    """Is the least ∘-interval holding the 0-based positions a..b of the
+    one-line tuple f all of f?  ``where`` maps each value to its position.
+    The values of the positions taken in widen lo..hi, and the positions of
+    the values taken in widen a..b, one position or value a step, so each
+    is taken in at most once: O(m)."""
+    last = len(f) - 1
+    lo = hi = f[a]
+    i = j = a  # positions i..j and values vlo..vhi are taken in
+    vlo = vhi = lo
+    while True:
+        if i > a:
+            i -= 1
+            v = f[i]
+        elif j < b:
+            j += 1
+            v = f[j]
+        else:
+            if vlo > lo:
+                vlo -= 1
+                at = where[vlo]
+            elif vhi < hi:
+                vhi += 1
+                at = where[vhi]
+            else:
+                return b - a == last  # a..b is a ∘-interval
+            if at < a:
+                a = at
+            elif at > b:
+                b = at
+            if b - a == last:
+                return True
+            continue
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+
+
 def is_box_indecomposable(p: CentredPerm) -> bool:
-    """True iff p has no proper non-trivial ∘-interval."""
+    """True iff p has no proper non-trivial ∘-interval.
+
+    A non-trivial ∘-interval holds the origin and a position next to it, so
+    p is indecomposable iff the least ∘-interval holding the origin and its
+    left neighbour, and the one holding it and its right neighbour, are each
+    all of p (where that neighbour exists)."""
     p = as_perm(p)
     if p.length == 0:
         raise EmptyPermutation("indecomposability is defined for length ≥ 1")
-    return next(_centred_intervals(p)) == (1, len(p.filled))
+    f, k, last = p.filled, p.origin_index - 1, len(p.filled) - 1
+    where = [0, *sorted(range(last + 1), key=f.__getitem__)]
+    return (k == 0 or _spans_all(f, where, k - 1, k)) and (
+        k == last or _spans_all(f, where, k, k + 1)
+    )
 
 
 def one_quadrant(p: CentredPerm):

@@ -127,10 +127,15 @@ def _factor_counts(spec: PinSpec, mode: str) -> dict[int, tuple[int, ...]]:
     at a time by `prefix_levels` with each image's flag and quadrant set.
     Each length is checked, then dropped: its counts against the
     classification-table route, and each longest factor's node against the
-    routes built from scratch (`check_node`)."""
+    routes built from scratch (`check_node`).  The table route subtracts
+    the decomposable factors and the collision overcount from the number of
+    factors: by table lookups up to `classify.PERIODIC_FROM`, and past it
+    from the counts `classify.factor_corrections` takes in one pass over
+    the longest factors."""
     check_spec_size(spec)
     window = spec.prefix_length + 3 * spec.cycle_length + 2
     longest = {str(w): w for w in enumerate_pin_factors(spec, window, mode)}
+    corrections = classify.factor_corrections(longest)
     table = {}
     for n, level in enumerate(prefix_levels(longest), 1):
         images = {}  # each image's carried flag and one quadrant (or None)
@@ -146,15 +151,18 @@ def _factor_counts(spec: PinSpec, mode: str) -> dict[int, tuple[int, ...]]:
         tally = Counter(images.values())
         by_quadrant = [tally[True, q] for q in (1, 2, 3, 4)]
         indecs = tally[True, None] + sum(by_quadrant)
-        texts = [text for text, *_ in level]
-        dec_words = sum(1 for v in texts if classify.is_decomposable_word(v))
-        over = classify.overcount_series({n: texts})[n]
-        if len(texts) - dec_words - over != indecs:
+        if n <= classify.PERIODIC_FROM:
+            texts = [text for text, *_ in level]
+            dec_words = sum(1 for v in texts if classify.is_decomposable_word(v))
+            over = classify.overcount_series({n: texts})[n]
+        else:
+            dec_words, over = corrections.get(n, (0, 0))
+        if len(level) - dec_words - over != indecs:
             raise CrossCheckMismatch(
-                f"table route gives {len(texts) - dec_words - over} indecomposables "
+                f"table route gives {len(level) - dec_words - over} indecomposables "
                 f"at n={n} for {spec} ({mode}), direct route gives {indecs}"
             )
-        if len(texts) - over != len(images):
+        if len(level) - over != len(images):
             raise CrossCheckMismatch(
                 f"collision overcount {over} inconsistent with image dedup at n={n}"
             )

@@ -7,16 +7,19 @@ through one exact helper, `_div`.  Greatest common divisors run as a
 primitive pseudo-remainder sequence over the integers.  A ``RatGF`` is a
 reduced fraction of two polynomials whose denominator has constant term 1,
 so its power-series coefficients follow from a recurrence with no division.
-Both are immutable values on `_value.Value`.  One builder,
-`from_eventually_periodic`, turns an eventually periodic counting sequence
-into its generating function, one fraction over 1 - z^p for a period p; an
-eventually constant one is the case of a one-term period.
+Both are immutable values on `_value.Value`.  A RatGF's `+`, `-`, `*` and
+`/` take an int, a Fraction or a Poly on either side, and a Poly's `+` and
+`-` an int or a Fraction; any other operand gives ``NotImplemented``.  One
+builder, `from_eventually_periodic`, turns an eventually periodic counting
+sequence into its generating function, one fraction over 1 - z^p for a
+period p; an eventually constant one is the case of a one-term period.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -103,7 +106,11 @@ class Poly(Value):
             return self.coeffs[k]
         return 0
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            other = Poly([other])
+        elif not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -112,15 +119,26 @@ class Poly(Value):
             out[i] += c
         return Poly(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other) -> "Poly":
+        if not isinstance(other, (int, Fraction, Poly)):
+            return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other) -> "Poly":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
+        if not isinstance(other, Poly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -372,6 +390,21 @@ def _as_poly(x) -> Poly:
     return Poly([x]) if isinstance(x, (int, Fraction)) else Poly(x)
 
 
+def _coerced(method):
+    """A RatGF operator whose other operand may also be an int, a Fraction
+    or a Poly, made a RatGF first; any other type is NotImplemented."""
+
+    @wraps(method)
+    def operator(self, other):
+        if isinstance(other, (int, Fraction, Poly)):
+            other = RatGF(other)
+        elif not isinstance(other, RatGF):
+            return NotImplemented
+        return method(self, other)
+
+    return operator
+
+
 class RatGF(Value):
     """Rational generating function num/den in lowest terms, den(0) = 1."""
 
@@ -405,26 +438,41 @@ class RatGF(Value):
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
+    @_coerced
     def __add__(self, other: "RatGF") -> "RatGF":
         return RatGF(self.num * other.den + other.num * self.den, self.den * other.den)
 
+    __radd__ = __add__
+
+    @_coerced
     def __sub__(self, other: "RatGF") -> "RatGF":
         return RatGF(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    @_coerced
+    def __rsub__(self, other: "RatGF") -> "RatGF":
+        return other - self
 
     def __neg__(self) -> "RatGF":
         return RatGF(-self.num, self.den)
 
     def __mul__(self, other) -> "RatGF":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, Poly)):
             return RatGF(self.num * other, self.den)
+        if not isinstance(other, RatGF):
+            return NotImplemented
         return RatGF(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other: "RatGF") -> "RatGF":
         if other.is_zero():
             raise DivisionByZero("division of generating functions by zero")
         return RatGF(self.num * other.den, self.den * other.num)
+
+    @_coerced
+    def __rtruediv__(self, other: "RatGF") -> "RatGF":
+        return other / self
 
     def __call__(self, x):
         return _div(self.num(x), self.den(x))

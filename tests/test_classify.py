@@ -13,6 +13,7 @@ from pinclasses.classify import (
     collision_group,
     collision_groups_at,
     decomposable_words,
+    factor_corrections,
     is_decomposable_word,
     overcount_series,
     verify_tables,
@@ -20,8 +21,8 @@ from pinclasses.classify import (
 from pinclasses.cperm import QUADRANT_SIGNS, is_box_indecomposable
 from pinclasses.errors import CensusTooLarge, CrossCheckMismatch
 from pinclasses.pimap import all_point_quadrants, pi_map
-from pinclasses.pinword import PinWord, parse_pin_word
-from strategies import pin_words
+from pinclasses.pinword import PinWord, enumerate_pin_factors, parse_pin_spec, parse_pin_word
+from strategies import pin_specs, pin_words
 from tuple_walk import lanes
 
 
@@ -315,6 +316,86 @@ class TestOvercountSeries:
                 assert is_decomposable_word(w) == is_decomposable_word(text)
                 assert collision_group(w) == collision_group(text)
         assert overcount_series(factor_sets) == self.per_word_overcount(factor_sets)
+
+
+def corrections_by_lookup(texts, window):
+    """Per length 1..window, the decomposable prefixes of the texts and
+    their collision overcount, by the table lookups."""
+    out = {}
+    for n in range(1, window + 1):
+        prefixes = {text[:n] for text in texts if len(text) >= n}
+        decs = sum(1 for text in prefixes if is_decomposable_word(text))
+        out[n] = decs, overcount_series({n: prefixes})[n]
+    return out
+
+
+def longest_factor_texts(spec, mode):
+    """The texts of a spec's longest factors, at `pipeline._factor_counts`'
+    window, and that window."""
+    window = spec.prefix_length + 3 * spec.cycle_length + 2
+    return [str(w) for w in enumerate_pin_factors(spec, window, mode)], window
+
+
+class TestFactorCorrections:
+    """The one-pass corrections equal the lookups at every length."""
+
+    @staticmethod
+    def check(texts, window):
+        got = factor_corrections(texts)
+        assert all(1 <= n <= window for n in got)
+        want = corrections_by_lookup(texts, window)
+        assert {n: got.get(n, (0, 0)) for n in want} == want
+        return got
+
+    @given(
+        pin_specs(cycle_lengths=(2, 4, 6, 8), max_prefix_letters=6),
+        st.sampled_from(["all", "recurrent"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_spec_factors(self, spec, mode):
+        self.check(*longest_factor_texts(spec, mode))
+
+    @given(st.lists(pin_words(max_letters=24, min_letters=0), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_word_prefixes(self, words):
+        """Words of mixed lengths, each prefix counted once."""
+        texts = [str(w) for w in words]
+        self.check(texts, max(map(len, texts)))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_table_members_extended(self, data):
+        """Members of both tables up to length 24, each extended by a few
+        letters, so that most prefixes counted are members."""
+        texts = []
+        for _ in range(data.draw(st.integers(1, 5), label="texts")):
+            n = data.draw(st.integers(2, 24), label="length")
+            pool = set().union(*collision_groups_at(n), decomposable_words(n))
+            text = data.draw(st.sampled_from(sorted(pool)), label="member")
+            for _ in range(data.draw(st.integers(0, 4), label="extension")):
+                text += data.draw(st.sampled_from("ud" if text[-1] in "lr" else "lr"))
+            texts.append(text)
+        self.check(texts, max(map(len, texts)))
+
+    @pytest.mark.parametrize(
+        "text", ["1ldldldldldl(ur)*", "2drdrdrdrdrdr(ul)*", "1ldldldldldld(ruldru)*"]
+    )
+    @pytest.mark.parametrize("mode", ["all", "recurrent"])
+    def test_members_past_the_periodic_onset(self, text, mode):
+        """Specs whose prefix runs a family past `PERIODIC_FROM`: in all
+        mode they have decomposable factors and an overcount there, so the
+        check is not vacuous where `_factor_counts` reads these counts."""
+        got = self.check(*longest_factor_texts(parse_pin_spec(text), mode))
+        if mode == "all":
+            late = [got[n] for n in got if n > classify.PERIODIC_FROM]
+            assert any(decs for decs, _ in late)
+            assert any(over for _, over in late)
+
+    def test_a_group_given_by_two_symmetries_counts_once(self):
+        """{1u, 1r} is its own image under the diagonal reflection; all four
+        words of the length-2 groups present overcount 4, as the lookup."""
+        texts = ["1u", "1r", "2u", "2l", "3l", "3d", "4d", "4r"]
+        assert factor_corrections(texts)[2] == (0, overcount_series({2: texts})[2]) == (0, 4)
 
 
 class TestVerifyTables:

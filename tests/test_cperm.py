@@ -46,7 +46,8 @@ from pinclasses.errors import (
     NotAPermutation,
     ParameterOutOfRange,
 )
-from strategies import centred_perms
+from pinclasses.pimap import pi_map
+from strategies import centred_perms, pin_words
 from tuple_levels import encode
 
 
@@ -241,6 +242,26 @@ class TestIntervalsAndDecomposition:
                     assert minimal_centred_intervals(p) == sorted(minimal), p
                     checked += 1
         assert checked == sum(factorial(m) * m for m in range(2, 8))
+
+    def test_linear_test_matches_the_interval_scan_exhaustively(self):
+        """The O(m) closure test agrees with the first ∘-interval of the
+        scan on every centred permutation with up to 8 entries."""
+        checked = 0
+        for m in range(2, 9):
+            whole = (1, m)
+            for filled in permutations(range(1, m + 1)):
+                for origin in range(1, m + 1):
+                    p = CentredPerm._trusted(filled, origin)
+                    assert is_box_indecomposable(p) == (next(cperm._centred_intervals(p)) == whole)
+                    checked += 1
+        assert checked == sum(factorial(m) * m for m in range(2, 9)) == 362_878
+
+    @given(pin_words(max_letters=299, min_letters=1))
+    @settings(max_examples=60, deadline=None)
+    def test_linear_test_matches_the_interval_scan_on_pin_images(self, w):
+        p = pi_map(w)
+        whole = (1, len(p.filled))
+        assert is_box_indecomposable(p) == (next(cperm._centred_intervals(p)) == whole)
 
     @given(centred_perms(max_n=6))
     @settings(max_examples=120)

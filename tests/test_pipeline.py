@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -306,6 +307,21 @@ class TestFactorImages:
         )
         with pytest.raises(CrossCheckMismatch, match="overcount 1 inconsistent .* at n=2"):
             _factor_counts(parse_pin_spec("1(ldru)*"), "all")
+
+    @pytest.mark.parametrize("rest", ["l", "ldldlu"])
+    def test_per_factor_parts_mismatch_is_reported(self, monkeypatch, rest):
+        """Per-factor parts that miss one symmetry image of a family, the
+        decomposable 1(ld)^k l or the group of 1(ld)^k ldldlu, must part
+        the table route from the direct one past `PERIODIC_FROM`, where the
+        per-factor counts are read."""
+        entries = classify._PARTS["1l"]
+        kept = tuple(entry for entry in entries if entry[:2] != ("ld", rest))
+        assert len(kept) == len(entries) - 1
+        monkeypatch.setitem(classify._PARTS, "1l", kept)
+        with pytest.raises(CrossCheckMismatch, match="table route gives") as raised:
+            _factor_counts(parse_pin_spec("1ldldldldldl(ur)*"), "all")
+        n = int(re.search(r"at n=(\d+)", str(raised.value)).group(1))
+        assert n > classify.PERIODIC_FROM
 
 
 class TestGSequence:

@@ -1,5 +1,6 @@
 """Exact polynomial / rational generating-function arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,24 @@ class TestPoly:
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
         assert Poly([1, 2]) * 3 == Poly([3, 6])
 
+    def test_numbers_on_either_side_of_add_and_sub(self):
+        p = Poly([1, 2])
+        assert p + 1 == 1 + p == Poly([2, 2])
+        assert p - 1 == Poly([0, 2]) == -(1 - p)
+        assert p + Fraction(1, 2) == Fraction(1, 2) + p == Poly([Fraction(3, 2), 2])
+        assert Fraction(1, 2) - p == Poly([Fraction(-1, 2), -2])
+        assert p - 1 - 2 * Poly([0, 1]) == Poly.zero()
+
+    @pytest.mark.parametrize("other", [1.5, "1", None, (1, 2)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_other_operands_are_not_implemented(self, op, other):
+        p = Poly([1, 2])
+        assert getattr(p, f"__{op.__name__}__")(other) is NotImplemented
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+
     def test_divmod_exact(self):
         a = Poly([1, 0, -1])
         q, r = a.divmod(Poly([1, 1]))
@@ -203,6 +222,43 @@ class TestRatGF:
     def test_division_by_the_zero_gf(self):
         with pytest.raises(DivisionByZero):
             RatGF(Poly([1]), Poly([1, -2])) / RatGF.zero()
+
+    def test_numbers_and_polys_on_either_side(self):
+        f = RatGF(Poly([0, 1]), Poly([1, -1]))  # z/(1 - z)
+        one_over = RatGF(Poly([1]), Poly([1, -1]))  # 1/(1 - z)
+        assert f + 1 == 1 + f == one_over
+        assert f - 1 == RatGF(Poly([-1, 2]), Poly([1, -1]))
+        assert 1 - f == RatGF(Poly([1, -2]), Poly([1, -1])) == -(f - 1)
+        assert f / 2 == f * Fraction(1, 2) == RatGF(Poly([0, Fraction(1, 2)]), Poly([1, -1]))
+        assert Fraction(1, 2) + f == f + Fraction(1, 2)
+        assert f - Fraction(1, 2) == -(Fraction(1, 2) - f)
+        assert 2 / one_over == RatGF(Poly([2, -2]))
+        assert Poly([0, 1]) + f == f + Poly([0, 1]) == f + RatGF(Poly([0, 1]))
+        assert Poly([1]) - f == one_over - 2 * f
+        assert f - Poly([1]) == f - 1
+        assert f * Poly([0, 1]) == Poly([0, 1]) * f == RatGF(Poly([0, 0, 1]), Poly([1, -1]))
+        assert f / Poly([0, 1]) == one_over
+        assert Poly([1, -1]) / one_over == RatGF(Poly([1, -2, 1]))
+        assert sum([f, f]) == 2 * f
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), Poly(), RatGF.zero()])
+    def test_division_by_a_zero_operand(self, zero):
+        f = RatGF(Poly([0, 1]), Poly([1, -1]))
+        with pytest.raises(DivisionByZero):
+            f / zero
+        with pytest.raises(DivisionByZero):
+            1 / RatGF.zero()
+
+    @pytest.mark.parametrize("other", [1.5, "1", None, (1, 2)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_other_operands_are_not_implemented(self, op, other):
+        f = RatGF(Poly([0, 1]), Poly([1, -1]))
+        assert getattr(f, f"__{op.__name__}__")(other) is NotImplemented
+        assert getattr(f, f"__r{op.__name__}__")(other) is NotImplemented
+        with pytest.raises(TypeError):
+            op(f, other)
+        with pytest.raises(TypeError):
+            op(other, f)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DivisionByZero):
